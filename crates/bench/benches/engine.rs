@@ -9,7 +9,8 @@
 //!   access, flush timeouts) at a sustained backlog, isolating the
 //!   scheduler from the rest of the engine.
 //! * `engine` — representative simulation cells (a fig25-style 4-GPU
-//!   batching run and a topology-scaling-style 8-GPU ring run). Each cell
+//!   batching run, a topology-scaling-style 8-GPU ring run, and the
+//!   64-GPU switch cell of the scale-out sweep). Each cell
 //!   reports wall-clock per run through criterion and prints an
 //!   `engine-events-per-sec` line derived from the run's
 //!   `events_processed` count; CI's bench-smoke gate parses that line and
@@ -71,9 +72,13 @@ fn bench_event_queue(c: &mut Criterion) {
 fn cells() -> Vec<(&'static str, SystemConfig)> {
     let base4 = SystemConfig::paper_4gpu();
     let base8 = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
+    let mut base64 = SystemConfig::paper_4gpu();
+    base64.gpu_count = 64;
+    let base64 = base64.with_topology(TopologyKind::Switch { radix: 4 });
     vec![
         ("4gpu-batching", configs::batching(&base4, 4)),
         ("8gpu-ring-batching", configs::batching(&base8, 4)),
+        ("64gpu-switch-batching", configs::batching(&base64, 4)),
     ]
 }
 

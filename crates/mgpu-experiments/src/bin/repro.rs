@@ -29,7 +29,7 @@ use mgpu_experiments::{find, leakage, registry, serving, timeline, Mode};
 use mgpu_system::runner::configs;
 use mgpu_system::timeseries::TimelineSummary;
 use mgpu_system::Simulation;
-use mgpu_types::{SystemConfig, TopologyKind};
+use mgpu_types::SystemConfig;
 use mgpu_workloads::Benchmark;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -66,71 +66,6 @@ fn measure_engine_throughput() -> EngineThroughput {
         events_processed: report.events_processed,
         seconds,
         events_per_sec: report.events_processed as f64 / seconds.max(f64::EPSILON),
-    }
-}
-
-/// One point on the shard-scaling curve: wall-clock for the 128-GPU
-/// switch cell at a given shard count.
-struct ShardPoint {
-    shards: u16,
-    seconds: f64,
-    events_per_sec: f64,
-}
-
-/// The shard-scaling headline block: the 128-GPU switch cell end-to-end
-/// at 1/2/4/8 shards. Every point must process the same event count
-/// (the sharded engine is bit-identical to the single-thread engine), so
-/// the curve isolates pure engine wall-clock. `host_cores` is recorded
-/// because the curve is only meaningful relative to the physical
-/// parallelism available: on a single-core host it is expected to be
-/// flat-to-negative.
-struct ShardScaling {
-    gpus: u16,
-    requests_per_gpu: usize,
-    host_cores: usize,
-    events_processed: u64,
-    points: Vec<ShardPoint>,
-}
-
-/// Runs the shard-scaling headline cell: 128 GPUs on a radix-4 switch
-/// hierarchy under the full Dynamic+Batching scheme, swept over shard
-/// counts. Panics if any shard count diverges from the single-thread
-/// event count — the bit-for-bit contract is checked at measurement
-/// time, not assumed.
-fn measure_shard_scaling() -> ShardScaling {
-    let mut base = SystemConfig::paper_4gpu();
-    base.gpu_count = 128;
-    let base = base.with_topology(TopologyKind::Switch { radix: 4 });
-    let cfg = configs::batching(&base, 4);
-    let requests_per_gpu = 50;
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut points = Vec::new();
-    let mut events_processed = 0u64;
-    for shards in [1u16, 2, 4, 8] {
-        let sim = Simulation::new(cfg.clone(), Benchmark::MatrixTranspose, 42).with_shards(shards);
-        let started = std::time::Instant::now();
-        let report = sim.run_for_requests(requests_per_gpu);
-        let seconds = started.elapsed().as_secs_f64();
-        if shards == 1 {
-            events_processed = report.events_processed;
-        } else {
-            assert_eq!(
-                report.events_processed, events_processed,
-                "shards={shards} diverged from the single-thread engine"
-            );
-        }
-        points.push(ShardPoint {
-            shards,
-            seconds,
-            events_per_sec: report.events_processed as f64 / seconds.max(f64::EPSILON),
-        });
-    }
-    ShardScaling {
-        gpus: 128,
-        requests_per_gpu,
-        host_cores,
-        events_processed,
-        points,
     }
 }
 
@@ -219,7 +154,6 @@ fn bench_json(
     total_seconds: f64,
     summaries: &SummaryBlocks,
     engine: &EngineThroughput,
-    shard_scaling: &ShardScaling,
 ) -> String {
     let mode_name = match mode {
         Mode::Full => "full",
@@ -251,26 +185,6 @@ fn bench_json(
         "  \"engine\": {{\"events_per_sec\": {:.0}, \"events_processed\": {}, \
          \"cell_seconds\": {:.6}}},\n",
         engine.events_per_sec, engine.events_processed, engine.seconds,
-    ));
-    let points = shard_scaling
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\": {}, \"seconds\": {:.6}, \"events_per_sec\": {:.0}}}",
-                p.shards, p.seconds, p.events_per_sec
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!(
-        "  \"shard_scaling\": {{\"gpus\": {}, \"topology\": \"switch-r4\", \
-         \"requests_per_gpu\": {}, \"host_cores\": {}, \"events_processed\": {}, \
-         \"points\": [{points}]}},\n",
-        shard_scaling.gpus,
-        shard_scaling.requests_per_gpu,
-        shard_scaling.host_cores,
-        shard_scaling.events_processed,
     ));
     if let Some(s) = &summaries.observability {
         out.push_str(&format!(
@@ -467,25 +381,7 @@ fn main() -> ExitCode {
         "engine throughput: {:.0} events/sec ({} events in {:.3}s)",
         engine.events_per_sec, engine.events_processed, engine.seconds
     );
-    let shard_scaling = measure_shard_scaling();
-    eprintln!(
-        "shard scaling ({}-GPU switch, {} host cores):",
-        shard_scaling.gpus, shard_scaling.host_cores
-    );
-    for p in &shard_scaling.points {
-        eprintln!(
-            "  shards={}: {:.3}s ({:.0} events/sec)",
-            p.shards, p.seconds, p.events_per_sec
-        );
-    }
-    let record = bench_json(
-        mode,
-        &timings,
-        total_seconds,
-        &summaries,
-        &engine,
-        &shard_scaling,
-    );
+    let record = bench_json(mode, &timings, total_seconds, &summaries, &engine);
     if let Err(err) = std::fs::write(&bench_json_path, record) {
         eprintln!(
             "failed to write benchmark record {}: {err}",

@@ -15,22 +15,9 @@
 //!
 //! Results are bit-identical whichever path computes them — the cache
 //! stores exactly what a direct run returns, and workers never share
-//! mutable simulation state (asserted in tests).
-//!
-//! # Thread-count environment variables
-//!
-//! - `MGPU_WORKERS=<n>` caps the cell-level worker threads ([`workers`]).
-//! - `MGPU_SHARDS=<n>` sets the shard (thread) count *inside each
-//!   simulation* ([`shards`]; see `mgpu_system::sharded`). Results are
-//!   bit-identical for any value — sharding only changes wall-clock time.
-//!
-//! The two multiply: total thread demand is `workers × shards`. When
-//! neither is explicit the default stays at one thread per core (cell
-//! workers shrink to `cores / shards`). Explicit values are honored, but
-//! an oversubscribed product warns once to stderr. Invalid values (a
-//! non-integer, or zero) also warn once and fall back to the default —
-//! they used to be silently ignored, which hid typos like
-//! `MGPU_WORKERS=all`.
+//! mutable simulation state (asserted in tests). An invalid
+//! `MGPU_WORKERS` (a non-integer, or zero) warns once and falls back to
+//! the default, so typos like `MGPU_WORKERS=all` do not pass silently.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -118,91 +105,25 @@ pub fn cache_counters() -> (u64, u64) {
     )
 }
 
-/// Strict positive-integer parse for thread-count overrides.
+/// Strict positive-integer parse for the worker-count override.
 fn parse_positive(raw: &str) -> Option<usize> {
     raw.trim().parse().ok().filter(|&n| n > 0)
 }
 
-/// Reads a thread-count override from the environment, warning once (per
-/// variable) when the value is set but unusable instead of silently
-/// falling back.
-fn env_threads(var: &str, warned: &AtomicBool) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    let parsed = parse_positive(&raw);
-    if parsed.is_none() && !warned.swap(true, Ordering::Relaxed) {
-        eprintln!("warning: ignoring {var}={raw:?}: expected a positive integer");
-    }
-    parsed
-}
-
-/// Resolves the cell-worker count against the core budget shared with
-/// per-simulation shards: an explicit request is honored as-is (the
-/// caller may warn), a defaulted one shrinks to `cores / shards` so the
-/// product stays within the machine.
-fn budget_workers(requested: Option<usize>, shards: usize, cores: usize) -> usize {
-    match requested {
-        Some(n) => n,
-        None => (cores / shards.max(1)).max(1),
-    }
-}
-
-/// Clamps an explicit `MGPU_SHARDS` request to what the host can run:
-/// shards are worker threads inside one simulation, so anything beyond
-/// the core count gains nothing, and values beyond `u16::MAX` used to
-/// wrap to 65535 silently. The core count itself is capped at `u16::MAX`
-/// so the result always fits the engine's shard type.
-fn clamp_shards(requested: usize, cores: usize) -> u16 {
-    let cap = cores.clamp(1, usize::from(u16::MAX));
-    u16::try_from(requested.min(cap)).expect("cap fits u16")
-}
-
-/// Shard (thread) count used *inside each simulation*: `MGPU_SHARDS` if
-/// set (validated like `MGPU_WORKERS`, and clamped to the host's core
-/// count with a one-time warning), otherwise 1. Resolved once per
-/// process and installed as the engine-wide default
-/// (`mgpu_system::set_default_shards`), so every cell — cached or not —
-/// runs with the same shard count.
-#[must_use]
-pub fn shards() -> u16 {
-    static RESOLVED: OnceLock<u16> = OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        let s = env_threads("MGPU_SHARDS", &WARNED).map_or(1, |n| {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            let clamped = clamp_shards(n, cores);
-            if usize::from(clamped) != n && !WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: clamping MGPU_SHARDS={n} to {clamped} (host has {cores} core(s))"
-                );
-            }
-            clamped
-        });
-        mgpu_system::set_default_shards(s);
-        s
-    })
-}
-
 /// Worker threads used by [`run_many`]: `MGPU_WORKERS` if set, otherwise
-/// the machine's available parallelism divided by [`shards`] (each cell
-/// may itself run that many threads). An explicit `MGPU_WORKERS` is
-/// honored even when `workers × shards` oversubscribes the machine, but
-/// warns once.
+/// the machine's available parallelism. A set but unusable value warns
+/// once instead of silently falling back.
 #[must_use]
 pub fn workers() -> usize {
     static WARNED: AtomicBool = AtomicBool::new(false);
-    static OVERSUB_WARNED: AtomicBool = AtomicBool::new(false);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = usize::from(shards());
-    let requested = env_threads("MGPU_WORKERS", &WARNED);
-    let workers = budget_workers(requested, shards, cores);
-    if workers * shards > cores && !OVERSUB_WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "warning: MGPU_WORKERS ({workers}) x MGPU_SHARDS ({shards}) = {} threads \
-             oversubscribes {cores} core(s)",
-            workers * shards
-        );
+    let raw = std::env::var("MGPU_WORKERS").ok();
+    let parsed = raw.as_deref().and_then(parse_positive);
+    if let (Some(raw), None) = (&raw, parsed) {
+        if !WARNED.swap(true, Ordering::Relaxed) {
+            eprintln!("warning: ignoring MGPU_WORKERS={raw:?}: expected a positive integer");
+        }
     }
-    workers
+    parsed.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Empties the simulation-cell cache (test isolation and honest timing).
@@ -211,8 +132,6 @@ pub fn clear_cell_cache() {
 }
 
 fn simulate(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> RunReport {
-    // First use installs the MGPU_SHARDS default into the engine.
-    let _ = shards();
     Simulation::new(cfg.clone(), bench, SEED).run_for_requests(requests)
 }
 
@@ -464,30 +383,6 @@ mod tests {
         assert_eq!(parse_positive("all"), None);
         assert_eq!(parse_positive("-2"), None);
         assert_eq!(parse_positive(""), None);
-    }
-
-    #[test]
-    fn oversized_shard_requests_clamp_to_host_cores() {
-        // Used to wrap silently to u16::MAX; now clamps to the cores the
-        // host actually has.
-        assert_eq!(clamp_shards(70_000, 4), 4);
-        assert_eq!(clamp_shards(8, 4), 4);
-        // Within budget: honored as-is.
-        assert_eq!(clamp_shards(2, 8), 2);
-        assert_eq!(clamp_shards(1, 1), 1);
-        // A pathological core count still fits the engine's u16 shards.
-        assert_eq!(clamp_shards(1_000_000, 1_000_000), u16::MAX);
-    }
-
-    #[test]
-    fn defaulted_workers_share_the_core_budget_with_shards() {
-        // No explicit request: the worker count shrinks so that
-        // workers x shards stays within the core budget.
-        assert_eq!(budget_workers(None, 4, 16), 4);
-        assert_eq!(budget_workers(None, 1, 16), 16);
-        assert_eq!(budget_workers(None, 32, 16), 1, "never below one worker");
-        // Explicit requests are honored (the caller warns instead).
-        assert_eq!(budget_workers(Some(12), 4, 16), 12);
     }
 
     #[test]

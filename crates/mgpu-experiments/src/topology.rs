@@ -12,7 +12,7 @@
 
 use crate::common::{self, Mode};
 use crate::report::{ratio, Table};
-use mgpu_system::runner::{compare_schemes, compare_schemes_with, configs, SchemeResult};
+use mgpu_system::runner::{compare_schemes, configs, SchemeResult};
 use mgpu_types::{SystemConfig, TopologyKind};
 use mgpu_workloads::Benchmark;
 
@@ -28,11 +28,10 @@ const SHAPES: [TopologyKind; 3] = [
 /// points, Figs. 24–25).
 const GPU_COUNTS: [u16; 3] = [4, 8, 16];
 
-/// Scale-out sizes past the paper's sweep. These run on the sharded
-/// engine and sweep only [`LARGE_SHAPES`]: the ring's O(gpus) hop count
-/// would dominate runtime above 16 GPUs without adding signal, while the
-/// switch hierarchy (≤ 3 switch hops at any size) is the shape real
-/// scale-out fabrics take.
+/// Scale-out sizes past the paper's sweep. These sweep only
+/// [`LARGE_SHAPES`]: the ring's O(gpus) hop count would dominate runtime
+/// above 16 GPUs without adding signal, while the switch hierarchy (≤ 3
+/// switch hops at any size) is the shape real scale-out fabrics take.
 const LARGE_GPU_COUNTS: [u16; 3] = [32, 64, 128];
 
 /// Shapes swept at the [`LARGE_GPU_COUNTS`] scales: the switch hierarchy
@@ -41,13 +40,6 @@ const LARGE_SHAPES: [TopologyKind; 2] = [
     TopologyKind::FullyConnected,
     TopologyKind::Switch { radix: 4 },
 ];
-
-/// Shards used for the scale-out cells. Four is enough to exercise the
-/// window-synchronized engine (cross-shard mailboxes, lineage-stamp
-/// merges) while staying within the oversubscription clamp on small
-/// hosts; results are bit-identical at any shard count, so this only
-/// affects wall-clock.
-const LARGE_SHARDS: u16 = 4;
 
 /// Remote requests per GPU for one sweep cell: the mode's budget at the
 /// paper scales, scaled down above 16 GPUs so total injected work per
@@ -95,29 +87,16 @@ fn benches(mode: Mode) -> &'static [Benchmark] {
 }
 
 /// One sweep cell: scheme results for `gpus` GPUs on `kind`, summed over
-/// the mode's benchmarks. The scale-out sizes run on the sharded engine
-/// ([`LARGE_SHARDS`]); the paper scales keep the process-wide default
-/// (`MGPU_SHARDS`, single-threaded unless overridden).
+/// the mode's benchmarks.
 fn sweep_cell(gpus: u16, kind: TopologyKind, mode: Mode) -> Vec<(String, u64, u64, u64)> {
     let base = base_for(gpus).with_topology(kind);
     let schemes = scheme_set(&base);
-    let shards = if gpus > 16 {
-        LARGE_SHARDS
-    } else {
-        mgpu_system::default_shards()
-    };
     let mut out: Vec<(String, u64, u64, u64)> = schemes
         .iter()
         .map(|(label, _)| (label.clone(), 0, 0, 0))
         .collect();
     for &bench in benches(mode) {
-        let results = compare_schemes_with(
-            bench,
-            &schemes,
-            requests_for(gpus, mode),
-            common::SEED,
-            shards,
-        );
+        let results = compare_schemes(bench, &schemes, requests_for(gpus, mode), common::SEED);
         for (slot, r) in out.iter_mut().zip(&results) {
             slot.1 += r.report.total_cycles.as_u64();
             slot.2 += r.report.traffic.total().as_u64();
@@ -281,7 +260,7 @@ mod tests {
         assert!(csv.contains("ring"));
         assert!(csv.contains("switch-r4"));
         assert!(csv.contains("fully-connected"));
-        // Every scale-out size reports a sharded switch cell per scheme.
+        // Every scale-out size reports a switch cell per scheme.
         for gpus in LARGE_GPU_COUNTS {
             for scheme in ["private", "dynamic", "batching"] {
                 assert!(
@@ -303,7 +282,7 @@ mod tests {
 
     #[test]
     fn scale_out_switch_cell_amplifies_metadata() {
-        // The 32-GPU sharded switch cell must complete and show the same
+        // The 32-GPU switch cell must complete and show the same
         // routed-fabric amplification the paper scales show.
         let fc = sweep_cell(32, TopologyKind::FullyConnected, Mode::Bench);
         let sw = sweep_cell(32, TopologyKind::Switch { radix: 4 }, Mode::Bench);

@@ -112,8 +112,7 @@ pub struct CloseJitter {
 impl CloseJitter {
     /// The offset applied to the batch `(dst, id)`'s flush deadline:
     /// a SplitMix64 hash of the seed and the batch's stream position,
-    /// reduced into `[0, bound)`. Pure, so the sharded engine computes
-    /// the identical offset without shared state.
+    /// reduced into `[0, bound)`. Pure, so runs stay reproducible.
     #[must_use]
     pub fn offset(&self, dst: NodeId, id: BatchId) -> Duration {
         let bound = self.bound.as_u64();

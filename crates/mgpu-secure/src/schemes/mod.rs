@@ -63,9 +63,9 @@ pub struct SendOutcome {
 /// `on_send` when the node encrypts a block for `peer`, and `on_recv` when
 /// a block from `peer` arrives carrying counter `ctr`.
 ///
-/// `Send` is a supertrait: the sharded engine moves whole NICs (and the
-/// boxed scheme inside) onto worker threads. Every scheme is plain owned
-/// data, so this costs implementations nothing.
+/// `Send` is a supertrait so a NIC, and the boxed scheme inside it, can
+/// move between threads. Every scheme is plain owned data, so this costs
+/// implementations nothing.
 pub trait OtpScheme: Send {
     /// Which scheme this is.
     fn kind(&self) -> OtpSchemeKind;

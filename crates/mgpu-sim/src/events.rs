@@ -35,7 +35,6 @@
 use mgpu_types::Cycle;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 /// Cycles covered by the calendar wheel ahead of the clock. Power of two
 /// so bucket indexing is a mask, sized to swallow the simulator's typical
@@ -344,321 +343,6 @@ impl<E> core::fmt::Debug for HeapEventQueue<E> {
     }
 }
 
-/// Creation-lineage ordering stamp for sharded (multi-queue) execution.
-///
-/// A single global queue breaks same-cycle ties by a global insertion
-/// sequence number: events created earlier pop first. Sharded execution
-/// has no global counter, so each event instead carries a stamp that lets
-/// any two stamps be compared *as if* global sequence numbers existed:
-///
-/// * `create` — fire time of the *creating* event (the one whose handler
-///   scheduled this event); `Cycle::ZERO` for pre-loop roots,
-/// * `shard`  — the shard whose handler created this event,
-/// * `seq`    — that shard's private creation counter (for roots: the
-///   globally agreed root rank),
-/// * `parent` — the full stamp of the creating event, shared via `Arc`
-///   (absent for roots).
-///
-/// Comparison reproduces the global creation order exactly:
-///
-/// 1. Two events created by the **same shard** compare by `seq` alone —
-///    a shard creates events in its local pop order, which (inductively)
-///    is the global order restricted to that shard.
-/// 2. Otherwise compare `create`: the global counter gives the event
-///    created at the earlier cycle the smaller sequence number.
-/// 3. Equal `create` means both creating events fired at the same cycle;
-///    their pop order decides — recurse into the parents. Different-shard
-///    events always have different creators (one handler runs on exactly
-///    one shard), so the recursion terminates at a strict comparison or
-///    at two roots, which carry globally agreed ranks in `seq`.
-///
-/// The recursion depth is the length of the common lineage prefix. Two
-/// independent issue cadences can stay in lockstep for many generations
-/// (the creating event of each generation fired the same cycle on both
-/// chains), which is exactly why any *finite* lineage prefix fails: the
-/// distinguishing ancestor recedes one generation per cycle step. Sharing
-/// the chain through `Arc` makes the comparison exact at O(1) amortized
-/// memory per created event, and rule 1 short-circuits every same-shard
-/// comparison — deep walks only happen for cross-shard lockstep ties.
-///
-/// # Ordering invariant
-///
-/// Engine-generated stamps satisfy: on one shard, `seq` order is
-/// consistent with `create` order (a shard's creation counter advances
-/// with its clock). Hand-built stamps must respect this too — rule 1 is a
-/// shortcut, not an independent ordering.
-#[derive(Clone)]
-pub struct Stamp {
-    /// Fire time of the event whose handler scheduled this one
-    /// (`Cycle::ZERO` for roots).
-    pub create: Cycle,
-    /// Shard that created this event.
-    pub shard: u16,
-    /// Creation counter private to `shard`; global root rank for roots.
-    pub seq: u64,
-    /// Stamp of the creating event; `None` for roots.
-    pub parent: Option<Arc<Stamp>>,
-}
-
-impl Stamp {
-    /// Stamp for a root event scheduled before the engine starts (initial
-    /// issue kicks, the first sample tick). `seq` must be the *global*
-    /// root rank, agreed by all shards: legacy assigns roots the first
-    /// sequence numbers in root creation order, and cross-shard root
-    /// comparisons bottom out here.
-    #[must_use]
-    pub fn root(shard: u16, seq: u64) -> Self {
-        Stamp {
-            create: Cycle::ZERO,
-            shard,
-            seq,
-            parent: None,
-        }
-    }
-
-    /// Stamp for an event scheduled by a handler running at `now` on
-    /// `shard`, where `parent` is the stamp of the event being handled.
-    #[must_use]
-    pub fn child(parent: &Arc<Stamp>, now: Cycle, shard: u16, seq: u64) -> Self {
-        Stamp {
-            create: now,
-            shard,
-            seq,
-            parent: Some(Arc::clone(parent)),
-        }
-    }
-
-    /// Lineage depth (number of ancestors); a root has depth 0.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        let mut d = 0;
-        let mut cur = self.parent.as_deref();
-        while let Some(p) = cur {
-            d += 1;
-            cur = p.parent.as_deref();
-        }
-        d
-    }
-}
-
-impl PartialEq for Stamp {
-    fn eq(&self, other: &Self) -> bool {
-        // (shard, seq) identifies an event: seq is unique per shard.
-        self.shard == other.shard && self.seq == other.seq
-    }
-}
-
-impl Eq for Stamp {}
-
-impl PartialOrd for Stamp {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Stamp {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Iterative: lockstep lineages can be tens of thousands of links
-        // deep, far past any safe recursion depth.
-        let (mut a, mut b) = (self, other);
-        loop {
-            if a.shard == b.shard {
-                // Same creating shard: local creation order is the global
-                // order restricted to the shard. Strict unless `a` and `b`
-                // are the same event (only possible at the entry level:
-                // one step up, two chains meeting at the same ancestor
-                // would have been resolved as same-shard siblings first).
-                return a.seq.cmp(&b.seq);
-            }
-            match a.create.cmp(&b.create) {
-                Ordering::Equal => {}
-                ord => return ord,
-            }
-            match (&a.parent, &b.parent) {
-                (Some(pa), Some(pb)) => {
-                    a = pa;
-                    b = pb;
-                }
-                // Roots precede any handler-created event of the same
-                // cycle (legacy hands out root sequence numbers first);
-                // two roots order by their global ranks in `seq`.
-                (None, None) => return a.seq.cmp(&b.seq).then_with(|| a.shard.cmp(&b.shard)),
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-            }
-        }
-    }
-}
-
-impl Drop for Stamp {
-    fn drop(&mut self) {
-        // Dismantle the lineage chain iteratively: dropping the last
-        // holder of a deep chain would otherwise recurse per link.
-        let mut cur = self.parent.take();
-        while let Some(arc) = cur {
-            match Arc::try_unwrap(arc) {
-                Ok(mut inner) => cur = inner.parent.take(),
-                // The tail is still shared; its other owners drop it.
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-impl core::fmt::Debug for Stamp {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // Deliberately shallow: printing the whole lineage chain would
-        // emit thousands of nodes for long runs.
-        f.debug_struct("Stamp")
-            .field("create", &self.create)
-            .field("shard", &self.shard)
-            .field("seq", &self.seq)
-            .field("depth", &self.depth())
-            .finish()
-    }
-}
-
-struct StampedEntry<E> {
-    fire: Cycle,
-    stamp: Stamp,
-    event: E,
-}
-
-impl<E> PartialEq for StampedEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire == other.fire && self.stamp == other.stamp
-    }
-}
-
-impl<E> Eq for StampedEntry<E> {}
-
-impl<E> PartialOrd for StampedEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for StampedEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap; reverse for earliest-first ordering.
-        other
-            .fire
-            .cmp(&self.fire)
-            .then_with(|| other.stamp.cmp(&self.stamp))
-    }
-}
-
-/// Per-shard event queue for conservative time-window synchronization.
-///
-/// Orders events by `(fire, `[`Stamp`]`)` — a total order, so the result
-/// of merging inbound mailbox messages is independent of arrival order —
-/// and exposes [`ShardQueue::pop_before`], the window-bounded pop that
-/// lets a shard drain exactly the events inside `[window start, window
-/// end)` before synchronizing with its peers.
-///
-/// # Examples
-///
-/// ```
-/// use mgpu_sim::events::{ShardQueue, Stamp};
-/// use mgpu_types::Cycle;
-///
-/// let mut q = ShardQueue::new();
-/// q.schedule(Cycle::new(5), Stamp::root(0, 1), "b");
-/// q.schedule(Cycle::new(5), Stamp::root(0, 0), "a");
-/// q.schedule(Cycle::new(9), Stamp::root(0, 2), "c");
-/// // Window [0, 8): only the two cycle-5 events pop, stamp-ordered.
-/// assert_eq!(q.pop_before(Cycle::new(8)).map(|(_, _, e)| e), Some("a"));
-/// assert_eq!(q.pop_before(Cycle::new(8)).map(|(_, _, e)| e), Some("b"));
-/// assert_eq!(q.pop_before(Cycle::new(8)), None);
-/// assert_eq!(q.peek_time(), Some(Cycle::new(9)));
-/// ```
-pub struct ShardQueue<E> {
-    heap: BinaryHeap<StampedEntry<E>>,
-    now: Cycle,
-}
-
-impl<E> Default for ShardQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ShardQueue<E> {
-    /// Creates an empty queue at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        ShardQueue {
-            heap: BinaryHeap::new(),
-            now: Cycle::ZERO,
-        }
-    }
-
-    /// Schedules `event` to fire at `fire` with ordering stamp `stamp`.
-    ///
-    /// Also used to inject mailbox messages at window barriers: a
-    /// conservative window guarantees cross-shard messages fire at or
-    /// after the window end, so injection never lands in the local past.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fire` is earlier than the current shard-local time.
-    pub fn schedule(&mut self, fire: Cycle, stamp: Stamp, event: E) {
-        assert!(
-            fire >= self.now,
-            "cannot schedule into the past: {fire} < now {now}",
-            now = self.now
-        );
-        self.heap.push(StampedEntry { fire, stamp, event });
-    }
-
-    /// Removes and returns the earliest event if it fires strictly before
-    /// `limit`, advancing the shard-local clock to its timestamp. Returns
-    /// `None` when the next event is at or past `limit` (the window is
-    /// drained) or the queue is empty.
-    pub fn pop_before(&mut self, limit: Cycle) -> Option<(Cycle, Stamp, E)> {
-        if self.heap.peek().is_some_and(|e| e.fire < limit) {
-            let e = self.heap.pop().expect("peeked entry exists");
-            self.now = e.fire;
-            Some((e.fire, e.stamp, e.event))
-        } else {
-            None
-        }
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.fire)
-    }
-
-    /// The current shard-local time (timestamp of the last popped event).
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> core::fmt::Debug for ShardQueue<E> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShardQueue")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,128 +456,6 @@ mod tests {
         }
         let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(got, expect);
-    }
-
-    /// Pinned: merging two shards' mailbox messages into a `ShardQueue`
-    /// yields one specific order — `(fire, lineage)` — no matter which
-    /// mailbox drains first.
-    #[test]
-    fn shard_queue_merge_order_is_deterministic() {
-        let r0 = Arc::new(Stamp::root(0, 0));
-        let r1 = Arc::new(Stamp::root(1, 1));
-        let mid_parent = Arc::new(Stamp::child(&r0, Cycle::new(4), 0, 3));
-        let msgs = [
-            // Cross-shard ties at the same fire cycle resolve by creation
-            // cycle first, then by lineage down to the root ranks.
-            (20, Stamp::child(&r1, Cycle::new(10), 1, 9), "d"),
-            (20, Stamp::child(&r1, Cycle::new(5), 1, 4), "b"),
-            (20, Stamp::child(&r0, Cycle::new(5), 0, 4), "a"),
-            (20, Stamp::child(&r0, Cycle::new(10), 0, 6), "c"),
-            (15, Stamp::child(&r1, Cycle::new(12), 1, 10), "first"),
-            (20, Stamp::child(&mid_parent, Cycle::new(7), 0, 5), "mid"),
-        ];
-        let expect = ["first", "a", "b", "mid", "c", "d"];
-        // Try both drain orders (shard 0's messages first, then shard 1's,
-        // and vice versa): the pop stream must be identical.
-        for reverse in [false, true] {
-            let mut q = ShardQueue::new();
-            let mut order: Vec<_> = msgs.to_vec();
-            if reverse {
-                order.reverse();
-            }
-            for (fire, stamp, payload) in order {
-                q.schedule(Cycle::new(fire), stamp, payload);
-            }
-            let got: Vec<_> = std::iter::from_fn(|| q.pop_before(Cycle::new(u64::MAX)))
-                .map(|(_, _, e)| e)
-                .collect();
-            assert_eq!(got, expect, "reverse={reverse}");
-        }
-    }
-
-    /// With one shard stamping `create = now` and a monotonically
-    /// increasing local counter, `ShardQueue` reproduces the global-queue
-    /// `(time, seq)` FIFO order exactly — the shards=1 equivalence the
-    /// sharded engine leans on.
-    #[test]
-    fn single_shard_stamps_match_global_fifo_order() {
-        let mut global = HeapEventQueue::new();
-        let mut sharded = ShardQueue::new();
-        let root = Arc::new(Stamp::root(0, 0));
-        let mut seq = 0u64;
-        let mut schedule = |g: &mut HeapEventQueue<u64>, s: &mut ShardQueue<u64>, t: u64, now| {
-            g.schedule(Cycle::new(t), seq);
-            s.schedule(Cycle::new(t), Stamp::child(&root, now, 0, seq), seq);
-            seq += 1;
-        };
-        for t in [5, 5, 3, 9, 3, 5] {
-            schedule(&mut global, &mut sharded, t, Cycle::ZERO);
-        }
-        for _ in 0..6 {
-            let (gt, ge) = global.pop().expect("global event");
-            let (st, _, se) = sharded
-                .pop_before(Cycle::new(u64::MAX))
-                .expect("shard event");
-            assert_eq!((gt, ge), (st, se));
-            // Same-cycle follow-ups created "by" the popped event.
-            if ge == 2 {
-                schedule(&mut global, &mut sharded, gt.as_u64(), gt);
-            }
-        }
-    }
-
-    /// Two issue cadences on different shards can stay in creation-cycle
-    /// lockstep for arbitrarily many generations; the order of their
-    /// same-cycle descendants is then decided by the first lineage
-    /// divergence — here, all the way back at the root ranks. A finite
-    /// lineage prefix (the design this replaced) cannot see that deep.
-    #[test]
-    fn deep_lockstep_lineages_order_by_first_divergence() {
-        let gap = 3u64;
-        let grow = |root: Arc<Stamp>, shard: u16, generations: u64| {
-            let mut tip = root;
-            for g in 0..generations {
-                let now = Cycle::new((g + 1) * gap);
-                let seq = 100 + g; // same local counter values on both shards
-                tip = Arc::new(Stamp::child(&tip, now, shard, seq));
-            }
-            tip
-        };
-        // Root ranks say shard 1's chain was created first.
-        let a = grow(Arc::new(Stamp::root(0, 1)), 0, 40);
-        let b = grow(Arc::new(Stamp::root(1, 0)), 1, 40);
-        assert_eq!(a.depth(), 40);
-        assert!(
-            b.as_ref() < a.as_ref(),
-            "root rank 0 wins through 40 lockstep generations"
-        );
-        // A single creation-cycle divergence near the tip overrides roots.
-        let c = Arc::new(Stamp::child(
-            &grow(Arc::new(Stamp::root(1, 0)), 1, 39),
-            Cycle::new(40 * gap + 1),
-            1,
-            200,
-        ));
-        assert!(
-            a.as_ref() < c.as_ref(),
-            "later creation cycle loses regardless of root rank"
-        );
-    }
-
-    #[test]
-    fn pop_before_respects_the_window_bound() {
-        let mut q = ShardQueue::new();
-        q.schedule(Cycle::new(100), Stamp::root(0, 0), "in");
-        q.schedule(Cycle::new(200), Stamp::root(0, 1), "out");
-        assert_eq!(q.pop_before(Cycle::new(200)).map(|(_, _, e)| e), Some("in"));
-        assert_eq!(q.pop_before(Cycle::new(200)), None); // fire == limit stays
-        assert_eq!(q.now(), Cycle::new(100));
-        assert_eq!(q.len(), 1);
-        assert_eq!(
-            q.pop_before(Cycle::new(201)).map(|(_, _, e)| e),
-            Some("out")
-        );
-        assert!(q.is_empty());
     }
 
     mod prop_tests {

@@ -145,136 +145,6 @@ impl RoutingTable {
     }
 }
 
-/// Assignment of every simulated resource owner — nodes and switches — to
-/// one of `shards` worker shards, for conservative parallel execution.
-///
-/// Nodes are split into *contiguous* index ranges (CPU first): contiguous
-/// assignment means iterating shards in order and each shard's nodes in
-/// order visits nodes in global ascending order, which is what keeps
-/// root-event creation order identical to the single-thread engine. A
-/// switch is co-located with the first GPU attached to it (the root switch
-/// with shard 0), so same-leaf traffic tends to stay shard-local.
-///
-/// # Examples
-///
-/// ```
-/// use mgpu_sim::routing::{RoutingTable, ShardMap};
-/// use mgpu_types::{NodeId, TopologyKind};
-///
-/// let table = RoutingTable::new(TopologyKind::Switch { radix: 4 }, 8);
-/// let map = ShardMap::new(&table, 8, 2);
-/// assert_eq!(map.of_node(NodeId::CPU), 0);
-/// assert_eq!(map.of_node(NodeId::gpu(8)), 1);
-/// // Leaf 1 serves GPUs 5..=8, all on shard 1.
-/// assert_eq!(map.of_switch(1), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardMap {
-    node_shard: Vec<u16>,
-    switch_shard: Vec<u16>,
-    nodes_of: Vec<Vec<NodeId>>,
-}
-
-impl ShardMap {
-    /// Partitions the `gpu_count + 1` nodes (and `table`'s switches) of a
-    /// system across `shards` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds the node count (an empty
-    /// shard would deadlock nothing but serves nothing).
-    #[must_use]
-    pub fn new(table: &RoutingTable, gpu_count: u16, shards: u16) -> Self {
-        let nodes = gpu_count + 1;
-        assert!(shards >= 1, "at least one shard");
-        assert!(
-            shards <= nodes,
-            "more shards ({shards}) than nodes ({nodes})"
-        );
-        // Contiguous balanced split: the first `extra` shards take one
-        // node more than the rest.
-        let base = nodes / shards;
-        let extra = nodes % shards;
-        let mut node_shard = Vec::with_capacity(usize::from(nodes));
-        let mut nodes_of = vec![Vec::new(); usize::from(shards)];
-        for s in 0..shards {
-            let take = base + u16::from(s < extra);
-            for _ in 0..take {
-                let raw = node_shard.len() as u16;
-                node_shard.push(s);
-                nodes_of[usize::from(s)].push(NodeId::from_raw(raw));
-            }
-        }
-        let switch_shard = (0..table.switch_count())
-            .map(|sw| match table.kind() {
-                TopologyKind::Switch { radix } => {
-                    let leaves = gpu_count.div_ceil(radix);
-                    if table.switch_count() == leaves + 1 && sw == leaves {
-                        0 // the root switch rides with shard 0
-                    } else {
-                        node_shard[usize::from(sw * radix + 1)]
-                    }
-                }
-                _ => 0,
-            })
-            .collect();
-        ShardMap {
-            node_shard,
-            switch_shard,
-            nodes_of,
-        }
-    }
-
-    /// Number of shards in the partition.
-    #[must_use]
-    pub fn shards(&self) -> u16 {
-        self.nodes_of.len() as u16
-    }
-
-    /// The shard owning `node`'s state (NIC, pacer, HBM, fabric ports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the system.
-    #[must_use]
-    pub fn of_node(&self, node: NodeId) -> u16 {
-        self.node_shard[usize::from(node.raw())]
-    }
-
-    /// The shard owning switch `sw`'s ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sw` is outside the fabric.
-    #[must_use]
-    pub fn of_switch(&self, sw: u16) -> u16 {
-        self.switch_shard[usize::from(sw)]
-    }
-
-    /// The shard owning a route waypoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the waypoint is outside the system.
-    #[must_use]
-    pub fn of_waypoint(&self, w: Waypoint) -> u16 {
-        match w {
-            Waypoint::Node(n) => self.of_node(n),
-            Waypoint::Switch(s) => self.of_switch(s),
-        }
-    }
-
-    /// The nodes owned by `shard`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn nodes_of(&self, shard: u16) -> &[NodeId] {
-        &self.nodes_of[usize::from(shard)]
-    }
-}
-
 /// The leaf switch a GPU attaches to (GPU indices are 1-based).
 fn leaf_of(gpu_index: u16, radix: u16) -> u16 {
     (gpu_index - 1) / radix
@@ -418,47 +288,6 @@ mod tests {
     #[should_panic(expected = "topology valid")]
     fn invalid_shape_panics() {
         let _ = RoutingTable::new(TopologyKind::Ring, 2);
-    }
-
-    #[test]
-    fn shard_map_partitions_nodes_contiguously() {
-        let t = RoutingTable::new(TopologyKind::FullyConnected, 8);
-        let m = ShardMap::new(&t, 8, 4);
-        // 9 nodes over 4 shards: 3+2+2+2, contiguous and exhaustive.
-        let mut walked = Vec::new();
-        for s in 0..4 {
-            let nodes = m.nodes_of(s);
-            assert!(!nodes.is_empty());
-            for &n in nodes {
-                assert_eq!(m.of_node(n), s);
-                walked.push(n);
-            }
-        }
-        assert_eq!(walked, NodeId::all(8).collect::<Vec<_>>());
-        assert_eq!(m.nodes_of(0).len(), 3);
-        assert_eq!(m.shards(), 4);
-    }
-
-    #[test]
-    fn shard_map_colocates_switches_with_their_gpus() {
-        let t = RoutingTable::new(TopologyKind::Switch { radix: 4 }, 8);
-        let m = ShardMap::new(&t, 8, 3);
-        // Leaf 0 serves GPUs 1..=4 (first: GPU1), leaf 1 serves 5..=8.
-        assert_eq!(m.of_switch(0), m.of_node(NodeId::gpu(1)));
-        assert_eq!(m.of_switch(1), m.of_node(NodeId::gpu(5)));
-        assert_eq!(m.of_switch(2), 0); // root
-        assert_eq!(
-            m.of_waypoint(Waypoint::Switch(1)),
-            m.of_node(NodeId::gpu(5))
-        );
-        assert_eq!(m.of_waypoint(Waypoint::Node(NodeId::CPU)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "more shards")]
-    fn shard_map_rejects_more_shards_than_nodes() {
-        let t = RoutingTable::new(TopologyKind::FullyConnected, 3);
-        let _ = ShardMap::new(&t, 3, 5);
     }
 
     mod prop_tests {

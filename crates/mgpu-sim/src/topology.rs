@@ -395,27 +395,6 @@ impl Topology {
         self.ctrl.len()
     }
 
-    /// Minimum propagation latency over every link that can carry a
-    /// message *between* waypoints: all egress data ports (node and
-    /// switch) and all control VCs. Ingress ports are excluded — they have
-    /// zero latency by construction, and an ingress booking happens on the
-    /// same waypoint (hence the same shard) as the arrival event that
-    /// triggers it, so it never bounds a cross-shard delay.
-    ///
-    /// This is the conservative-synchronization lookahead: any event a
-    /// handler at cycle `c` schedules on a *different* waypoint fires at
-    /// `c + min_crossing_latency()` or later.
-    #[must_use]
-    pub fn min_crossing_latency(&self) -> Duration {
-        self.node_egress
-            .values()
-            .chain(self.switch_egress.iter())
-            .chain(self.ctrl.values())
-            .map(TimedServer::latency)
-            .min()
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Aggregated traffic totals across the system, counted **per hop**:
     /// data bytes are accounted at every egress port they cross (node and
     /// switch); control/ACK bytes at their VC, scaled by route length.
@@ -768,21 +747,6 @@ mod tests {
         assert_eq!(topo.traffic_totals().get(TrafficClass::Mac).as_u64(), 48);
         topo.charge_background(far, ByteSize::new(8), TrafficClass::Ack);
         assert_eq!(topo.traffic_totals().get(TrafficClass::Ack).as_u64(), 24);
-    }
-
-    #[test]
-    fn min_crossing_latency_is_the_link_latency() {
-        // All waypoint-to-waypoint links (egress ports, ctrl VCs) carry at
-        // least the configured per-hop latency; ingress ports (zero
-        // latency) are excluded from the lookahead.
-        for kind in [
-            TopologyKind::FullyConnected,
-            TopologyKind::Ring,
-            TopologyKind::Switch { radix: 4 },
-        ] {
-            let topo = topo_for(kind, 8);
-            assert_eq!(topo.min_crossing_latency(), Duration::cycles(100));
-        }
     }
 
     #[test]

@@ -47,14 +47,6 @@ impl Transit {
     pub fn bytes(&self) -> ByteSize {
         self.bytes
     }
-
-    /// The route position (waypoint index) these bytes reach next
-    /// (1 = first waypoint after the source). Sharded execution uses this
-    /// to route the hop event to the shard owning that waypoint's ports.
-    #[must_use]
-    pub fn hop(&self) -> usize {
-        self.hop
-    }
 }
 
 /// What happened when in-flight bytes reached their next waypoint.

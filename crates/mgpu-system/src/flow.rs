@@ -190,18 +190,6 @@ impl<D> CreditGate<D> {
     pub fn parked_len(&self, node: NodeId) -> usize {
         self.parked.get(node).map_or(0, VecDeque::len)
     }
-
-    /// Copies `node`'s credit balance and grant count from `other` (the
-    /// shard-boundary credit exchange: a shard folding back into the
-    /// coordinator hands over the windows of the nodes it owned).
-    pub fn adopt_credit<D2>(&mut self, other: &CreditGate<D2>, node: NodeId) {
-        if let Some(&free) = other.free.get(node) {
-            self.free.insert(node, free);
-        }
-        if let Some(&grants) = other.grants.get(node) {
-            self.grants.insert(node, grants);
-        }
-    }
 }
 
 /// The PR 5 gap-wakeup dedup, extracted from the engines: per node, at
@@ -325,17 +313,5 @@ mod tests {
         // The armed wakeup firing re-arms the node.
         ladder.fired(g1, Cycle::new(10));
         assert!(ladder.arm(g1, Cycle::new(25)));
-    }
-
-    #[test]
-    fn gate_adopts_credits_across_a_boundary() {
-        let g1 = NodeId::gpu(1);
-        let mut a: CreditGate<u32> = CreditGate::new(nodes(), 4, ArbitrationKind::RoundRobin);
-        let mut b: CreditGate<&str> = CreditGate::new(nodes(), 4, ArbitrationKind::RoundRobin);
-        b.admit(g1).unwrap();
-        b.overdraw(g1);
-        a.adopt_credit(&b, g1);
-        assert_eq!(a.free(g1), 2);
-        assert_eq!(a.grants(g1), 2);
     }
 }

@@ -98,33 +98,6 @@ pub fn compare_schemes(
     per_gpu: usize,
     seed: u64,
 ) -> Vec<SchemeResult> {
-    compare_schemes_with(
-        benchmark,
-        configs,
-        per_gpu,
-        seed,
-        crate::simulation::default_shards(),
-    )
-}
-
-/// [`compare_schemes`] with an explicit shard (worker-thread) count per
-/// simulation, bypassing the process-wide default. Reports are bit-for-bit
-/// identical for every `shards` value; the parity tests rely on this
-/// entry point to compare shard counts without racing on the process
-/// global.
-///
-/// # Panics
-///
-/// Panics if a configuration disagrees with the first on a
-/// baseline-relevant field, naming the offending label.
-#[must_use]
-pub fn compare_schemes_with(
-    benchmark: Benchmark,
-    configs: &[(String, SystemConfig)],
-    per_gpu: usize,
-    seed: u64,
-    shards: u16,
-) -> Vec<SchemeResult> {
     if let Some((first_label, first)) = configs.first() {
         let reference = baseline_view(first);
         for (label, cfg) in configs {
@@ -142,16 +115,12 @@ pub fn compare_schemes_with(
             .unwrap_or_else(SystemConfig::paper_4gpu);
         base_cfg.security.scheme = OtpSchemeKind::Unsecure;
         base_cfg.security.batching.enabled = false;
-        Simulation::new(base_cfg, benchmark, seed)
-            .with_shards(shards)
-            .run_for_requests(per_gpu)
+        Simulation::new(base_cfg, benchmark, seed).run_for_requests(per_gpu)
     };
     configs
         .iter()
         .map(|(label, cfg)| {
-            let report = Simulation::new(cfg.clone(), benchmark, seed)
-                .with_shards(shards)
-                .run_for_requests(per_gpu);
+            let report = Simulation::new(cfg.clone(), benchmark, seed).run_for_requests(per_gpu);
             SchemeResult {
                 label: label.clone(),
                 benchmark,

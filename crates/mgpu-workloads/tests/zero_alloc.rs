@@ -8,21 +8,32 @@
 //! request count and with no per-call CDF rebuild.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mgpu_types::NodeId;
 use mgpu_workloads::{ArrivalProcess, ServingModel};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so allocations by
+    /// tests running concurrently on other harness threads never land in
+    /// a measured window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with`: the
+/// allocator can run while the thread's locals are being torn down.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure pass-through to the system allocator — every contract
 // (layout validity, pointer provenance) is forwarded unchanged from the
 // caller, and the counter side effect never touches allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: caller upholds `alloc`'s contract; forwarded verbatim.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: caller upholds `realloc`'s contract; forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -42,8 +53,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Allocations of one `generate_for` call producing `count` requests.
