@@ -8,9 +8,10 @@
 //!   event-gap distribution (same-cycle reissues, link latencies, DRAM
 //!   access, flush timeouts) at a sustained backlog, isolating the
 //!   scheduler from the rest of the engine.
-//! * `engine` — representative simulation cells (a fig25-style 4-GPU
-//!   batching run, a topology-scaling-style 8-GPU ring run, and the
-//!   64-GPU switch cell of the scale-out sweep). Each cell
+//! * `engine` — representative simulation cells (a 4-GPU
+//!   Dynamic+Batching run, the configuration of fig21's headline scheme,
+//!   a topology-scaling-style 8-GPU ring run, and the 64-GPU switch cell
+//!   of the scale-out sweep). Each cell
 //!   reports wall-clock per run through criterion and prints an
 //!   `engine-events-per-sec` line derived from the run's
 //!   `events_processed` count; CI's bench-smoke gate parses that line and
@@ -67,8 +68,9 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cells the throughput gate tracks: the same shapes fig25 and the
-/// topology-scaling sweep lean on hardest.
+/// The cells the throughput gate tracks: the paper's 4-GPU system under
+/// its headline scheme, and the ring and switch shapes the
+/// topology-scaling sweep leans on hardest.
 fn cells() -> Vec<(&'static str, SystemConfig)> {
     let base4 = SystemConfig::paper_4gpu();
     let base8 = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);

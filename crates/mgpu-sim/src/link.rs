@@ -42,7 +42,8 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
-    /// All categories, for iteration in reports.
+    /// All categories, for iteration in reports, in discriminant order
+    /// (per-class counters are indexed by discriminant).
     pub const ALL: [TrafficClass; 7] = [
         TrafficClass::Data,
         TrafficClass::Counter,
@@ -149,15 +150,14 @@ impl std::ops::Deref for WireParts {
 /// Per-class byte counters accumulated by a link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficTotals {
-    counts: [u64; 7],
+    counts: [u64; TrafficClass::ALL.len()],
 }
 
 impl TrafficTotals {
+    /// Counter slot of `class`: its discriminant, which is its position
+    /// in [`TrafficClass::ALL`].
     fn index(class: TrafficClass) -> usize {
-        TrafficClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("class in ALL")
+        class as usize
     }
 
     /// Adds `bytes` to `class`.
@@ -452,6 +452,13 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_bandwidth_panics() {
         let _ = Link::new(0, Duration::ZERO);
+    }
+
+    #[test]
+    fn all_lists_classes_in_discriminant_order() {
+        for (i, class) in TrafficClass::ALL.iter().enumerate() {
+            assert_eq!(*class as usize, i, "{class:?}");
+        }
     }
 
     #[test]

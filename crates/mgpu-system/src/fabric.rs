@@ -1,14 +1,15 @@
 //! The routed data fabric: moves encrypted blocks hop by hop.
 //!
 //! [`Fabric`] owns the [`Topology`] and turns a block transmission into a
-//! sequence of per-hop transit steps the event loop can schedule:
-//! [`Fabric::begin`] books the source's egress port and hands back a
-//! [`Transit`] token; each time the token's in-flight bytes reach a
-//! waypoint, [`Fabric::advance`] either forwards them (books the
-//! waypoint's ingress and egress ports — intermediate GPUs and switches
-//! only ever see ciphertext; encryption, MACs and replay protection stay
-//! end-to-end between the communicating NICs) or delivers them at the
-//! destination's ingress port.
+//! sequence of per-hop transit steps the event loop can schedule: a
+//! [`Transit`] token starts at the block's source, [`Fabric::begin`]
+//! books the source's egress port and moves the token onto the route;
+//! each time the block's in-flight bytes reach a waypoint,
+//! [`Fabric::advance`] either forwards them (books the waypoint's ingress
+//! and egress ports — intermediate GPUs and switches only ever see
+//! ciphertext; encryption, MACs and replay protection stay end-to-end
+//! between the communicating NICs) or delivers them at the destination's
+//! ingress port.
 //!
 //! On the paper's fully-connected fabric every route is one hop, so the
 //! sequence degenerates to exactly the pre-fabric model: one egress
@@ -19,16 +20,15 @@ use mgpu_sim::timeq::Busy;
 use mgpu_sim::topology::Topology;
 use mgpu_types::{ByteSize, Cycle, NodeId, PairId, SystemConfig};
 
-/// A block (or batch of parts travelling together) in flight across the
-/// fabric. `hop` is the waypoint whose ingress port the bytes reach next
-/// (1 = first waypoint after the source). `Copy`: the token rides inside
-/// scheduled events, so it must not drag a heap allocation along.
+/// A block's position on its route across the fabric. `hop` is the
+/// waypoint whose ingress port the bytes reach next (0 = still at the
+/// source, 1 = first waypoint after it). The token holds no wire parts:
+/// the caller keeps a block's parts once and passes them to every call,
+/// so the token stays three words.
 #[derive(Debug, Clone, Copy)]
 pub struct Transit {
     pair: PairId,
-    hop: usize,
-    parts: WireParts,
-    bytes: ByteSize,
+    hop: u16,
     /// Set when this waypoint's ingress was already booked but the
     /// onward egress rejected for credits: the retry must not occupy
     /// the ingress port (and account its bytes) a second time.
@@ -36,40 +36,40 @@ pub struct Transit {
 }
 
 impl Transit {
+    /// A block at `pair.src`, not yet handed to [`Fabric::begin`].
+    #[must_use]
+    pub fn new(pair: PairId) -> Self {
+        Transit {
+            pair,
+            hop: 0,
+            cleared_ingress: None,
+        }
+    }
+
     /// The endpoints this transit travels between.
     #[must_use]
     pub fn pair(&self) -> PairId {
         self.pair
     }
-
-    /// Total bytes on the wire.
-    #[must_use]
-    pub fn bytes(&self) -> ByteSize {
-        self.bytes
-    }
 }
 
 /// What happened when in-flight bytes reached their next waypoint.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum HopOutcome {
     /// An intermediate waypoint forwarded the bytes; they reach the next
     /// waypoint's ingress at `at`.
     Forwarded {
         /// Arrival time at the next waypoint.
         at: Cycle,
-        /// The transit token, advanced one hop.
-        transit: Transit,
     },
     /// The waypoint's onward egress is out of data-VC credits: the
     /// typed backpressure reject. The bytes sit in the waypoint's
-    /// ingress buffer (already booked); re-advance the returned token
-    /// at `retry_at`, when the credit that blocked this hop frees.
+    /// ingress buffer (already booked, and remembered by the token, so
+    /// the retry goes straight to egress); re-advance the token at
+    /// `retry_at`, when the credit that blocked this hop frees.
     Blocked {
         /// Earliest cycle the needed egress credit frees.
         retry_at: Cycle,
-        /// The transit token, unchanged except it remembers its
-        /// ingress booking — the retry goes straight to egress.
-        transit: Transit,
     },
     /// The destination's ingress port finished clocking the bytes in at
     /// `at`; receive-side processing can start.
@@ -94,22 +94,13 @@ impl Fabric {
         }
     }
 
-    /// Starts a block transmission: books `pair.src`'s egress port with
-    /// `parts` (accounting the bytes to it) and returns the arrival time
-    /// at the first waypoint plus the [`Transit`] token to advance there.
-    pub fn begin(&mut self, pair: PairId, now: Cycle, parts: WireParts) -> (Cycle, Transit) {
-        let bytes = parts.total();
-        let at = self.topo.depart(pair, 0, now, &parts);
-        (
-            at,
-            Transit {
-                pair,
-                hop: 1,
-                parts,
-                bytes,
-                cleared_ingress: None,
-            },
-        )
+    /// Starts a block transmission: books `transit.pair().src`'s egress
+    /// port with `parts` (accounting the bytes to it), moves the token to
+    /// the first waypoint and returns the bytes' arrival time there.
+    pub fn begin(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> Cycle {
+        debug_assert_eq!(transit.hop, 0, "transit already departed");
+        transit.hop = 1;
+        self.topo.depart(transit.pair, 0, now, parts)
     }
 
     /// Non-mutating admission probe for [`Fabric::begin`]: is `pair`'s
@@ -123,39 +114,29 @@ impl Fabric {
 
     /// Advances in-flight bytes through the waypoint they just reached:
     /// books its ingress port, and — unless it is the destination — its
-    /// egress port toward the next waypoint.
-    pub fn advance(&mut self, transit: Transit, now: Cycle) -> HopOutcome {
+    /// egress port toward the next waypoint, moving the token on.
+    pub fn advance(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> HopOutcome {
+        let hop = usize::from(transit.hop);
         // A retry after a credit reject already holds its ingress
         // booking: clocking the bytes in again would double-book the
         // port and double-count the bytes.
-        let through = match transit.cleared_ingress {
+        let through = match transit.cleared_ingress.take() {
             Some(t) => t.max(now),
-            None => self
-                .topo
-                .arrive(transit.pair, transit.hop, now, transit.bytes),
+            None => self.topo.arrive(transit.pair, hop, now, parts.total()),
         };
-        if transit.hop == self.topo.hops(transit.pair) {
-            HopOutcome::Delivered { at: through }
-        } else {
-            match self
-                .topo
-                .try_depart(transit.pair, transit.hop, through, &transit.parts)
-            {
-                Ok(at) => HopOutcome::Forwarded {
-                    at,
-                    transit: Transit {
-                        hop: transit.hop + 1,
-                        cleared_ingress: None,
-                        ..transit
-                    },
-                },
-                Err(busy) => HopOutcome::Blocked {
+        if hop == self.topo.hops(transit.pair) {
+            return HopOutcome::Delivered { at: through };
+        }
+        match self.topo.try_depart(transit.pair, hop, through, parts) {
+            Ok(at) => {
+                transit.hop += 1;
+                HopOutcome::Forwarded { at }
+            }
+            Err(busy) => {
+                transit.cleared_ingress = Some(through);
+                HopOutcome::Blocked {
                     retry_at: busy.retry_at,
-                    transit: Transit {
-                        cleared_ingress: Some(through),
-                        ..transit
-                    },
-                },
+                }
             }
         }
     }
@@ -211,32 +192,28 @@ mod tests {
     #[test]
     fn single_hop_delivers_immediately() {
         let mut f = fabric(TopologyKind::FullyConnected, 4);
-        let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
-        let (at, transit) = f.begin(
-            pair,
-            Cycle::ZERO,
-            WireParts::of(ByteSize::CACHELINE, TrafficClass::Data),
-        );
+        let mut transit = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(2)));
+        let parts = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
+        let at = f.begin(&mut transit, Cycle::ZERO, &parts);
         assert_eq!(at, Cycle::new(2 + 100)); // 64 B at 50 B/cy + latency
-        match f.advance(transit, at) {
-            HopOutcome::Delivered { at } => assert_eq!(at, Cycle::new(2 + 100 + 2)),
-            other => panic!("expected delivery, got {other:?}"),
-        }
+        assert_eq!(
+            f.advance(&mut transit, at, &parts),
+            HopOutcome::Delivered {
+                at: Cycle::new(2 + 100 + 2)
+            }
+        );
     }
 
     #[test]
     fn ring_transit_forwards_then_delivers() {
         let mut f = fabric(TopologyKind::Ring, 8);
-        let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
-        let (at, transit) = f.begin(
-            pair,
-            Cycle::ZERO,
-            WireParts::of(ByteSize::CACHELINE, TrafficClass::Data),
-        );
-        let HopOutcome::Forwarded { at, transit } = f.advance(transit, at) else {
+        let mut transit = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(3)));
+        let parts = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
+        let at = f.begin(&mut transit, Cycle::ZERO, &parts);
+        let HopOutcome::Forwarded { at } = f.advance(&mut transit, at, &parts) else {
             panic!("two-hop route must forward at GPU2");
         };
-        let HopOutcome::Delivered { at } = f.advance(transit, at) else {
+        let HopOutcome::Delivered { at } = f.advance(&mut transit, at, &parts) else {
             panic!("second hop is the destination");
         };
         // Two store-and-forward legs of (2 ser + 100 lat + 2 ingress).
@@ -246,13 +223,43 @@ mod tests {
     }
 
     #[test]
-    fn transit_exposes_pair_and_bytes() {
-        let mut f = fabric(TopologyKind::FullyConnected, 4);
+    fn blocked_transit_retries_from_its_waypoint() {
+        let mut cfg = SystemConfig::paper_4gpu();
+        cfg.gpu_count = 8;
+        cfg.topology = TopologyKind::Ring;
+        cfg.flow.data_vc_credits = Some(1);
+        let mut f = Fabric::new(&cfg);
+        let parts = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
+        // The routed GPU1 -> GPU3 block reaches GPU2 at 102 and clears
+        // its ingress at 104, but a local GPU2 -> GPU3 block departing at
+        // 100 holds GPU2's only onward data credit until it lands at 202.
+        let mut routed = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(3)));
+        let mut local = Transit::new(PairId::new(NodeId::gpu(2), NodeId::gpu(3)));
+        let at = f.begin(&mut routed, Cycle::ZERO, &parts);
+        f.begin(&mut local, Cycle::new(100), &parts);
+        assert_eq!(
+            f.advance(&mut routed, at, &parts),
+            HopOutcome::Blocked {
+                retry_at: Cycle::new(202)
+            }
+        );
+        // The retry goes straight to GPU2's egress (its ingress booking
+        // is remembered), then delivers one leg later.
+        let HopOutcome::Forwarded { at } = f.advance(&mut routed, Cycle::new(202), &parts) else {
+            panic!("the freed credit lets the block forward");
+        };
+        assert_eq!(at, Cycle::new(202 + 2 + 100));
+        assert_eq!(
+            f.advance(&mut routed, at, &parts),
+            HopOutcome::Delivered {
+                at: Cycle::new(202 + 2 + 100 + 2)
+            }
+        );
+    }
+
+    #[test]
+    fn transit_exposes_pair() {
         let pair = PairId::new(NodeId::gpu(2), NodeId::gpu(4));
-        let mut parts = WireParts::of(ByteSize::new(64), TrafficClass::Data);
-        parts.push(ByteSize::new(8), TrafficClass::Mac);
-        let (_, transit) = f.begin(pair, Cycle::ZERO, parts);
-        assert_eq!(transit.pair(), pair);
-        assert_eq!(transit.bytes(), ByteSize::new(72));
+        assert_eq!(Transit::new(pair).pair(), pair);
     }
 }

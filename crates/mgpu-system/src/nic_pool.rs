@@ -10,12 +10,12 @@
 
 use crate::flow::{CreditGate, Reject};
 use crate::node::{PreparedBlock, SecureNic};
-use mgpu_sim::link::WireParts;
 use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, SystemConfig};
 
-/// A prepared, MAC-carrying block parked until a replay-table entry
-/// frees: `(pending index, wire parts, message counter)`.
-pub type DeferredBlock = (usize, WireParts, u64);
+/// A block's row in the engine's per-block table. A prepared,
+/// MAC-carrying block waiting for a replay-table entry parks as its id:
+/// its wire parts and counter stay in the table.
+pub type BlockId = u32;
 
 /// Per-node security state for one simulation run.
 #[derive(Debug)]
@@ -24,7 +24,7 @@ pub struct NicPool {
     /// Replay-table (ACK window) credits per sender. Signed: trailer
     /// flushes take a credit unconditionally and may transiently
     /// overdraw. Blocked senders park their prepared blocks here.
-    gate: CreditGate<DeferredBlock>,
+    gate: CreditGate<BlockId>,
 }
 
 impl NicPool {
@@ -116,14 +116,14 @@ impl NicPool {
     /// Parks a prepared block at `owner` until a window credit frees.
     /// `priority` is the fixed-priority arbitration key (the originating
     /// request index: lower unparks first); round-robin ignores it.
-    pub fn defer(&mut self, owner: NodeId, priority: u64, block: DeferredBlock) {
+    pub fn defer(&mut self, owner: NodeId, priority: u64, block: BlockId) {
         self.gate.park(owner, priority, block);
     }
 
     /// Releases one replay-table credit at `owner` (its ACK returned)
     /// and unparks the next parked block under the configured
     /// arbitration, if any.
-    pub fn release_ack(&mut self, owner: NodeId) -> Option<DeferredBlock> {
+    pub fn release_ack(&mut self, owner: NodeId) -> Option<BlockId> {
         self.gate.release(owner)
     }
 
@@ -206,12 +206,11 @@ mod tests {
             Err(Reject::AwaitCredit),
             "window of 2 is full"
         );
-        p.defer(owner, 7, (7, WireParts::new(), 1));
-        p.defer(owner, 8, (8, WireParts::new(), 2));
-        let first = p.release_ack(owner).expect("oldest parked unparks");
-        assert_eq!(first.0, 7);
-        let second = p.release_ack(owner).expect("next parked unparks");
-        assert_eq!(second.0, 8);
+        // Round robin unparks in park order, whatever the priority key.
+        p.defer(owner, 8, 70);
+        p.defer(owner, 7, 80);
+        assert_eq!(p.release_ack(owner), Some(70), "oldest parked unparks");
+        assert_eq!(p.release_ack(owner), Some(80), "next parked unparks");
         assert!(p.release_ack(owner).is_none());
         assert_eq!(p.ack_grants(owner), 2);
     }
@@ -226,10 +225,10 @@ mod tests {
         let owner = NodeId::gpu(1);
         assert!(p.admit_ack(owner).is_ok());
         // Parked out of request order: fixed priority unparks index 3 first.
-        p.defer(owner, 9, (9, WireParts::new(), 1));
-        p.defer(owner, 3, (3, WireParts::new(), 2));
-        assert_eq!(p.release_ack(owner).expect("unparks").0, 3);
-        assert_eq!(p.release_ack(owner).expect("unparks").0, 9);
+        p.defer(owner, 9, 90);
+        p.defer(owner, 3, 30);
+        assert_eq!(p.release_ack(owner), Some(30));
+        assert_eq!(p.release_ack(owner), Some(90));
     }
 
     #[test]

@@ -174,6 +174,36 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
     );
 }
 
+/// The fully-connected matrix never defers a block at the ACK window and
+/// never retries a hop, so this cell pins both paths, which route a
+/// parked or blocked block back through the engine: a one-entry replay
+/// table with batching off parks nearly every MAC-carrying block until
+/// the previous ACK returns, and an 8-GPU ring with two data-VC credits
+/// per port makes forwarding waypoints answer `Blocked` and retry. The
+/// constants were captured from the engine before events moved their
+/// block state into the per-block table; if this test fails, fix the
+/// code, do not re-capture them.
+#[test]
+fn ack_deferral_and_ring_retry_cell_stays_bit_for_bit() {
+    const CYCLES: u64 = 119_034;
+    const BYTES: u64 = 422_895;
+    const ACKS: u64 = 1_600;
+    const EVENTS: u64 = 19_599;
+
+    let mut cfg = configs::private(&SystemConfig::paper_4gpu(), 4);
+    cfg.gpu_count = 8;
+    cfg.topology = TopologyKind::Ring;
+    cfg.flow.data_vc_credits = Some(2);
+    cfg.security.ack_table_entries = 1;
+    assert!(!cfg.security.batching.enabled);
+    let r = Simulation::new(cfg, Benchmark::Spmv, 42).run_for_requests(200);
+    assert_eq!(r.requests, 8 * 200);
+    assert_eq!(r.total_cycles.as_u64(), CYCLES, "cycle drift");
+    assert_eq!(r.traffic.total().as_u64(), BYTES, "wire-byte drift");
+    assert_eq!(r.acks_sent, ACKS, "ACK count drift");
+    assert_eq!(r.events_processed, EVENTS, "event count drift");
+}
+
 /// Crypto-backend parity: the entire 12-cell golden matrix must be
 /// bit-for-bit identical whether the functional crypto runs on the
 /// software T-table/Shoup paths or the hardware AES-NI/PCLMULQDQ paths.

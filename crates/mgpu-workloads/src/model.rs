@@ -128,23 +128,19 @@ impl TrafficModel {
         if rng.random_bool(self.params.cpu_weight) && !requester.is_cpu() {
             return NodeId::CPU;
         }
-        let gpu_peers: Vec<NodeId> = requester
-            .peers(self.gpu_count)
-            .filter(|n| n.is_gpu())
-            .collect();
         // Primary/secondary hot GPUs rotate per phase at different
         // strides, offset by the requester so traffic is not globally
         // synchronized on one victim.
         let phase = (now.as_u64() / self.params.phase_len) as usize;
-        let n = gpu_peers.len();
-        let hot = gpu_peers[(phase + requester.raw() as usize) % n];
-        let hot2 = gpu_peers[(phase / 2 + requester.raw() as usize + 1) % n];
+        let n = usize::from(self.gpu_count) - usize::from(requester.is_gpu());
+        let hot = gpu_peer(requester, (phase + requester.raw() as usize) % n);
+        let hot2 = gpu_peer(requester, (phase / 2 + requester.raw() as usize + 1) % n);
         if rng.random_bool(self.params.locality) {
             hot
         } else if rng.random_bool(0.75) && hot2 != hot {
             hot2
         } else {
-            gpu_peers[rng.random_range(0..n)]
+            gpu_peer(requester, rng.random_range(0..n))
         }
     }
 
@@ -194,6 +190,17 @@ impl TrafficModel {
         all.sort_by_key(|r| (r.available_at, r.requester, r.target));
         all
     }
+}
+
+/// The `k`-th GPU other than `requester`, counting in ascending node
+/// order from 0: GPUs are nodes `1..=gpu_count`, and a GPU requester
+/// skips itself.
+fn gpu_peer(requester: NodeId, k: usize) -> NodeId {
+    let mut raw = k + 1;
+    if requester.is_gpu() && raw >= usize::from(requester.raw()) {
+        raw += 1;
+    }
+    NodeId::gpu(u16::try_from(raw).expect("GPU index fits u16"))
 }
 
 #[cfg(test)]
@@ -345,5 +352,59 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn single_gpu_panics() {
         let _ = TrafficModel::new(Benchmark::Fft, 1, 0);
+    }
+
+    /// The destination choice as it was written before `gpu_peer`: index
+    /// a collected list of the requester's GPU peers.
+    fn pick_destination_collected(
+        m: &TrafficModel,
+        requester: NodeId,
+        now: Cycle,
+        rng: &mut StdRng,
+    ) -> NodeId {
+        if rng.random_bool(m.params.cpu_weight) && !requester.is_cpu() {
+            return NodeId::CPU;
+        }
+        let gpu_peers: Vec<NodeId> = requester
+            .peers(m.gpu_count)
+            .filter(|n| n.is_gpu())
+            .collect();
+        let phase = (now.as_u64() / m.params.phase_len) as usize;
+        let n = gpu_peers.len();
+        let hot = gpu_peers[(phase + requester.raw() as usize) % n];
+        let hot2 = gpu_peers[(phase / 2 + requester.raw() as usize + 1) % n];
+        if rng.random_bool(m.params.locality) {
+            hot
+        } else if rng.random_bool(0.75) && hot2 != hot {
+            hot2
+        } else {
+            gpu_peers[rng.random_range(0..n)]
+        }
+    }
+
+    #[test]
+    fn arithmetic_peer_choice_matches_collected_peer_list() {
+        for gpus in [4, 8, 16] {
+            for b in Benchmark::ALL {
+                let m = TrafficModel::new(b, gpus, 42);
+                for requester in NodeId::all(gpus) {
+                    let mut rng = m.rng_for(requester);
+                    let mut reference = rng.clone();
+                    for phase in 0..64 {
+                        let now = Cycle::new(phase * m.params.phase_len + phase);
+                        assert_eq!(
+                            m.pick_destination(requester, now, &mut rng),
+                            pick_destination_collected(&m, requester, now, &mut reference),
+                            "{b:?} {gpus} GPUs {requester} phase {phase}"
+                        );
+                    }
+                    // Same draws consumed: the streams stay in lock step.
+                    assert_eq!(
+                        rng.random_range(0..u64::MAX),
+                        reference.random_range(0..u64::MAX)
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! Proof that open-loop arrival generation does not allocate per request
-//! (ISSUE: `ServingModel::zipf_cdf` memoization).
+//! Proof that trace generation does not allocate per request or per
+//! burst: open-loop arrivals (`ServingModel`, memoized Zipf CDF) and the
+//! closed-loop `TrafficModel` (arithmetic peer choice).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up call (which builds the memoized Zipf CDF), every further
@@ -11,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mgpu_types::NodeId;
-use mgpu_workloads::{ArrivalProcess, ServingModel};
+use mgpu_workloads::{ArrivalProcess, Benchmark, ServingModel, TrafficModel};
 
 struct CountingAlloc;
 
@@ -99,5 +100,26 @@ fn memoized_cdf_reproduces_the_unmemoized_trace() {
     assert_eq!(
         once.generate_for(NodeId::gpu(2), 300),
         twice.generate_for(NodeId::gpu(2), 300),
+    );
+}
+
+#[test]
+fn traffic_model_allocates_per_call_not_per_burst() {
+    let model = TrafficModel::new(Benchmark::Spmv, 16, 42);
+    let allocs = |count: usize| {
+        let before = alloc_count();
+        let reqs = model.generate_for(NodeId::gpu(3), count);
+        let after = alloc_count();
+        assert_eq!(reqs.len(), count);
+        after - before
+    };
+    // The output vector is sized up front; the last burst may overshoot
+    // it once before the truncation. Nothing else allocates, however
+    // many bursts pick a destination.
+    let small = allocs(100);
+    let large = allocs(10_000);
+    assert!(
+        small <= 2 && large <= 2,
+        "generate_for allocated {small} times for 100 requests, {large} for 10,000"
     );
 }
