@@ -6,8 +6,9 @@
 //!
 //! * `timed-server` — grant/reject/reclaim churn on a single
 //!   [`TimedServer`] under the retry protocol (every `Busy` retried at
-//!   its named cycle), isolating the credit bookkeeping the fabric,
-//!   pacing, and NIC layers all sit on.
+//!   its named cycle), isolating the serializer and credit bookkeeping
+//!   behind every fabric port and ctrl VC. (The request pacer and the
+//!   NIC's ACK window use the `mgpu_system::flow` credit pools instead.)
 //! * the credited cell — a 4-GPU batching run with finite data and ctrl
 //!   VC credits, exercising the typed-reject path end to end. Both print
 //!   `engine-events-per-sec` lines that CI's bench-smoke gate compares
@@ -26,7 +27,7 @@ use std::time::Instant;
 const CHURN_OPS: u64 = 1_000_000;
 
 /// One pass of the churn loop: a serve attempt that retries once at the
-/// named cycle when rejected — the exact protocol every re-hosted layer
+/// named cycle when rejected — the protocol a blocked fabric hop
 /// follows. Returns the completion cycle to keep the loop data-dependent.
 fn churn_step(srv: &mut TimedServer, now: Cycle, bytes: u64) -> Cycle {
     let parts = [(ByteSize::new(bytes), TrafficClass::Data)];

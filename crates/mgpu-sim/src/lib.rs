@@ -2,12 +2,15 @@
 //!
 //! The paper evaluates on MGPUSim, a cycle-level multi-GPU simulator. This
 //! crate provides the equivalent substrate for this reproduction: a
-//! deterministic discrete-event engine plus the structural components the
-//! communication study needs — bandwidth-serialized interconnect links
-//! ([`link`]), static route computation over configurable fabric shapes
-//! ([`routing`]), the CPU-hub + routed-GPU-fabric topology ([`topology`]),
-//! set-associative write-back caches ([`cache`]), a fixed-latency HBM model
-//! ([`dram`]), and an access-counter page-migration policy ([`page`]).
+//! deterministic discrete-event engine ([`events`]) plus the structural
+//! components the communication study needs — traffic classes and wire
+//! parts ([`link`]), the port model: a bandwidth-serialized, credit-gated
+//! [`TimedServer`] ([`timeq`]), static route computation over configurable
+//! fabric shapes ([`routing`]), the CPU-hub + routed-GPU-fabric
+//! [`Topology`] that moves blocks hop by hop ([`topology`]), set-associative
+//! write-back caches ([`cache`]), a fixed-latency HBM model ([`dram`]), an
+//! access-counter page-migration policy ([`page`]) and percentile helpers
+//! ([`stats`]).
 //!
 //! The detailed shader pipelines of a real GPU are intentionally abstracted
 //! away: what the paper measures — OTP buffer behaviour and security-
@@ -42,7 +45,6 @@ pub mod topology;
 
 pub use cache::{Cache, CacheConfig};
 pub use events::EventQueue;
-pub use link::Link;
 pub use routing::{RoutingTable, Waypoint};
 pub use timeq::{Busy, Ticket, TimedServer, Vc};
 pub use topology::Topology;

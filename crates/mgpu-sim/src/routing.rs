@@ -60,7 +60,6 @@ impl core::fmt::Display for Waypoint {
 pub struct RoutingTable {
     routes: PairTable<Vec<Waypoint>>,
     switch_count: u16,
-    kind: TopologyKind,
 }
 
 impl RoutingTable {
@@ -95,7 +94,6 @@ impl RoutingTable {
         RoutingTable {
             routes,
             switch_count,
-            kind,
         }
     }
 
@@ -120,28 +118,10 @@ impl RoutingTable {
         self.route(pair).len() - 1
     }
 
-    /// The next waypoint after position `at` on `pair`'s route — the
-    /// next-hop table view of the precomputed path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pair` is outside the system or `at` is past the
-    /// destination.
-    #[must_use]
-    pub fn next_hop(&self, pair: PairId, at: usize) -> Waypoint {
-        self.route(pair)[at + 1]
-    }
-
     /// Switches instantiated by this fabric (0 outside `Switch`).
     #[must_use]
     pub fn switch_count(&self) -> u16 {
         self.switch_count
-    }
-
-    /// The shape these routes were computed for.
-    #[must_use]
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 }
 
@@ -270,11 +250,29 @@ mod tests {
     }
 
     #[test]
-    fn next_hop_walks_the_route() {
-        let t = RoutingTable::new(TopologyKind::Ring, 6);
-        let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
-        assert_eq!(t.next_hop(pair, 0), gpu(2));
-        assert_eq!(t.next_hop(pair, 1), gpu(3));
+    fn max_hops_is_the_longest_route() {
+        for gpus in 3..=64u16 {
+            for kind in [
+                TopologyKind::FullyConnected,
+                TopologyKind::Ring,
+                TopologyKind::Switch { radix: 2 },
+                TopologyKind::Switch { radix: 3 },
+                TopologyKind::Switch { radix: 4 },
+                TopologyKind::Switch { radix: 8 },
+                TopologyKind::Switch { radix: 64 },
+            ] {
+                let t = RoutingTable::new(kind, gpus);
+                let longest = NodeId::all(gpus)
+                    .flat_map(|src| src.peers(gpus).map(move |dst| PairId::new(src, dst)))
+                    .map(|pair| t.hops(pair))
+                    .max();
+                assert_eq!(
+                    longest,
+                    Some(usize::from(kind.max_hops(gpus))),
+                    "{kind} with {gpus} GPUs"
+                );
+            }
+        }
     }
 
     #[test]

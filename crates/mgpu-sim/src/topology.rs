@@ -13,7 +13,8 @@
 //! **control virtual channels**, separate from bulk data — mirroring the
 //! request/response VC split real interconnects use for protocol deadlock
 //! freedom, and keeping tiny control messages from head-of-line blocking
-//! behind bulk data in the FIFO occupancy model.
+//! behind bulk data in the FIFO occupancy model. Every port and VC is a
+//! [`TimedServer`].
 //!
 //! The fabric shape is configurable ([`TopologyKind`]): fully connected
 //! (the paper's evaluated system, every GPU pair one direct hop), a ring
@@ -25,13 +26,83 @@
 //! [`RoutingTable`]; intermediate hops only forward ciphertext, so the
 //! fabric never needs keys (encryption, MACs and replay protection stay
 //! end-to-end between the communicating pair).
+//!
+//! A data block crosses the fabric as a sequence of per-hop steps the
+//! event loop schedules: a [`Transit`] token starts at the block's
+//! source, [`Topology::begin`] books the source's egress port and moves
+//! the token onto the route, and each time the bytes reach a waypoint
+//! [`Topology::advance`] either forwards them (books the waypoint's
+//! ingress and egress ports) or delivers them at the destination's
+//! ingress port. On the fully-connected fabric every route is one hop:
+//! one egress booking, one ingress booking.
+//!
+//! [`TopologyKind`]: mgpu_types::TopologyKind
 
-use crate::link::{TrafficClass, TrafficTotals};
+use crate::link::{TrafficClass, TrafficTotals, WireParts};
 use crate::routing::{RoutingTable, Waypoint};
 use crate::timeq::{Busy, TimedServer, Vc};
 use mgpu_types::{
     ByteSize, Cycle, DenseNodeMap, Duration, NodeId, PairId, PairTable, SystemConfig,
 };
+
+/// A block's position on its route across the fabric. `hop` is the
+/// waypoint whose ingress port the bytes reach next (0 = still at the
+/// source, 1 = first waypoint after it). The token holds no wire parts:
+/// the caller keeps a block's parts once and passes them to every call,
+/// so the token stays three words.
+#[derive(Debug, Clone, Copy)]
+pub struct Transit {
+    pair: PairId,
+    hop: u16,
+    /// Set when this waypoint's ingress was already booked but the
+    /// onward egress rejected for credits: the retry must not occupy
+    /// the ingress port a second time.
+    cleared_ingress: Option<Cycle>,
+}
+
+impl Transit {
+    /// A block at `pair.src`, not yet handed to [`Topology::begin`].
+    #[must_use]
+    pub fn new(pair: PairId) -> Self {
+        Transit {
+            pair,
+            hop: 0,
+            cleared_ingress: None,
+        }
+    }
+
+    /// The endpoints this transit travels between.
+    #[must_use]
+    pub fn pair(&self) -> PairId {
+        self.pair
+    }
+}
+
+/// What happened when in-flight bytes reached their next waypoint.
+#[derive(Debug, PartialEq, Eq)]
+pub enum HopOutcome {
+    /// An intermediate waypoint forwarded the bytes; they reach the next
+    /// waypoint's ingress at `at`.
+    Forwarded {
+        /// Arrival time at the next waypoint.
+        at: Cycle,
+    },
+    /// The waypoint's onward egress is out of data-VC credits: the
+    /// typed backpressure reject. The bytes sit in the waypoint's
+    /// ingress buffer (already booked, and remembered by the token, so
+    /// the retry goes straight to egress); re-advance the token at
+    /// `retry_at`, when the credit that blocked this hop frees.
+    Blocked {
+        /// Earliest cycle the needed egress credit frees.
+        retry_at: Cycle,
+    },
+    /// The destination's ingress port finished clocking the bytes in at
+    /// `at`; receive-side processing can start.
+    Delivered {
+        /// Time the last byte cleared the destination ingress.
+        at: Cycle,
+    },
+}
 
 /// The full interconnect: per-waypoint data ports plus per-pair control
 /// VCs, routed over the configured fabric shape.
@@ -39,15 +110,21 @@ use mgpu_types::{
 /// # Examples
 ///
 /// ```
-/// use mgpu_sim::topology::Topology;
-/// use mgpu_sim::link::TrafficClass;
+/// use mgpu_sim::topology::{HopOutcome, Topology, Transit};
+/// use mgpu_sim::link::{TrafficClass, WireParts};
 /// use mgpu_types::{ByteSize, Cycle, NodeId, PairId, SystemConfig};
 ///
 /// let mut topo = Topology::new(&SystemConfig::paper_4gpu());
-/// let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
-/// let arrival = topo.transmit(
-///     pair, Cycle::ZERO, &[(ByteSize::CACHELINE, TrafficClass::Data)]);
-/// assert!(arrival > Cycle::ZERO);
+/// let parts = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
+/// let mut transit = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(2)));
+/// // 64 B leave GPU1's egress in 2 cycles and fly for 100...
+/// let at = topo.begin(&mut transit, Cycle::ZERO, &parts);
+/// assert_eq!(at, Cycle::new(102));
+/// // ...then clock into GPU2's ingress in 2 more.
+/// assert_eq!(
+///     topo.advance(&mut transit, at, &parts),
+///     HopOutcome::Delivered { at: Cycle::new(104) }
+/// );
 /// ```
 #[derive(Debug)]
 pub struct Topology {
@@ -71,7 +148,6 @@ pub struct Topology {
     /// the credit-free cycle) so control sends stay infallible.
     ctrl: PairTable<TimedServer>,
     routes: RoutingTable,
-    gpu_count: u16,
 }
 
 impl Topology {
@@ -128,7 +204,6 @@ impl Topology {
             switch_ingress,
             ctrl,
             routes,
-            gpu_count: config.gpu_count,
         }
     }
 
@@ -155,12 +230,6 @@ impl Topology {
                 .get_mut(usize::from(s))
                 .expect("waypoint within fabric"),
         }
-    }
-
-    /// The static routing table of this fabric.
-    #[must_use]
-    pub fn routes(&self) -> &RoutingTable {
-        &self.routes
     }
 
     /// Links a message from `pair.src` to `pair.dst` crosses.
@@ -193,18 +262,6 @@ impl Topology {
         self.node_ingress.get(node).expect("node within system")
     }
 
-    /// The egress port of switch `s` (switch fabrics only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric has no switch `s`.
-    #[must_use]
-    pub fn switch_egress(&self, s: u16) -> &TimedServer {
-        self.switch_egress
-            .get(usize::from(s))
-            .expect("switch within fabric")
-    }
-
     /// The control VC for `pair`.
     ///
     /// # Panics
@@ -215,147 +272,90 @@ impl Topology {
         self.ctrl.get(pair).expect("pair within system")
     }
 
-    /// Books a multi-part message onto the egress port of waypoint `hop`
-    /// on `pair`'s route (0 = the source node). Bytes are accounted to
-    /// that port — per-hop accounting is what makes shared-link metadata
-    /// amplification measurable. Returns when the last byte reaches the
-    /// next waypoint.
+    /// Non-mutating admission probe for [`Topology::begin`]: is `pair`'s
+    /// source egress granting data-VC credits at `now`? `Err` carries the
+    /// exact retry cycle. Callers order irreversible side effects (ACK
+    /// window reservations) *after* this check so a credit reject leaves
+    /// nothing to unwind.
     ///
     /// # Panics
     ///
-    /// Panics if `pair` is outside the system or `hop` is past the last
-    /// link of the route.
-    pub fn depart(
-        &mut self,
-        pair: PairId,
-        hop: usize,
-        now: Cycle,
-        parts: &[(ByteSize, TrafficClass)],
-    ) -> Cycle {
-        assert!(hop < self.routes.hops(pair), "hop within route");
-        let w = self.routes.route(pair)[hop];
-        self.egress_mut(w)
+    /// Panics if `pair` references a node outside the system.
+    pub fn egress_ready(&self, pair: PairId, now: Cycle) -> Result<(), Busy> {
+        self.egress(pair.src).check(Vc::Data, now)
+    }
+
+    /// Starts a block transmission: books `transit.pair().src`'s egress
+    /// port with `parts` (accounting the bytes to it — per-hop accounting
+    /// is what makes shared-link metadata amplification measurable),
+    /// moves the token to the first waypoint and returns the bytes'
+    /// arrival time there. Never rejects: callers gate it on
+    /// [`Topology::egress_ready`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transit`'s pair references a node outside the system.
+    pub fn begin(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> Cycle {
+        debug_assert_eq!(transit.hop, 0, "transit already departed");
+        transit.hop = 1;
+        self.egress_mut(Waypoint::Node(transit.pair.src))
             .serve_parts_blocking(Vc::Data, now, parts)
             .done
     }
 
-    /// Credit-checked variant of [`Topology::depart`]: requests a data-VC
-    /// ticket on the hop's egress server. `Err` is the typed credit
-    /// reject carrying the exact retry cycle — event-driven callers
-    /// reschedule then instead of re-polling.
+    /// Advances in-flight bytes through the waypoint they just reached:
+    /// books its ingress port (occupancy only — the bytes were counted at
+    /// the egress they left), and — unless it is the destination — its
+    /// egress port toward the next waypoint, moving the token on.
+    /// Intermediate GPUs and switches only ever see ciphertext.
     ///
     /// # Panics
     ///
-    /// Panics if `pair` is outside the system or `hop` is past the last
-    /// link of the route.
-    pub fn try_depart(
-        &mut self,
-        pair: PairId,
-        hop: usize,
-        now: Cycle,
-        parts: &[(ByteSize, TrafficClass)],
-    ) -> Result<Cycle, Busy> {
-        assert!(hop < self.routes.hops(pair), "hop within route");
-        let w = self.routes.route(pair)[hop];
-        self.egress_mut(w)
-            .serve_parts(Vc::Data, now, parts)
-            .map(|t| t.done)
-    }
-
-    /// Non-mutating data-VC admission probe on the egress server of
-    /// waypoint `hop` of `pair`'s route: would [`Topology::try_depart`]
-    /// at `now` be granted? Lets callers order side effects (e.g. ACK
-    /// window reservations) after the egress admission decision without
-    /// consuming the credit.
-    pub fn egress_ready(&self, pair: PairId, hop: usize, now: Cycle) -> Result<(), Busy> {
-        assert!(hop < self.routes.hops(pair), "hop within route");
-        match self.routes.route(pair)[hop] {
-            Waypoint::Node(n) => self.node_egress.get(n).expect("waypoint within fabric"),
-            Waypoint::Switch(sw) => self
-                .switch_egress
-                .get(usize::from(sw))
-                .expect("waypoint within fabric"),
+    /// Panics if `transit` was not started with [`Topology::begin`] or
+    /// was already delivered.
+    pub fn advance(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> HopOutcome {
+        let hop = usize::from(transit.hop);
+        let route = self.routes.route(transit.pair);
+        debug_assert!(hop >= 1, "transit not begun");
+        let (here, last) = (route[hop], route.len() - 1);
+        // A retry after a credit reject already holds its ingress
+        // booking: clocking the bytes in again would double-book the
+        // port.
+        let through = match transit.cleared_ingress.take() {
+            Some(t) => t.max(now),
+            None => {
+                self.ingress_mut(here)
+                    .occupy(Vc::Data, now, parts.total())
+                    .expect("ingress ports are unbounded")
+                    .done
+            }
+        };
+        if hop == last {
+            return HopOutcome::Delivered { at: through };
         }
-        .check(Vc::Data, now)
-    }
-
-    /// Occupies the ingress port of waypoint `hop` on `pair`'s route
-    /// (1 = first waypoint after the source; `hops` = the destination).
-    /// No byte accounting: the bytes were counted at the egress port they
-    /// left. Returns when the last byte is through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pair` is outside the system or `hop` is 0 or past the
-    /// destination.
-    pub fn arrive(&mut self, pair: PairId, hop: usize, now: Cycle, bytes: ByteSize) -> Cycle {
-        assert!(
-            hop >= 1 && hop <= self.routes.hops(pair),
-            "hop within route"
-        );
-        let w = self.routes.route(pair)[hop];
-        self.ingress_mut(w)
-            .occupy(Vc::Data, now, bytes)
-            .expect("ingress ports are unbounded")
-            .done
-    }
-
-    /// Transmits a multi-part data message end to end: serializes through
-    /// every hop of the route (store-and-forward), occupying each
-    /// waypoint's ingress and egress ports in turn. Returns when the last
-    /// byte is received at the destination.
-    pub fn transmit(
-        &mut self,
-        pair: PairId,
-        now: Cycle,
-        parts: &[(ByteSize, TrafficClass)],
-    ) -> Cycle {
-        let total: ByteSize = parts.iter().map(|(b, _)| *b).sum();
-        let hops = self.routes.hops(pair);
-        let mut t = self.depart(pair, 0, now, parts);
-        for hop in 1..=hops {
-            t = self.arrive(pair, hop, t, total);
-            if hop < hops {
-                t = self.depart(pair, hop, t, parts);
+        match self.egress_mut(here).serve_parts(Vc::Data, through, parts) {
+            Ok(ticket) => {
+                transit.hop += 1;
+                HopOutcome::Forwarded { at: ticket.done }
+            }
+            Err(busy) => {
+                transit.cleared_ingress = Some(through);
+                HopOutcome::Blocked {
+                    retry_at: busy.retry_at,
+                }
             }
         }
-        t
-    }
-
-    /// Books only the first egress leg of a data transmission from `src`;
-    /// returns when the last byte arrives at the next waypoint. Use
-    /// together with [`Topology::ingress_occupy`] when the ingress booking
-    /// should happen at arrival time (event-driven callers). Multi-hop
-    /// callers should prefer [`Topology::depart`]/[`Topology::arrive`].
-    pub fn transmit_egress(
-        &mut self,
-        src: NodeId,
-        now: Cycle,
-        parts: &[(ByteSize, TrafficClass)],
-    ) -> Cycle {
-        self.node_egress
-            .get_mut(src)
-            .expect("src within system")
-            .serve_parts_blocking(Vc::Data, now, parts)
-            .done
-    }
-
-    /// Books `bytes` on `dst`'s ingress port at `now`; returns when the
-    /// last byte is through.
-    pub fn ingress_occupy(&mut self, dst: NodeId, now: Cycle, bytes: ByteSize) -> Cycle {
-        self.node_ingress
-            .get_mut(dst)
-            .expect("dst within system")
-            .occupy(Vc::Data, now, bytes)
-            .expect("ingress ports are unbounded")
-            .done
     }
 
     /// Transmits a message over the pair's control VC (requests, trailing
-    /// MACs). The VC's propagation latency covers the whole route; on
-    /// multi-hop pairs the bytes are additionally charged once per extra
-    /// hop so control metadata shows the same per-hop amplification as
-    /// data.
+    /// MACs, ACKs, chaff). The VC's propagation latency covers the whole
+    /// route; on multi-hop pairs the bytes are additionally charged once
+    /// per extra hop so control metadata shows the same per-hop
+    /// amplification as data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pair` references a node outside the system.
     pub fn transmit_ctrl(
         &mut self,
         pair: PairId,
@@ -371,28 +371,6 @@ impl Topology {
             }
         }
         arrival
-    }
-
-    /// Charges background (non-queueing) traffic on a pair's control VC,
-    /// once per hop of the pair's route.
-    pub fn charge_background(&mut self, pair: PairId, bytes: ByteSize, class: TrafficClass) {
-        let hops = self.routes.hops(pair) as u64;
-        self.ctrl
-            .get_mut(pair)
-            .expect("pair within system")
-            .charge_background(bytes * hops, class);
-    }
-
-    /// Number of GPUs in the system.
-    #[must_use]
-    pub fn gpu_count(&self) -> u16 {
-        self.gpu_count
-    }
-
-    /// Number of directed control VCs.
-    #[must_use]
-    pub fn link_count(&self) -> usize {
-        self.ctrl.len()
     }
 
     /// Aggregated traffic totals across the system, counted **per hop**:
@@ -466,7 +444,7 @@ impl Topology {
 
     /// Iterates over `(switch, egress port)` entries in switch order —
     /// the per-switch forwarding-traffic breakdown (empty outside
-    /// [`TopologyKind::Switch`]).
+    /// [`TopologyKind::Switch`](mgpu_types::TopologyKind::Switch)).
     pub fn iter_switch_egress(&self) -> impl Iterator<Item = (u16, &TimedServer)> {
         self.switch_egress
             .iter()
@@ -502,55 +480,78 @@ impl Topology {
 }
 
 #[cfg(test)]
-pub(crate) mod fixtures {
-    //! Shared topology fixtures for this crate's unit tests.
-    use super::Topology;
-    use mgpu_types::{SystemConfig, TopologyKind};
+mod tests {
+    use super::*;
+    use mgpu_types::TopologyKind;
 
     /// The paper's 4-GPU fully-connected system.
-    pub fn paper_topo() -> Topology {
+    fn paper_topo() -> Topology {
         Topology::new(&SystemConfig::paper_4gpu())
     }
 
     /// A paper-parameter system with `gpus` GPUs on `kind`.
-    pub fn topo_for(kind: TopologyKind, gpus: u16) -> Topology {
+    fn topo_for(kind: TopologyKind, gpus: u16) -> Topology {
         let mut cfg = SystemConfig::paper_4gpu();
         cfg.gpu_count = gpus;
         cfg.topology = kind;
         Topology::new(&cfg)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::fixtures::{paper_topo, topo_for};
-    use super::*;
-    use mgpu_types::TopologyKind;
+    fn data(bytes: u64) -> WireParts {
+        WireParts::of(ByteSize::new(bytes), TrafficClass::Data)
+    }
+
+    /// Drives one block from `pair.src` to `pair.dst` through the
+    /// engine's own `begin`/`advance` path, hop after hop, and returns
+    /// when it clears the destination ingress. Callers use unbounded
+    /// credits, so no hop ever blocks.
+    fn send(topo: &mut Topology, pair: PairId, now: Cycle, parts: &WireParts) -> Cycle {
+        let mut transit = Transit::new(pair);
+        let mut at = topo.begin(&mut transit, now, parts);
+        loop {
+            match topo.advance(&mut transit, at, parts) {
+                HopOutcome::Forwarded { at: next } => at = next,
+                HopOutcome::Delivered { at } => return at,
+                HopOutcome::Blocked { .. } => panic!("unbounded fabric never blocks"),
+            }
+        }
+    }
 
     #[test]
-    fn four_gpu_port_and_vc_counts() {
+    fn four_gpu_port_counts() {
         let topo = paper_topo();
-        assert_eq!(topo.link_count(), 20); // 5 nodes x 4 peers, directed
-        assert_eq!(topo.gpu_count(), 4);
         assert_eq!(topo.iter_egress().count(), 5);
         assert_eq!(topo.iter_switch_egress().count(), 0);
     }
 
     #[test]
     fn port_speeds_follow_node_kind() {
-        let topo = paper_topo();
-        assert_eq!(topo.egress(NodeId::CPU).bandwidth(), 32);
-        assert_eq!(topo.ingress(NodeId::CPU).bandwidth(), 32);
-        assert_eq!(topo.egress(NodeId::gpu(1)).bandwidth(), 50);
+        let mut topo = paper_topo();
+        let (cpu, g1, g2) = (NodeId::CPU, NodeId::gpu(1), NodeId::gpu(2));
+        let msg = [(ByteSize::new(100), TrafficClass::Mac)];
+        // Control VCs: 100 B at 32 B/cy (4 cy) vs 50 B/cy (2 cy), + 100.
+        let pcie = topo.transmit_ctrl(PairId::new(cpu, g1), Cycle::ZERO, &msg);
+        let nvlink = topo.transmit_ctrl(PairId::new(g1, g2), Cycle::ZERO, &msg);
+        assert_eq!(pcie, Cycle::new(4 + 100));
+        assert_eq!(nvlink, Cycle::new(2 + 100));
+        // Data: the CPU egress serializes at PCIe speed, the GPU ingress
+        // at NVLink speed.
+        let at = send(&mut topo, PairId::new(cpu, g1), Cycle::ZERO, &data(100));
+        assert_eq!(at, Cycle::new(4 + 100 + 2));
+    }
+
+    #[test]
+    fn single_hop_delivers_at_the_destination_ingress() {
+        let mut topo = paper_topo();
+        let mut transit = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(2)));
+        let parts = data(64);
+        let at = topo.begin(&mut transit, Cycle::ZERO, &parts);
+        assert_eq!(at, Cycle::new(2 + 100)); // 64 B at 50 B/cy + latency
         assert_eq!(
-            topo.ctrl(PairId::new(NodeId::CPU, NodeId::gpu(1)))
-                .bandwidth(),
-            32
-        );
-        assert_eq!(
-            topo.ctrl(PairId::new(NodeId::gpu(1), NodeId::gpu(2)))
-                .bandwidth(),
-            50
+            topo.advance(&mut transit, at, &parts),
+            HopOutcome::Delivered {
+                at: Cycle::new(2 + 100 + 2)
+            }
         );
     }
 
@@ -558,31 +559,21 @@ mod tests {
     fn gpu_to_cpu_is_pcie_limited_at_ingress() {
         let mut topo = paper_topo();
         let pair = PairId::new(NodeId::gpu(1), NodeId::CPU);
-        // 64 B: egress at 50 B/cy (2 cy) + 100 cy latency, then CPU ingress
-        // at 32 B/cy (2 cy).
-        let arrival = topo.transmit(
-            pair,
-            Cycle::ZERO,
-            &[(ByteSize::CACHELINE, TrafficClass::Data)],
-        );
-        assert_eq!(arrival, Cycle::new(2 + 100 + 2));
+        // 100 B: egress at 50 B/cy (2 cy) + 100 cy latency, then CPU
+        // ingress at 32 B/cy (4 cy; 2 cy at NVLink speed).
+        let arrival = send(&mut topo, pair, Cycle::ZERO, &data(100));
+        assert_eq!(arrival, Cycle::new(2 + 100 + 4));
     }
 
     #[test]
     fn egress_port_is_shared_across_destinations() {
         let mut topo = paper_topo();
         // 500 B to GPU2 occupies GPU1's egress for 10 cycles.
-        topo.transmit(
-            PairId::new(NodeId::gpu(1), NodeId::gpu(2)),
-            Cycle::ZERO,
-            &[(ByteSize::new(500), TrafficClass::Data)],
-        );
+        let to_gpu2 = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
+        send(&mut topo, to_gpu2, Cycle::ZERO, &data(500));
         // A message to a *different* destination queues behind it.
-        let b = topo.transmit(
-            PairId::new(NodeId::gpu(1), NodeId::gpu(3)),
-            Cycle::ZERO,
-            &[(ByteSize::new(50), TrafficClass::Data)],
-        );
+        let to_gpu3 = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
+        let b = send(&mut topo, to_gpu3, Cycle::ZERO, &data(50));
         assert_eq!(b, Cycle::new(10 + 1 + 100 + 1));
     }
 
@@ -591,16 +582,10 @@ mod tests {
         let mut topo = paper_topo();
         // Two 5000 B messages from different sources to GPU1 arriving
         // together: the second serializes behind the first at ingress.
-        let a = topo.transmit(
-            PairId::new(NodeId::gpu(2), NodeId::gpu(1)),
-            Cycle::ZERO,
-            &[(ByteSize::new(5000), TrafficClass::Data)],
-        );
-        let b = topo.transmit(
-            PairId::new(NodeId::gpu(3), NodeId::gpu(1)),
-            Cycle::ZERO,
-            &[(ByteSize::new(5000), TrafficClass::Data)],
-        );
+        let from_gpu2 = PairId::new(NodeId::gpu(2), NodeId::gpu(1));
+        let from_gpu3 = PairId::new(NodeId::gpu(3), NodeId::gpu(1));
+        let a = send(&mut topo, from_gpu2, Cycle::ZERO, &data(5000));
+        let b = send(&mut topo, from_gpu3, Cycle::ZERO, &data(5000));
         assert_eq!(a, Cycle::new(100 + 100 + 100));
         assert_eq!(b, Cycle::new(100 + 100 + 200));
     }
@@ -610,11 +595,7 @@ mod tests {
         let mut topo = paper_topo();
         let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
         for _ in 0..100 {
-            topo.transmit(
-                pair,
-                Cycle::ZERO,
-                &[(ByteSize::CACHELINE, TrafficClass::Data)],
-            );
+            send(&mut topo, pair, Cycle::ZERO, &data(64));
         }
         // A control message still goes through immediately.
         let arrival = topo.transmit_ctrl(
@@ -628,20 +609,17 @@ mod tests {
     #[test]
     fn traffic_totals_count_data_once() {
         let mut topo = paper_topo();
-        topo.transmit(
-            PairId::new(NodeId::gpu(1), NodeId::gpu(2)),
-            Cycle::ZERO,
-            &[(ByteSize::new(64), TrafficClass::Data)],
-        );
+        let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
+        send(&mut topo, pair, Cycle::ZERO, &data(64));
         topo.transmit_ctrl(
-            PairId::new(NodeId::gpu(1), NodeId::gpu(2)),
+            pair,
             Cycle::ZERO,
             &[(ByteSize::new(16), TrafficClass::Data)],
         );
-        topo.charge_background(
+        topo.transmit_ctrl(
             PairId::new(NodeId::gpu(2), NodeId::gpu(1)),
-            ByteSize::new(16),
-            TrafficClass::Ack,
+            Cycle::ZERO,
+            &[(ByteSize::new(16), TrafficClass::Ack)],
         );
         let totals = topo.traffic_totals();
         assert_eq!(totals.get(TrafficClass::Data).as_u64(), 80);
@@ -667,17 +645,21 @@ mod tests {
     }
 
     #[test]
-    fn ring_transit_charges_each_hop() {
+    fn ring_transit_forwards_then_delivers_charging_each_hop() {
         let mut topo = topo_for(TopologyKind::Ring, 8);
         let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
         assert_eq!(topo.hops(pair), 2);
-        let arrival = topo.transmit(
-            pair,
-            Cycle::ZERO,
-            &[(ByteSize::CACHELINE, TrafficClass::Data)],
-        );
+        let mut transit = Transit::new(pair);
+        let parts = data(64);
+        let at = topo.begin(&mut transit, Cycle::ZERO, &parts);
+        let HopOutcome::Forwarded { at } = topo.advance(&mut transit, at, &parts) else {
+            panic!("two-hop route must forward at GPU2");
+        };
+        let HopOutcome::Delivered { at } = topo.advance(&mut transit, at, &parts) else {
+            panic!("second hop is the destination");
+        };
         // Two store-and-forward legs: (2 ser + 100 lat + 2 ingress) x 2.
-        assert_eq!(arrival, Cycle::new(2 * (2 + 100 + 2)));
+        assert_eq!(at, Cycle::new(2 * (2 + 100 + 2)));
         // 64 B counted once per hop.
         assert_eq!(
             topo.traffic_totals().get(TrafficClass::Data).as_u64(),
@@ -696,19 +678,13 @@ mod tests {
     #[test]
     fn ring_forwarding_contends_with_own_traffic() {
         let mut topo = topo_for(TopologyKind::Ring, 8);
-        // GPU2 is busy sending its own 500 B when GPU1->GPU3 transit
+        // GPU2 is busy sending its own 50 000 B when GPU1->GPU3 transit
         // traffic reaches it: the transit queues behind it.
-        topo.transmit(
-            PairId::new(NodeId::gpu(2), NodeId::gpu(3)),
-            Cycle::ZERO,
-            &[(ByteSize::new(50_000), TrafficClass::Data)],
-        );
+        let own = PairId::new(NodeId::gpu(2), NodeId::gpu(3));
+        send(&mut topo, own, Cycle::ZERO, &data(50_000));
         let free = topo.egress(NodeId::gpu(2)).next_free();
-        let arrival = topo.transmit(
-            PairId::new(NodeId::gpu(1), NodeId::gpu(3)),
-            Cycle::ZERO,
-            &[(ByteSize::CACHELINE, TrafficClass::Data)],
-        );
+        let routed = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
+        let arrival = send(&mut topo, routed, Cycle::ZERO, &data(64));
         assert!(
             arrival > free,
             "transit {arrival} should queue behind GPU2's own send ending {free}"
@@ -716,15 +692,53 @@ mod tests {
     }
 
     #[test]
+    fn blocked_transit_retries_from_its_waypoint() {
+        let mut cfg = SystemConfig::paper_4gpu();
+        cfg.gpu_count = 8;
+        cfg.topology = TopologyKind::Ring;
+        cfg.flow.data_vc_credits = Some(1);
+        let mut topo = Topology::new(&cfg);
+        let parts = data(64);
+        // The routed GPU1 -> GPU3 block reaches GPU2 at 102 and clears
+        // its ingress at 104, but a local GPU2 -> GPU3 block departing at
+        // 100 holds GPU2's only onward data credit until it lands at 202.
+        let mut routed = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(3)));
+        let mut local = Transit::new(PairId::new(NodeId::gpu(2), NodeId::gpu(3)));
+        let at = topo.begin(&mut routed, Cycle::ZERO, &parts);
+        topo.begin(&mut local, Cycle::new(100), &parts);
+        assert_eq!(
+            topo.advance(&mut routed, at, &parts),
+            HopOutcome::Blocked {
+                retry_at: Cycle::new(202)
+            }
+        );
+        // The retry goes straight to GPU2's egress (its ingress booking
+        // is remembered), then delivers one leg later.
+        let HopOutcome::Forwarded { at } = topo.advance(&mut routed, Cycle::new(202), &parts)
+        else {
+            panic!("the freed credit lets the block forward");
+        };
+        assert_eq!(at, Cycle::new(202 + 2 + 100));
+        assert_eq!(
+            topo.advance(&mut routed, at, &parts),
+            HopOutcome::Delivered {
+                at: Cycle::new(202 + 2 + 100 + 2)
+            }
+        );
+    }
+
+    #[test]
+    fn transit_exposes_pair() {
+        let pair = PairId::new(NodeId::gpu(2), NodeId::gpu(4));
+        assert_eq!(Transit::new(pair).pair(), pair);
+    }
+
+    #[test]
     fn switch_transit_uses_switch_ports() {
         let mut topo = topo_for(TopologyKind::Switch { radix: 4 }, 8);
         let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(5));
         assert_eq!(topo.hops(pair), 4); // gpu -> leaf -> root -> leaf -> gpu
-        topo.transmit(
-            pair,
-            Cycle::ZERO,
-            &[(ByteSize::CACHELINE, TrafficClass::Data)],
-        );
+        send(&mut topo, pair, Cycle::ZERO, &data(64));
         assert_eq!(
             topo.traffic_totals().get(TrafficClass::Data).as_u64(),
             4 * 64
@@ -745,25 +759,6 @@ mod tests {
         // 1 cy serialization + 3 x 100 cy propagation.
         assert_eq!(arrival, Cycle::new(1 + 300));
         assert_eq!(topo.traffic_totals().get(TrafficClass::Mac).as_u64(), 48);
-        topo.charge_background(far, ByteSize::new(8), TrafficClass::Ack);
-        assert_eq!(topo.traffic_totals().get(TrafficClass::Ack).as_u64(), 24);
-    }
-
-    #[test]
-    fn fully_connected_matches_legacy_split_path() {
-        // depart/arrive on a 1-hop route must equal the legacy
-        // transmit_egress + ingress_occupy sequence.
-        let mut a = paper_topo();
-        let mut b = paper_topo();
-        let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
-        let parts = [(ByteSize::CACHELINE, TrafficClass::Data)];
-        let at_a = a.depart(pair, 0, Cycle::ZERO, &parts);
-        let done_a = a.arrive(pair, 1, at_a, ByteSize::CACHELINE);
-        let at_b = b.transmit_egress(NodeId::gpu(1), Cycle::ZERO, &parts);
-        let done_b = b.ingress_occupy(NodeId::gpu(2), at_b, ByteSize::CACHELINE);
-        assert_eq!(at_a, at_b);
-        assert_eq!(done_a, done_b);
-        assert_eq!(a.traffic_totals(), b.traffic_totals());
     }
 
     mod prop_tests {
@@ -796,7 +791,7 @@ mod tests {
                     let pair = PairId::new(src, dst);
                     let class = TrafficClass::ALL[usize::from(class_sel) % 6];
                     let hops = topo.hops(pair) as u64;
-                    topo.transmit(pair, Cycle::ZERO, &[(ByteSize::new(bytes), class)]);
+                    send(&mut topo, pair, Cycle::ZERO, &WireParts::of(ByteSize::new(bytes), class));
                     expected.add(class, ByteSize::new(bytes * hops));
                 }
                 prop_assert_eq!(topo.traffic_totals(), expected);
@@ -831,12 +826,13 @@ mod tests {
             }
 
             /// Credit conservation and no-starvation under finite VC
-            /// credits: every message injected through the typed-reject
-            /// retry protocol eventually serves (each `Busy` carries a
-            /// strictly-later retry cycle, and the retry count stays
-            /// bounded), and once the fabric drains, every server on
-            /// every route has returned exactly the credits it issued on
-            /// both VCs.
+            /// credits: every message injected through the engine's
+            /// protocol — `egress_ready` at the source, then `begin`,
+            /// then `advance` with `Blocked` retries — eventually
+            /// delivers (each reject carries a strictly-later retry
+            /// cycle, and the retry count stays bounded), and once the
+            /// fabric drains, every server on every route has returned
+            /// exactly the credits it issued on both VCs.
             #[test]
             fn finite_credits_conserve_and_never_starve(
                 shape in ((0u8..3, 3u16..13), (1u32..4, 1u32..3)),
@@ -862,32 +858,41 @@ mod tests {
                     let dst = NodeId::gpu((d - 1) % gpus + 1);
                     prop_assume!(src != dst);
                     let pair = PairId::new(src, dst);
-                    let parts = [(ByteSize::new(bytes), TrafficClass::Data)];
+                    let parts = data(bytes);
                     let mut now = Cycle::new(start);
-                    for hop in 0..topo.hops(pair) {
-                        let mut retries = 0u32;
-                        let at = loop {
-                            match topo.try_depart(pair, hop, now, &parts) {
-                                Ok(done) => break done,
-                                Err(busy) => {
-                                    prop_assert!(
-                                        busy.retry_at > now,
-                                        "Busy must carry a strictly-later retry cycle"
-                                    );
-                                    now = busy.retry_at;
-                                    retries += 1;
-                                    prop_assert!(
-                                        retries <= 64,
-                                        "no starvation: retry count stays bounded"
-                                    );
-                                }
-                            }
-                        };
-                        now = topo.arrive(pair, hop + 1, at, ByteSize::new(bytes));
+                    let mut retries = 0u32;
+                    while let Err(busy) = topo.egress_ready(pair, now) {
+                        prop_assert!(
+                            busy.retry_at > now,
+                            "Busy must carry a strictly-later retry cycle"
+                        );
+                        now = busy.retry_at;
+                        retries += 1;
+                        prop_assert!(retries <= 64, "no starvation at the source");
                     }
+                    let mut transit = Transit::new(pair);
+                    let mut at = topo.begin(&mut transit, now, &parts);
+                    let delivered = loop {
+                        match topo.advance(&mut transit, at, &parts) {
+                            HopOutcome::Forwarded { at: next } => at = next,
+                            HopOutcome::Blocked { retry_at } => {
+                                prop_assert!(
+                                    retry_at > at,
+                                    "Blocked must carry a strictly-later retry cycle"
+                                );
+                                at = retry_at;
+                                retries += 1;
+                                prop_assert!(
+                                    retries <= 64,
+                                    "no starvation: retry count stays bounded"
+                                );
+                            }
+                            HopOutcome::Delivered { at } => break at,
+                        }
+                    };
                     let ctrl_done = topo.transmit_ctrl(
                         pair, Cycle::new(start), &[(ByteSize::new(16), TrafficClass::Mac)]);
-                    horizon = horizon.max(now).max(ctrl_done);
+                    horizon = horizon.max(delivered).max(ctrl_done);
                 }
 
                 topo.settle(Cycle::new(horizon.as_u64() + 1));

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fabric;
 pub mod flow;
 pub mod harness;
 pub mod metrics;
@@ -40,7 +39,6 @@ pub mod runner;
 pub mod simulation;
 pub mod timeseries;
 
-pub use fabric::Fabric;
 pub use flow::{CreditGate, CreditPool, Reject, WakeupLadder};
 pub use harness::WireHarness;
 pub use metrics::{LatencyReport, RunReport};

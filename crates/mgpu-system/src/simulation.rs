@@ -20,11 +20,10 @@
 //!   per-GPU memory-level-parallelism slots),
 //! * [`crate::nic_pool`] — the secure-NIC fleet, replay (ACK) tables and
 //!   the deferred-send queue,
-//! * [`crate::fabric`] — the routed interconnect, moving each block hop
-//!   by hop ([`Ev::BlockIngress`] re-fires per waypoint on multi-hop
+//! * [`mgpu_sim::topology`] — the routed interconnect, moving each block
+//!   hop by hop (`Ev::BlockIngress` re-fires per waypoint on multi-hop
 //!   topologies; encryption, MACs and replay protection stay end-to-end).
 
-use crate::fabric::{Fabric, HopOutcome, Transit};
 use crate::flow::{Reject, WakeupLadder};
 use crate::harness::WireHarness;
 use crate::metrics::RunReport;
@@ -34,6 +33,7 @@ use crate::timeseries::TimeSeriesCollector;
 use mgpu_sim::dram::Hbm;
 use mgpu_sim::events::EventQueue;
 use mgpu_sim::link::{TrafficClass, WireParts};
+use mgpu_sim::topology::{HopOutcome, Topology, Transit};
 use mgpu_types::{
     ByteSize, Cycle, DenseNodeMap, Duration, NodeId, OtpSchemeKind, PairId, SystemConfig,
 };
@@ -238,7 +238,7 @@ impl Simulation {
     fn run_requests(&self, queues: BTreeMap<NodeId, VecDeque<Request>>) -> RunReport {
         let cfg = &self.config;
         let wire = mgpu_secure::protocol::WireFormat::default();
-        let mut fabric = Fabric::new(cfg);
+        let mut fabric = Topology::new(cfg);
         let mut hbm: DenseNodeMap<Hbm> = NodeId::all(cfg.gpu_count)
             .map(|n| (n, Hbm::new(512, cfg.dram_latency)))
             .collect();
@@ -673,7 +673,7 @@ fn push_block(blocks: &mut Vec<Block>, block: Block) -> BlockId {
 /// the top-up pads as much as it can without overshooting the other
 /// arm; identity degrades gracefully and the run is no longer
 /// workload-independent — pick a generous envelope.
-fn shape_topup(fabric: &mut Fabric, cfg: &SystemConfig, now: Cycle) {
+fn shape_topup(fabric: &mut Topology, cfg: &SystemConfig, now: Cycle) {
     let d = &cfg.security.defense;
     let periods = now.as_u64() / d.shape_period.as_u64();
     let byte_quota = u64::from(d.shape_bytes) * periods;
@@ -684,7 +684,7 @@ fn shape_topup(fabric: &mut Fabric, cfg: &SystemConfig, now: Cycle) {
     for src in NodeId::all(cfg.gpu_count) {
         for dst in src.peers(cfg.gpu_count) {
             let pair = PairId::new(src, dst);
-            let vc = fabric.topology().ctrl(pair);
+            let vc = fabric.ctrl(pair);
             let byte_deficit = byte_quota.saturating_sub(vc.vc_bytes(mgpu_sim::Vc::Ctrl));
             let grant_deficit = grant_quota.saturating_sub(vc.grants(mgpu_sim::Vc::Ctrl));
             // Each chaff message needs >= 1 byte; never exceed either
@@ -710,7 +710,7 @@ fn shape_topup(fabric: &mut Fabric, cfg: &SystemConfig, now: Cycle) {
 /// `completion`, and records the batch-close trace events.
 fn drain_open_batches(
     pool: &mut NicPool,
-    fabric: &mut Fabric,
+    fabric: &mut Topology,
     harness: &mut Option<WireHarness>,
     collector: &mut Option<TimeSeriesCollector>,
     completion: Cycle,

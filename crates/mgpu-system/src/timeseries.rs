@@ -29,10 +29,10 @@
 //! The timeline is fully deterministic (no wall-clock anywhere), so
 //! observed runs stay reproducible run-to-run.
 
-use crate::fabric::Fabric;
 use crate::nic_pool::NicPool;
 use mgpu_secure::adversary::{FaultKind, SecurityEvent};
 use mgpu_sim::stats::percentile;
+use mgpu_sim::topology::Topology;
 use mgpu_types::{Cycle, Duration, NodeId, ObservabilityConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -454,7 +454,7 @@ impl TimeSeriesCollector {
     /// Takes one sample of every node and fabric port at boundary `now`.
     /// The caller is responsible for having advanced the schemes to the
     /// boundary first (see the module docs on timing neutrality).
-    pub fn sample(&mut self, now: Cycle, pool: &NicPool, fabric: &Fabric) {
+    pub fn sample(&mut self, now: Cycle, pool: &NicPool, topo: &Topology) {
         for (node, nic) in pool.iter_nics() {
             let stats = nic.otp_stats();
             let hits = stats.count(mgpu_types::Direction::Send, mgpu_secure::PadClass::Hit)
@@ -502,7 +502,6 @@ impl TimeSeriesCollector {
             });
         }
 
-        let topo = fabric.topology();
         struct PortStats {
             bytes: u64,
             queue_depth: u64,

@@ -114,6 +114,20 @@ impl TopologyKind {
             }
         }
     }
+
+    /// Hops on the longest route of this shape with `gpu_count` GPUs: 1
+    /// when fully connected, ⌊N/2⌋ around a ring, 2 through a single leaf
+    /// switch and 4 across leaf, root and leaf. CPU pairs always take one
+    /// direct hop, so they never set the maximum.
+    #[must_use]
+    pub fn max_hops(&self, gpu_count: u16) -> u16 {
+        match *self {
+            TopologyKind::FullyConnected => 1,
+            TopologyKind::Ring => gpu_count / 2,
+            TopologyKind::Switch { radix } if gpu_count <= radix => 2,
+            TopologyKind::Switch { .. } => 4,
+        }
+    }
 }
 
 /// How a contended flow-control point orders waiting work when capacity
@@ -766,6 +780,44 @@ impl SystemConfig {
         self.adversary.validate()?;
         self.observability.validate()?;
         self.flow.validate()?;
+        self.validate_shaping_envelope()
+    }
+
+    /// Rejects a constant-rate shaping envelope the ctrl VCs cannot
+    /// sustain. Chaff tops every directed pair up to its quota, so a VC
+    /// that cannot carry the quota builds a backlog that outgrows
+    /// simulated time, and real requests, trailers and ACKs queue behind
+    /// it without bound.
+    fn validate_shaping_envelope(&self) -> Result<(), ConfigError> {
+        let d = &self.security.defense;
+        if !d.constant_rate {
+            return Ok(());
+        }
+        // CPU pairs are shaped too, so the slower port speed bounds it.
+        let bw = u128::from(self.pcie_bytes_per_cycle.min(self.gpu_link_bytes_per_cycle));
+        let period = u128::from(d.shape_period.as_u64());
+        let bytes = u128::from(d.shape_bytes);
+        if bytes > period * bw {
+            return Err(ConfigError::new(format!(
+                "shaping envelope of {bytes} B per {period} cycles exceeds the \
+                 {bw} B/cycle ctrl VC bandwidth"
+            )));
+        }
+        if let Some(credits) = self.flow.ctrl_vc_credits {
+            // Each shaped message holds a ctrl credit while it serializes
+            // and propagates along its route; compare the total hold time
+            // per period, in byte-ticks, against what `credits` supply.
+            let flight = u128::from(d.shape_grants)
+                * u128::from(self.link_latency.as_u64())
+                * u128::from(self.topology.max_hops(self.gpu_count));
+            if bytes + flight * bw > u128::from(credits) * period * bw {
+                return Err(ConfigError::new(format!(
+                    "shaping envelope of {} B in {} messages per {period} cycles \
+                     holds more than {credits} ctrl VC credits can supply",
+                    d.shape_bytes, d.shape_grants
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -892,6 +944,27 @@ mod tests {
         both.security.defense.constant_rate = true;
         both.security.defense.close_jitter = true;
         both.validate().unwrap();
+    }
+
+    #[test]
+    fn shaping_envelope_must_fit_the_ctrl_vcs() {
+        let mut cfg = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
+        cfg.security.defense = DefenseConfig {
+            shape_bytes: 512,
+            shape_grants: 32,
+            shape_period: Duration::cycles(40),
+            ..DefenseConfig::constant_rate()
+        };
+        cfg.validate()
+            .expect("the leakage experiment's envelope fits unbounded VCs");
+        // Per 250 cy, the default envelope holds credits for 8 cy of
+        // serialization plus 4 messages x 100 cy x 4 ring hops: 1608 cy,
+        // so 7 credits suffice and 6 do not.
+        cfg.security.defense = DefenseConfig::constant_rate();
+        cfg.flow.ctrl_vc_credits = Some(7);
+        cfg.validate().expect("7 credits carry 1608 cy of hold");
+        cfg.flow.ctrl_vc_credits = Some(6);
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
