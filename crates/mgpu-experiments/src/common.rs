@@ -126,11 +126,6 @@ pub fn workers() -> usize {
     parsed.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Empties the simulation-cell cache (test isolation and honest timing).
-pub fn clear_cell_cache() {
-    cell_cache().lock().expect("cell cache poisoned").clear();
-}
-
 fn simulate(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> RunReport {
     Simulation::new(cfg.clone(), bench, SEED).run_for_requests(requests)
 }

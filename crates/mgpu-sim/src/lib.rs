@@ -4,7 +4,7 @@
 //! crate provides the equivalent substrate for this reproduction: a
 //! deterministic discrete-event engine ([`events`]) plus the structural
 //! components the communication study needs — traffic classes and wire
-//! parts ([`link`]), the port model: a bandwidth-serialized, credit-gated
+//! parts ([`link`]), the port model: a bandwidth-serialized
 //! [`TimedServer`] ([`timeq`]), static route computation over configurable
 //! fabric shapes ([`routing`]), the CPU-hub + routed-GPU-fabric
 //! [`Topology`] that moves blocks hop by hop ([`topology`]), set-associative
@@ -46,5 +46,5 @@ pub mod topology;
 pub use cache::{Cache, CacheConfig};
 pub use events::EventQueue;
 pub use routing::{RoutingTable, Waypoint};
-pub use timeq::{Busy, Ticket, TimedServer, Vc};
+pub use timeq::TimedServer;
 pub use topology::Topology;

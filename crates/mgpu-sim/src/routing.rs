@@ -250,32 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn max_hops_is_the_longest_route() {
-        for gpus in 3..=64u16 {
-            for kind in [
-                TopologyKind::FullyConnected,
-                TopologyKind::Ring,
-                TopologyKind::Switch { radix: 2 },
-                TopologyKind::Switch { radix: 3 },
-                TopologyKind::Switch { radix: 4 },
-                TopologyKind::Switch { radix: 8 },
-                TopologyKind::Switch { radix: 64 },
-            ] {
-                let t = RoutingTable::new(kind, gpus);
-                let longest = NodeId::all(gpus)
-                    .flat_map(|src| src.peers(gpus).map(move |dst| PairId::new(src, dst)))
-                    .map(|pair| t.hops(pair))
-                    .max();
-                assert_eq!(
-                    longest,
-                    Some(usize::from(kind.max_hops(gpus))),
-                    "{kind} with {gpus} GPUs"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn waypoint_display() {
         assert_eq!(gpu(2).to_string(), "GPU2");
         assert_eq!(Waypoint::Switch(1).to_string(), "SW1");

@@ -40,7 +40,7 @@
 
 use crate::link::{TrafficClass, TrafficTotals, WireParts};
 use crate::routing::{RoutingTable, Waypoint};
-use crate::timeq::{Busy, TimedServer, Vc};
+use crate::timeq::TimedServer;
 use mgpu_types::{
     ByteSize, Cycle, DenseNodeMap, Duration, NodeId, PairId, PairTable, SystemConfig,
 };
@@ -49,26 +49,18 @@ use mgpu_types::{
 /// waypoint whose ingress port the bytes reach next (0 = still at the
 /// source, 1 = first waypoint after it). The token holds no wire parts:
 /// the caller keeps a block's parts once and passes them to every call,
-/// so the token stays three words.
+/// so the token stays one word.
 #[derive(Debug, Clone, Copy)]
 pub struct Transit {
     pair: PairId,
     hop: u16,
-    /// Set when this waypoint's ingress was already booked but the
-    /// onward egress rejected for credits: the retry must not occupy
-    /// the ingress port a second time.
-    cleared_ingress: Option<Cycle>,
 }
 
 impl Transit {
     /// A block at `pair.src`, not yet handed to [`Topology::begin`].
     #[must_use]
     pub fn new(pair: PairId) -> Self {
-        Transit {
-            pair,
-            hop: 0,
-            cleared_ingress: None,
-        }
+        Transit { pair, hop: 0 }
     }
 
     /// The endpoints this transit travels between.
@@ -86,15 +78,6 @@ pub enum HopOutcome {
     Forwarded {
         /// Arrival time at the next waypoint.
         at: Cycle,
-    },
-    /// The waypoint's onward egress is out of data-VC credits: the
-    /// typed backpressure reject. The bytes sit in the waypoint's
-    /// ingress buffer (already booked, and remembered by the token, so
-    /// the retry goes straight to egress); re-advance the token at
-    /// `retry_at`, when the credit that blocked this hop frees.
-    Blocked {
-        /// Earliest cycle the needed egress credit frees.
-        retry_at: Cycle,
     },
     /// The destination's ingress port finished clocking the bytes in at
     /// `at`; receive-side processing can start.
@@ -130,13 +113,10 @@ pub enum HopOutcome {
 pub struct Topology {
     /// Outgoing data port per node (accounts traffic totals; every hop's
     /// bytes are charged to the port they leave through). Dense-indexed by
-    /// node id — port lookups sit on the per-hop transmit path. Egress is
-    /// where data-VC credits apply: all fabric backpressure is exerted at
-    /// the port a message leaves through.
+    /// node id — port lookups sit on the per-hop transmit path.
     node_egress: DenseNodeMap<TimedServer>,
     /// Incoming data port per node (occupancy only; zero latency so each
-    /// hop's propagation delay is charged once, at its egress). Always
-    /// unbounded: backpressure lives at egress, never at ingress.
+    /// hop's propagation delay is charged once, at its egress).
     node_ingress: DenseNodeMap<TimedServer>,
     /// Outgoing data port per switch, indexed by switch number.
     switch_egress: Vec<TimedServer>,
@@ -144,8 +124,6 @@ pub struct Topology {
     switch_ingress: Vec<TimedServer>,
     /// Small-message control VC per directed pair. Multi-hop pairs get a
     /// hop-scaled propagation latency and hop-scaled byte accounting.
-    /// Finite ctrl-VC credits stall the *sender* (service start shifts to
-    /// the credit-free cycle) so control sends stay infallible.
     ctrl: PairTable<TimedServer>,
     routes: RoutingTable,
 }
@@ -155,8 +133,6 @@ impl Topology {
     #[must_use]
     pub fn new(config: &SystemConfig) -> Self {
         let routes = RoutingTable::new(config.topology, config.gpu_count);
-        let data_credits = config.flow.data_vc_credits;
-        let ctrl_credits = config.flow.ctrl_vc_credits;
         let mut node_egress = DenseNodeMap::with_gpu_count(config.gpu_count);
         let mut node_ingress = DenseNodeMap::with_gpu_count(config.gpu_count);
         let mut ctrl = PairTable::new();
@@ -166,11 +142,8 @@ impl Topology {
             } else {
                 config.gpu_link_bytes_per_cycle
             };
-            node_egress.insert(
-                node,
-                TimedServer::new(port_bw, config.link_latency, data_credits, None),
-            );
-            node_ingress.insert(node, TimedServer::unbounded(port_bw, Duration::ZERO));
+            node_egress.insert(node, TimedServer::new(port_bw, config.link_latency));
+            node_ingress.insert(node, TimedServer::new(port_bw, Duration::ZERO));
             for dst in node.peers(config.gpu_count) {
                 let pair = PairId::new(node, dst);
                 let bw = if pair.involves_cpu() {
@@ -180,22 +153,15 @@ impl Topology {
                 };
                 let hops = routes.hops(pair) as u64;
                 let latency = Duration::cycles(config.link_latency.as_u64() * hops);
-                ctrl.insert(pair, TimedServer::new(bw, latency, None, ctrl_credits));
+                ctrl.insert(pair, TimedServer::new(bw, latency));
             }
         }
         // Switch ports run at fabric (NVLink) speed.
         let switch_egress = (0..routes.switch_count())
-            .map(|_| {
-                TimedServer::new(
-                    config.gpu_link_bytes_per_cycle,
-                    config.link_latency,
-                    data_credits,
-                    None,
-                )
-            })
+            .map(|_| TimedServer::new(config.gpu_link_bytes_per_cycle, config.link_latency))
             .collect();
         let switch_ingress = (0..routes.switch_count())
-            .map(|_| TimedServer::unbounded(config.gpu_link_bytes_per_cycle, Duration::ZERO))
+            .map(|_| TimedServer::new(config.gpu_link_bytes_per_cycle, Duration::ZERO))
             .collect();
         Topology {
             node_egress,
@@ -252,16 +218,6 @@ impl Topology {
         self.node_egress.get(node).expect("node within system")
     }
 
-    /// The ingress data port of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the system.
-    #[must_use]
-    pub fn ingress(&self, node: NodeId) -> &TimedServer {
-        self.node_ingress.get(node).expect("node within system")
-    }
-
     /// The control VC for `pair`.
     ///
     /// # Panics
@@ -272,25 +228,11 @@ impl Topology {
         self.ctrl.get(pair).expect("pair within system")
     }
 
-    /// Non-mutating admission probe for [`Topology::begin`]: is `pair`'s
-    /// source egress granting data-VC credits at `now`? `Err` carries the
-    /// exact retry cycle. Callers order irreversible side effects (ACK
-    /// window reservations) *after* this check so a credit reject leaves
-    /// nothing to unwind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pair` references a node outside the system.
-    pub fn egress_ready(&self, pair: PairId, now: Cycle) -> Result<(), Busy> {
-        self.egress(pair.src).check(Vc::Data, now)
-    }
-
     /// Starts a block transmission: books `transit.pair().src`'s egress
     /// port with `parts` (accounting the bytes to it — per-hop accounting
     /// is what makes shared-link metadata amplification measurable),
     /// moves the token to the first waypoint and returns the bytes'
-    /// arrival time there. Never rejects: callers gate it on
-    /// [`Topology::egress_ready`].
+    /// arrival time there.
     ///
     /// # Panics
     ///
@@ -299,8 +241,7 @@ impl Topology {
         debug_assert_eq!(transit.hop, 0, "transit already departed");
         transit.hop = 1;
         self.egress_mut(Waypoint::Node(transit.pair.src))
-            .serve_parts_blocking(Vc::Data, now, parts)
-            .done
+            .serve_parts(now, parts)
     }
 
     /// Advances in-flight bytes through the waypoint they just reached:
@@ -318,32 +259,13 @@ impl Topology {
         let route = self.routes.route(transit.pair);
         debug_assert!(hop >= 1, "transit not begun");
         let (here, last) = (route[hop], route.len() - 1);
-        // A retry after a credit reject already holds its ingress
-        // booking: clocking the bytes in again would double-book the
-        // port.
-        let through = match transit.cleared_ingress.take() {
-            Some(t) => t.max(now),
-            None => {
-                self.ingress_mut(here)
-                    .occupy(Vc::Data, now, parts.total())
-                    .expect("ingress ports are unbounded")
-                    .done
-            }
-        };
+        let through = self.ingress_mut(here).occupy(now, parts.total());
         if hop == last {
             return HopOutcome::Delivered { at: through };
         }
-        match self.egress_mut(here).serve_parts(Vc::Data, through, parts) {
-            Ok(ticket) => {
-                transit.hop += 1;
-                HopOutcome::Forwarded { at: ticket.done }
-            }
-            Err(busy) => {
-                transit.cleared_ingress = Some(through);
-                HopOutcome::Blocked {
-                    retry_at: busy.retry_at,
-                }
-            }
+        transit.hop += 1;
+        HopOutcome::Forwarded {
+            at: self.egress_mut(here).serve_parts(through, parts),
         }
     }
 
@@ -364,7 +286,7 @@ impl Topology {
     ) -> Cycle {
         let hops = self.routes.hops(pair) as u64;
         let vc = self.ctrl.get_mut(pair).expect("pair within system");
-        let arrival = vc.serve_parts_blocking(Vc::Ctrl, now, parts).done;
+        let arrival = vc.serve_parts(now, parts);
         for &(bytes, class) in parts {
             if hops > 1 {
                 vc.charge_background(bytes * (hops - 1), class);
@@ -416,25 +338,6 @@ impl Topology {
             .sum()
     }
 
-    /// Settles every port at drain time `now`: reclaims all credits whose
-    /// grants completed by `now` on both VCs of every server, so the
-    /// conservation invariant `credits_issued == credits_returned` can be
-    /// checked once the fabric is idle. Reclaim is otherwise lazy — it
-    /// happens on the next serve attempt — so an idle port may hold
-    /// settled-but-unreturned credits indefinitely without this call.
-    pub fn settle(&mut self, now: Cycle) {
-        for server in self
-            .node_egress
-            .values_mut()
-            .chain(self.node_ingress.values_mut())
-            .chain(self.switch_egress.iter_mut())
-            .chain(self.switch_ingress.iter_mut())
-            .chain(self.ctrl.values_mut())
-        {
-            server.settle(now);
-        }
-    }
-
     /// Iterates over `(node, egress port)` entries in ascending node
     /// order — the per-node data-traffic breakdown (switch ports excluded;
     /// see [`Topology::iter_switch_egress`]).
@@ -463,7 +366,7 @@ impl Topology {
         self.ctrl
             .iter()
             .filter(|(pair, _)| pair.src == src)
-            .map(|(_, vc)| vc.vc_bytes(Vc::Ctrl))
+            .map(|(_, vc)| vc.served_bytes())
             .sum()
     }
 
@@ -474,7 +377,7 @@ impl Topology {
         self.ctrl
             .iter()
             .filter(|(pair, _)| pair.src == src)
-            .map(|(_, vc)| vc.grants(Vc::Ctrl))
+            .map(|(_, vc)| vc.grants())
             .sum()
     }
 }
@@ -503,8 +406,7 @@ mod tests {
 
     /// Drives one block from `pair.src` to `pair.dst` through the
     /// engine's own `begin`/`advance` path, hop after hop, and returns
-    /// when it clears the destination ingress. Callers use unbounded
-    /// credits, so no hop ever blocks.
+    /// when it clears the destination ingress.
     fn send(topo: &mut Topology, pair: PairId, now: Cycle, parts: &WireParts) -> Cycle {
         let mut transit = Transit::new(pair);
         let mut at = topo.begin(&mut transit, now, parts);
@@ -512,7 +414,6 @@ mod tests {
             match topo.advance(&mut transit, at, parts) {
                 HopOutcome::Forwarded { at: next } => at = next,
                 HopOutcome::Delivered { at } => return at,
-                HopOutcome::Blocked { .. } => panic!("unbounded fabric never blocks"),
             }
         }
     }
@@ -692,42 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_transit_retries_from_its_waypoint() {
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.gpu_count = 8;
-        cfg.topology = TopologyKind::Ring;
-        cfg.flow.data_vc_credits = Some(1);
-        let mut topo = Topology::new(&cfg);
-        let parts = data(64);
-        // The routed GPU1 -> GPU3 block reaches GPU2 at 102 and clears
-        // its ingress at 104, but a local GPU2 -> GPU3 block departing at
-        // 100 holds GPU2's only onward data credit until it lands at 202.
-        let mut routed = Transit::new(PairId::new(NodeId::gpu(1), NodeId::gpu(3)));
-        let mut local = Transit::new(PairId::new(NodeId::gpu(2), NodeId::gpu(3)));
-        let at = topo.begin(&mut routed, Cycle::ZERO, &parts);
-        topo.begin(&mut local, Cycle::new(100), &parts);
-        assert_eq!(
-            topo.advance(&mut routed, at, &parts),
-            HopOutcome::Blocked {
-                retry_at: Cycle::new(202)
-            }
-        );
-        // The retry goes straight to GPU2's egress (its ingress booking
-        // is remembered), then delivers one leg later.
-        let HopOutcome::Forwarded { at } = topo.advance(&mut routed, Cycle::new(202), &parts)
-        else {
-            panic!("the freed credit lets the block forward");
-        };
-        assert_eq!(at, Cycle::new(202 + 2 + 100));
-        assert_eq!(
-            topo.advance(&mut routed, at, &parts),
-            HopOutcome::Delivered {
-                at: Cycle::new(202 + 2 + 100 + 2)
-            }
-        );
-    }
-
-    #[test]
     fn transit_exposes_pair() {
         let pair = PairId::new(NodeId::gpu(2), NodeId::gpu(4));
         assert_eq!(Transit::new(pair).pair(), pair);
@@ -823,111 +688,6 @@ mod tests {
                     expected += bytes * hops;
                 }
                 prop_assert_eq!(topo.traffic_totals().get(TrafficClass::Mac).as_u64(), expected);
-            }
-
-            /// Credit conservation and no-starvation under finite VC
-            /// credits: every message injected through the engine's
-            /// protocol — `egress_ready` at the source, then `begin`,
-            /// then `advance` with `Blocked` retries — eventually
-            /// delivers (each reject carries a strictly-later retry
-            /// cycle, and the retry count stays bounded), and once the
-            /// fabric drains, every server on every route has returned
-            /// exactly the credits it issued on both VCs.
-            #[test]
-            fn finite_credits_conserve_and_never_starve(
-                shape in ((0u8..3, 3u16..13), (1u32..4, 1u32..3)),
-                msgs in proptest::collection::vec(
-                    ((1u16..64, 1u16..64), (1u64..2048, 0u64..400)), 1..40),
-            ) {
-                let ((sel, gpus), (data_credits, ctrl_credits)) = shape;
-                let kind = match sel {
-                    0 => TopologyKind::FullyConnected,
-                    1 => TopologyKind::Ring,
-                    _ => TopologyKind::Switch { radix: 4 },
-                };
-                let mut cfg = SystemConfig::paper_4gpu();
-                cfg.gpu_count = gpus;
-                cfg.topology = kind;
-                cfg.flow.data_vc_credits = Some(data_credits);
-                cfg.flow.ctrl_vc_credits = Some(ctrl_credits);
-                let mut topo = Topology::new(&cfg);
-
-                let mut horizon = Cycle::ZERO;
-                for ((s, d), (bytes, start)) in msgs {
-                    let src = NodeId::gpu((s - 1) % gpus + 1);
-                    let dst = NodeId::gpu((d - 1) % gpus + 1);
-                    prop_assume!(src != dst);
-                    let pair = PairId::new(src, dst);
-                    let parts = data(bytes);
-                    let mut now = Cycle::new(start);
-                    let mut retries = 0u32;
-                    while let Err(busy) = topo.egress_ready(pair, now) {
-                        prop_assert!(
-                            busy.retry_at > now,
-                            "Busy must carry a strictly-later retry cycle"
-                        );
-                        now = busy.retry_at;
-                        retries += 1;
-                        prop_assert!(retries <= 64, "no starvation at the source");
-                    }
-                    let mut transit = Transit::new(pair);
-                    let mut at = topo.begin(&mut transit, now, &parts);
-                    let delivered = loop {
-                        match topo.advance(&mut transit, at, &parts) {
-                            HopOutcome::Forwarded { at: next } => at = next,
-                            HopOutcome::Blocked { retry_at } => {
-                                prop_assert!(
-                                    retry_at > at,
-                                    "Blocked must carry a strictly-later retry cycle"
-                                );
-                                at = retry_at;
-                                retries += 1;
-                                prop_assert!(
-                                    retries <= 64,
-                                    "no starvation: retry count stays bounded"
-                                );
-                            }
-                            HopOutcome::Delivered { at } => break at,
-                        }
-                    };
-                    let ctrl_done = topo.transmit_ctrl(
-                        pair, Cycle::new(start), &[(ByteSize::new(16), TrafficClass::Mac)]);
-                    horizon = horizon.max(delivered).max(ctrl_done);
-                }
-
-                topo.settle(Cycle::new(horizon.as_u64() + 1));
-                let drained = Cycle::new(horizon.as_u64() + 1);
-                let check = |server: &TimedServer, label: &str| {
-                    for vc in [Vc::Data, Vc::Ctrl] {
-                        assert_eq!(
-                            server.credits_issued(vc),
-                            server.credits_returned(vc),
-                            "{label}: credits leaked on {vc:?}"
-                        );
-                        assert_eq!(
-                            server.credits_issued(vc),
-                            server.grants(vc),
-                            "{label}: issued credits must equal grants on {vc:?}"
-                        );
-                        assert_eq!(
-                            server.occupancy(vc, drained), 0,
-                            "{label}: no credits held after drain on {vc:?}"
-                        );
-                    }
-                };
-                for (node, server) in topo.iter_egress() {
-                    check(server, &format!("egress {node}"));
-                }
-                for (id, server) in topo.iter_switch_egress() {
-                    check(server, &format!("switch egress {id}"));
-                }
-                for node in NodeId::all(gpus) {
-                    check(topo.ingress(node), &format!("ingress {node}"));
-                    for dst in node.peers(gpus) {
-                        let pair = PairId::new(node, dst);
-                        check(topo.ctrl(pair), &format!("ctrl {pair:?}"));
-                    }
-                }
             }
         }
     }

@@ -1,22 +1,22 @@
 //! System-level flow control: typed backpressure, credit gates, and
 //! wakeup dedup shared by the pacing, NIC, and engine layers.
 //!
-//! Together with the fabric's [`mgpu_sim::timeq::TimedServer`] this is
-//! the PR 8 flow substrate: every "is this resource ready?" question in
-//! the system answers with either a grant or a **typed reject**
-//! ([`Reject`]) that says exactly when or on what signal to come back —
-//! never a bare `false` the caller must re-poll.
+//! Every "is this resource ready?" question the engine asks answers with
+//! either a grant or a **typed reject** ([`Reject`]) that says exactly
+//! when or on what signal to come back — never a bare `false` the caller
+//! must re-poll. (Fabric ports never reject: a
+//! [`mgpu_sim::timeq::TimedServer`] only serializes.)
 //!
 //! * [`CreditPool`] — unsigned per-node slot credits (issue slots: a
 //!   GPU's memory-level parallelism).
-//! * [`CreditGate`] — signed per-node credits with a park queue and
-//!   config-selected arbitration (replay-protection ACK windows, where
-//!   batch trailers may transiently overdraw and blocked senders park
-//!   prepared blocks until a credit returns).
+//! * [`CreditGate`] — signed per-node credits with a FIFO park queue
+//!   (replay-protection ACK windows, where batch trailers may transiently
+//!   overdraw and blocked senders park prepared blocks until a credit
+//!   returns).
 //! * [`WakeupLadder`] — the PR 5 gap-wakeup dedup, extracted: at most
 //!   one timer wakeup armed per node, none lost.
 
-use mgpu_types::{ArbitrationKind, Cycle, DenseNodeMap, NodeId};
+use mgpu_types::{Cycle, DenseNodeMap, NodeId};
 use std::collections::VecDeque;
 
 /// Typed backpressure: why a request was not granted, and what wakes it.
@@ -80,42 +80,29 @@ impl CreditPool {
     }
 }
 
-/// Signed per-node credits with a park queue and pluggable arbitration.
+/// Signed per-node credits with a FIFO park queue.
 ///
 /// Models windows where privileged callers may transiently overdraw
 /// (replay-table trailer reservations) and where a denied caller parks
-/// its work item `D` until a credit returns. When a credit is released,
-/// the next parked item is chosen by the configured [`ArbitrationKind`]:
-///
-/// * [`ArbitrationKind::RoundRobin`] — FIFO park order (today's service
-///   order; the bit-for-bit default).
-/// * [`ArbitrationKind::FixedPriority`] — lowest priority key first
-///   (callers pass e.g. the originating request index, so older requests
-///   preempt the park queue).
+/// its work item `D` until a credit returns. Each release unparks the
+/// longest-waiting item.
 #[derive(Debug)]
 pub struct CreditGate<D> {
     free: DenseNodeMap<i64>,
-    parked: DenseNodeMap<VecDeque<(u64, D)>>,
+    parked: DenseNodeMap<VecDeque<D>>,
     grants: DenseNodeMap<u64>,
-    arbitration: ArbitrationKind,
 }
 
 impl<D> CreditGate<D> {
-    /// A gate giving each node in `nodes` `capacity` credits, unparking
-    /// under `arbitration`.
+    /// A gate giving each node in `nodes` `capacity` credits.
     #[must_use]
-    pub fn new(
-        nodes: impl Iterator<Item = NodeId>,
-        capacity: i64,
-        arbitration: ArbitrationKind,
-    ) -> Self {
+    pub fn new(nodes: impl Iterator<Item = NodeId>, capacity: i64) -> Self {
         let free: DenseNodeMap<i64> = nodes.map(|n| (n, capacity)).collect();
         let grants = free.keys().map(|n| (n, 0)).collect();
         CreditGate {
             free,
             parked: DenseNodeMap::new(),
             grants,
-            arbitration,
         }
     }
 
@@ -140,36 +127,18 @@ impl<D> CreditGate<D> {
         *self.grants.get_mut(node).expect("node in gate") += 1;
     }
 
-    /// Parks `item` at `node` until a credit returns. `priority` is the
-    /// [`ArbitrationKind::FixedPriority`] key (lower unparks first);
-    /// round-robin ignores it.
-    pub fn park(&mut self, node: NodeId, priority: u64, item: D) {
+    /// Parks `item` at `node` until a credit returns.
+    pub fn park(&mut self, node: NodeId, item: D) {
         self.parked
             .get_or_insert_with(node, VecDeque::new)
-            .push_back((priority, item));
+            .push_back(item);
     }
 
-    /// Returns one credit to `node` and unparks the next work item under
-    /// the configured arbitration, if any is waiting.
+    /// Returns one credit to `node` and unparks its longest-waiting work
+    /// item, if any.
     pub fn release(&mut self, node: NodeId) -> Option<D> {
         *self.free.get_mut(node).expect("node in gate") += 1;
-        let queue = self.parked.get_mut(node)?;
-        let at = match self.arbitration {
-            ArbitrationKind::RoundRobin => {
-                if queue.is_empty() {
-                    return None;
-                }
-                0
-            }
-            ArbitrationKind::FixedPriority => {
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, (priority, _))| *priority)?
-                    .0
-            }
-        };
-        queue.remove(at).map(|(_, item)| item)
+        self.parked.get_mut(node)?.pop_front()
     }
 
     /// Free credits at `node` (negative while overdrawn); zero for nodes
@@ -257,37 +226,23 @@ mod tests {
     }
 
     #[test]
-    fn gate_round_robin_unparks_in_fifo_order() {
+    fn gate_unparks_in_fifo_order() {
         let g1 = NodeId::gpu(1);
-        let mut gate: CreditGate<&str> = CreditGate::new(nodes(), 1, ArbitrationKind::RoundRobin);
+        let mut gate: CreditGate<&str> = CreditGate::new(nodes(), 1);
         assert!(gate.admit(g1).is_ok());
         assert_eq!(gate.admit(g1), Err(Reject::AwaitCredit));
-        gate.park(g1, 9, "first-parked");
-        gate.park(g1, 3, "second-parked");
-        // FIFO ignores the priority keys: park order wins.
+        gate.park(g1, "first-parked");
+        gate.park(g1, "second-parked");
+        assert_eq!(gate.parked_len(g1), 2);
         assert_eq!(gate.release(g1), Some("first-parked"));
         assert_eq!(gate.release(g1), Some("second-parked"));
         assert_eq!(gate.release(g1), None);
     }
 
     #[test]
-    fn gate_fixed_priority_unparks_lowest_key() {
-        let g1 = NodeId::gpu(1);
-        let mut gate: CreditGate<&str> =
-            CreditGate::new(nodes(), 1, ArbitrationKind::FixedPriority);
-        gate.admit(g1).unwrap();
-        gate.park(g1, 9, "late-request");
-        gate.park(g1, 3, "early-request");
-        gate.park(g1, 5, "middle-request");
-        assert_eq!(gate.release(g1), Some("early-request"));
-        assert_eq!(gate.release(g1), Some("middle-request"));
-        assert_eq!(gate.release(g1), Some("late-request"));
-    }
-
-    #[test]
     fn gate_overdraw_goes_negative_and_must_repay() {
         let g1 = NodeId::gpu(1);
-        let mut gate: CreditGate<u32> = CreditGate::new(nodes(), 2, ArbitrationKind::RoundRobin);
+        let mut gate: CreditGate<u32> = CreditGate::new(nodes(), 2);
         gate.admit(g1).unwrap();
         gate.admit(g1).unwrap();
         gate.overdraw(g1);

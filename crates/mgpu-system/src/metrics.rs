@@ -176,16 +176,6 @@ impl RunReport {
         Some(self.traffic.total().as_u64() as f64 / base as f64)
     }
 
-    /// Mean per-request latency in cycles.
-    #[must_use]
-    pub fn mean_request_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.sum_request_latency.as_u64() as f64 / self.requests as f64
-        }
-    }
-
     /// Fraction of this run's bytes that were security metadata.
     #[must_use]
     pub fn metadata_fraction(&self) -> f64 {

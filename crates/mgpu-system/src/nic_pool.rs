@@ -6,7 +6,7 @@
 //! held as a [`CreditGate`]: an outgoing MAC-carrying block (or batch
 //! closer) takes one window credit until its ACK returns; an exhausted
 //! window answers [`Reject::AwaitCredit`] and the block parks at the
-//! gate until a release unparks it under the configured arbitration.
+//! gate until a release unparks it, oldest first.
 
 use crate::flow::{CreditGate, Reject};
 use crate::node::{PreparedBlock, SecureNic};
@@ -41,11 +41,7 @@ impl NicPool {
             DenseNodeMap::new()
         };
         let capacity = i64::from(config.security.ack_table_entries);
-        let gate = CreditGate::new(
-            NodeId::all(config.gpu_count),
-            capacity,
-            config.flow.arbitration,
-        );
+        let gate = CreditGate::new(NodeId::all(config.gpu_count), capacity);
         NicPool { nics, gate }
     }
 
@@ -114,15 +110,12 @@ impl NicPool {
     }
 
     /// Parks a prepared block at `owner` until a window credit frees.
-    /// `priority` is the fixed-priority arbitration key (the originating
-    /// request index: lower unparks first); round-robin ignores it.
-    pub fn defer(&mut self, owner: NodeId, priority: u64, block: BlockId) {
-        self.gate.park(owner, priority, block);
+    pub fn defer(&mut self, owner: NodeId, block: BlockId) {
+        self.gate.park(owner, block);
     }
 
     /// Releases one replay-table credit at `owner` (its ACK returned)
-    /// and unparks the next parked block under the configured
-    /// arbitration, if any.
+    /// and unparks the oldest parked block, if any.
     pub fn release_ack(&mut self, owner: NodeId) -> Option<BlockId> {
         self.gate.release(owner)
     }
@@ -148,6 +141,12 @@ impl NicPool {
     #[must_use]
     pub fn ack_free(&self, node: NodeId) -> i64 {
         self.gate.free(node)
+    }
+
+    /// Blocks parked at `node`, waiting for a window credit.
+    #[must_use]
+    pub fn parked_len(&self, node: NodeId) -> usize {
+        self.gate.parked_len(node)
     }
 
     /// ACK-window credits granted at `node` so far (admissions plus
@@ -206,29 +205,13 @@ mod tests {
             Err(Reject::AwaitCredit),
             "window of 2 is full"
         );
-        // Round robin unparks in park order, whatever the priority key.
-        p.defer(owner, 8, 70);
-        p.defer(owner, 7, 80);
+        p.defer(owner, 70);
+        p.defer(owner, 80);
+        assert_eq!(p.parked_len(owner), 2);
         assert_eq!(p.release_ack(owner), Some(70), "oldest parked unparks");
         assert_eq!(p.release_ack(owner), Some(80), "next parked unparks");
         assert!(p.release_ack(owner).is_none());
         assert_eq!(p.ack_grants(owner), 2);
-    }
-
-    #[test]
-    fn fixed_priority_arbitration_unparks_oldest_request_first() {
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.security.scheme = OtpSchemeKind::Private;
-        cfg.security.ack_table_entries = 1;
-        cfg.flow.arbitration = mgpu_types::ArbitrationKind::FixedPriority;
-        let mut p: NicPool = NicPool::new(&cfg, true);
-        let owner = NodeId::gpu(1);
-        assert!(p.admit_ack(owner).is_ok());
-        // Parked out of request order: fixed priority unparks index 3 first.
-        p.defer(owner, 9, 90);
-        p.defer(owner, 3, 30);
-        assert_eq!(p.release_ack(owner), Some(30));
-        assert_eq!(p.release_ack(owner), Some(90));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use mgpu_secure::batching::SenderBatcher;
 use mgpu_secure::protocol::WireFormat;
 use mgpu_secure::schemes::{build_scheme, OtpScheme, SchemeTelemetry};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_types::{ByteSize, Cycle, DenseNodeMap, Duration, NodeId, SystemConfig};
+use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, SystemConfig};
 
 /// What the NIC decided for one outgoing block.
 #[derive(Debug, Clone)]
@@ -243,9 +243,6 @@ impl SecureNic {
         (self.batcher.closed_full(), self.batcher.closed_by_flush())
     }
 }
-
-/// Duration alias kept for doc examples.
-pub type NicDuration = Duration;
 
 #[cfg(test)]
 mod tests {

@@ -348,8 +348,6 @@ mod tests {
             bytes_delta: 10 * ctrl_bytes_delta,
             queue_depth: 1,
             busy_horizon: 5,
-            data_vc_occupancy: 1,
-            ctrl_vc_occupancy: 0,
             grants: ctrl_grants + 2,
             ctrl_bytes_delta,
             ctrl_grants,

@@ -404,19 +404,11 @@ impl Simulation {
                 Ev::BlockEgress(id) => {
                     let block = &mut blocks[id as usize];
                     let pair = block.transit.pair();
-                    // Egress admission first: a credit reject reschedules
-                    // the whole egress at the credit-free cycle before any
-                    // irreversible side effect (the ACK window reservation
-                    // below), so a retry never double-reserves.
-                    if let Err(busy) = fabric.egress_ready(pair, now) {
-                        events.schedule(busy.retry_at, Ev::BlockEgress(id));
-                        continue;
-                    }
                     // A MAC-carrying block must hold a replay-table entry
                     // until its ACK returns. A full table defers the
                     // release; the returning ACK reschedules the egress.
                     if block.acks && pool.admit_ack(pair.src).is_err() {
-                        pool.defer(pair.src, u64::from(block.req), id);
+                        pool.defer(pair.src, id);
                         continue;
                     }
                     let at = fabric.begin(&mut block.transit, now, &block.parts);
@@ -425,10 +417,7 @@ impl Simulation {
                 Ev::BlockIngress(id) => {
                     let block = &mut blocks[id as usize];
                     match fabric.advance(&mut block.transit, now, &block.parts) {
-                        // Onward to the next waypoint, or — typed credit
-                        // backpressure from the onward hop — one retry at
-                        // the exact credit-free cycle, no re-polling.
-                        HopOutcome::Forwarded { at } | HopOutcome::Blocked { retry_at: at } => {
+                        HopOutcome::Forwarded { at } => {
                             events.schedule(at, Ev::BlockIngress(id));
                         }
                         HopOutcome::Delivered { at } => {
@@ -592,6 +581,16 @@ impl Simulation {
             }
         }
 
+        // ACK-window conservation: once the queue drains, every ACK has
+        // come home, so each window is whole again and no block is left
+        // parked behind it.
+        debug_assert!(
+            NodeId::all(cfg.gpu_count).all(|node| pool.ack_free(node)
+                == i64::from(cfg.security.ack_table_entries)
+                && pool.parked_len(node) == 0),
+            "ACK window leaked credits or stranded a parked block at drain"
+        );
+
         // Drain any still-open batches at end of run.
         if self.secure() {
             drain_open_batches(
@@ -685,8 +684,8 @@ fn shape_topup(fabric: &mut Topology, cfg: &SystemConfig, now: Cycle) {
         for dst in src.peers(cfg.gpu_count) {
             let pair = PairId::new(src, dst);
             let vc = fabric.ctrl(pair);
-            let byte_deficit = byte_quota.saturating_sub(vc.vc_bytes(mgpu_sim::Vc::Ctrl));
-            let grant_deficit = grant_quota.saturating_sub(vc.grants(mgpu_sim::Vc::Ctrl));
+            let byte_deficit = byte_quota.saturating_sub(vc.served_bytes());
+            let grant_deficit = grant_quota.saturating_sub(vc.grants());
             // Each chaff message needs >= 1 byte; never exceed either
             // quota, so the message count is bounded by both deficits.
             let messages = grant_deficit.min(byte_deficit);

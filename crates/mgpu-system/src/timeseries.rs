@@ -69,7 +69,7 @@ pub struct IntervalSample {
     /// flushes transiently overdraw the table.
     pub ack_window_free: i64,
     /// Cumulative ACK-window credit grants the node's gate has issued
-    /// (arbitration admissions, including overdraws).
+    /// (admissions plus trailer overdraws).
     pub ack_window_grants: u64,
 }
 
@@ -95,23 +95,15 @@ pub struct FabricSample {
     pub port: String,
     /// Bytes that crossed the port since the previous sample.
     pub bytes_delta: u64,
-    /// True occupancy at the boundary: grants (both VCs) whose service
-    /// had not yet completed when the sample was taken — queued entries,
-    /// not time. (This field used to carry the serialization backlog in
-    /// cycles, which now lives in [`FabricSample::busy_horizon`].)
+    /// True occupancy at the boundary: grants whose service had not yet
+    /// completed when the sample was taken — queued entries, not time.
+    /// (This field used to carry the serialization backlog in cycles,
+    /// which now lives in [`FabricSample::busy_horizon`].)
     pub queue_depth: u64,
     /// Cycles until the port's serializer frees (its busy-time backlog
     /// at the boundary). The old, mislabeled `queue_depth` value.
     pub busy_horizon: u64,
-    /// Data-VC credits held at the boundary: grants whose service had
-    /// not yet completed when the sample was taken.
-    pub data_vc_occupancy: u64,
-    /// Ctrl-VC credits held at the boundary. Egress ports carry only
-    /// data traffic, so this stays zero today; it is sampled so a future
-    /// shared-port topology needs no schema change.
-    pub ctrl_vc_occupancy: u64,
-    /// Cumulative arbitration grants the port's timed server has issued
-    /// across both VCs.
+    /// Cumulative grants (messages booked) on the port's timed server.
     pub grants: u64,
     /// Control-VC bytes granted on pairs leaving this port since the
     /// previous sample. Control messages ride per-pair VCs, but they all
@@ -289,14 +281,12 @@ impl Timeline {
         for f in &self.fabric {
             let _ = writeln!(
                 out,
-                "{{\"kind\":\"fabric\",\"cycle\":{},\"port\":\"{}\",\"bytes_delta\":{},\"queue_depth\":{},\"busy_horizon\":{},\"data_vc_occupancy\":{},\"ctrl_vc_occupancy\":{},\"grants\":{},\"ctrl_bytes_delta\":{},\"ctrl_grants\":{}}}",
+                "{{\"kind\":\"fabric\",\"cycle\":{},\"port\":\"{}\",\"bytes_delta\":{},\"queue_depth\":{},\"busy_horizon\":{},\"grants\":{},\"ctrl_bytes_delta\":{},\"ctrl_grants\":{}}}",
                 f.cycle.as_u64(),
                 f.port,
                 f.bytes_delta,
                 f.queue_depth,
                 f.busy_horizon,
-                f.data_vc_occupancy,
-                f.ctrl_vc_occupancy,
                 f.grants,
                 f.ctrl_bytes_delta,
                 f.ctrl_grants,
@@ -506,24 +496,18 @@ impl TimeSeriesCollector {
             bytes: u64,
             queue_depth: u64,
             busy_horizon: u64,
-            data_vc_occupancy: u64,
-            ctrl_vc_occupancy: u64,
             grants: u64,
             ctrl_bytes: u64,
             ctrl_grants: u64,
         }
         let port_stats = |server: &mgpu_sim::TimedServer, ctrl_bytes: u64, ctrl_grants: u64| {
-            let data_occ = u64::from(server.occupancy(mgpu_sim::Vc::Data, now));
-            let ctrl_occ = u64::from(server.occupancy(mgpu_sim::Vc::Ctrl, now));
             PortStats {
                 bytes: server.totals().total().as_u64(),
                 // Pending completions, not time: the busy-time-until-free
                 // value this field used to (mis)report is busy_horizon.
-                queue_depth: data_occ + ctrl_occ,
+                queue_depth: u64::from(server.occupancy(now)),
                 busy_horizon: server.next_free().saturating_since(now).as_u64(),
-                data_vc_occupancy: data_occ,
-                ctrl_vc_occupancy: ctrl_occ,
-                grants: server.grants(mgpu_sim::Vc::Data) + server.grants(mgpu_sim::Vc::Ctrl),
+                grants: server.grants(),
                 ctrl_bytes,
                 ctrl_grants,
             }
@@ -558,8 +542,6 @@ impl TimeSeriesCollector {
                 bytes_delta: stats.bytes - prev,
                 queue_depth: stats.queue_depth,
                 busy_horizon: stats.busy_horizon,
-                data_vc_occupancy: stats.data_vc_occupancy,
-                ctrl_vc_occupancy: stats.ctrl_vc_occupancy,
                 grants: stats.grants,
                 ctrl_bytes_delta: stats.ctrl_bytes - prev_ctrl,
                 ctrl_grants: stats.ctrl_grants,
@@ -669,8 +651,6 @@ mod tests {
             bytes_delta: 512,
             queue_depth: 2,
             busy_horizon: 37,
-            data_vc_occupancy: 1,
-            ctrl_vc_occupancy: 1,
             grants: 5,
             ctrl_bytes_delta: 48,
             ctrl_grants: 3,
@@ -735,8 +715,6 @@ mod tests {
                 bytes_delta: 0,
                 queue_depth: depth,
                 busy_horizon: horizon,
-                data_vc_occupancy: depth,
-                ctrl_vc_occupancy: 0,
                 grants: depth,
                 ctrl_bytes_delta: 0,
                 ctrl_grants: 0,

@@ -107,9 +107,9 @@ proptest! {
     }
 }
 
-/// The setting both unbounded-shaping reproducers ran in: Private on the
+/// The setting the unbounded-shaping reproducers ran in: Private on the
 /// paper's 4-GPU system with a 4-entry ACK table, shaping on.
-fn envelope_cell(shape_bytes: u32, shape_period: u64, ctrl_credits: Option<u32>) -> SystemConfig {
+fn envelope_cell(shape_bytes: u32, shape_period: u64) -> SystemConfig {
     let mut cfg = configs::private(&SystemConfig::paper_4gpu(), 4);
     cfg.security.ack_table_entries = 4;
     cfg.security.defense = DefenseConfig {
@@ -117,44 +117,33 @@ fn envelope_cell(shape_bytes: u32, shape_period: u64, ctrl_credits: Option<u32>)
         shape_period: Duration::cycles(shape_period),
         ..DefenseConfig::constant_rate()
     };
-    cfg.flow.ctrl_vc_credits = ctrl_credits;
     cfg
 }
 
-/// Envelopes the ctrl VC cannot sustain used to validate and then run
+/// An envelope the ctrl VC cannot sustain used to validate and then run
 /// without bound: chaff outgrew simulated time and every request queued
-/// behind it. Both reproducers must now fail validation, as must an
-/// envelope one step past either bound.
+/// behind it. It must now fail validation, as must an envelope one step
+/// past the bound.
 #[test]
 fn unsustainable_shaping_envelopes_fail_validation() {
-    // Default envelope (256 B / 4 grants / 250 cy) with one ctrl credit:
-    // 8 cy of serialization + 4 x 100 cy of flight per period > 250 cy.
-    assert!(envelope_cell(256, 250, Some(1)).validate().is_err());
     // 20 000 B per 250 cy is 80 B/cy, above the 32 B/cy PCIe ctrl VCs.
-    assert!(envelope_cell(20_000, 250, None).validate().is_err());
-    assert!(envelope_cell(8_001, 250, None).validate().is_err());
-    assert!(envelope_cell(256, 407, Some(1)).validate().is_err());
+    assert!(envelope_cell(20_000, 250).validate().is_err());
+    assert!(envelope_cell(8_001, 250).validate().is_err());
 }
 
-/// An envelope exactly at each bound validates, and the run finishes
-/// within a few times the unshaped run length (the reproducers ran for
+/// An envelope exactly at the bound validates, and the run finishes
+/// within a few times the unshaped run length (the reproducer ran for
 /// millions of cycles).
 #[test]
-fn shaping_envelopes_at_the_bounds_finish() {
-    for (bytes, period, credits) in [
-        // Exactly the 32 B/cy PCIe ctrl bandwidth.
-        (8_000, 250, None),
-        // Exactly one credit's worth of hold time: 8 + 4 x 100 cycles.
-        (256, 408, Some(1)),
-    ] {
-        let cfg = envelope_cell(bytes, period, credits);
-        cfg.validate().expect("an envelope at the bound validates");
-        let report = Simulation::new(cfg, Benchmark::Spmv, 1).run_for_requests(100);
-        assert_eq!(report.requests, 4 * 100);
-        assert!(
-            report.total_cycles < Duration::cycles(100_000),
-            "{bytes} B / {period} cy / {credits:?}: {} cycles",
-            report.total_cycles
-        );
-    }
+fn shaping_envelope_at_the_bound_finishes() {
+    // Exactly the 32 B/cy PCIe ctrl bandwidth.
+    let cfg = envelope_cell(8_000, 250);
+    cfg.validate().expect("an envelope at the bound validates");
+    let report = Simulation::new(cfg, Benchmark::Spmv, 1).run_for_requests(100);
+    assert_eq!(report.requests, 4 * 100);
+    assert!(
+        report.total_cycles < Duration::cycles(100_000),
+        "{} cycles",
+        report.total_cycles
+    );
 }

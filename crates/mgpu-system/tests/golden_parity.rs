@@ -107,8 +107,8 @@ fn observability_enabled_changes_no_timing() {
     assert!(!timeline.fabric.is_empty());
     assert!(timeline.scope_counts.contains_key("BlockDone"));
 
-    // The flow-substrate counters ride along in the same samples: every
-    // port that moved bytes accumulated arbitration grants, and the ACK
+    // The port and ACK-window counters ride along in the same samples:
+    // every port that moved bytes accumulated grants, and the ACK
     // gates handed out credits. Occupancy is a boundary snapshot, so it
     // may legitimately be zero when a boundary lands in an idle gap, and
     // its value is not asserted.
@@ -174,26 +174,23 @@ fn open_loop_serving_cell_stays_bit_for_bit() {
     );
 }
 
-/// The fully-connected matrix never defers a block at the ACK window and
-/// never retries a hop, so this cell pins both paths, which route a
-/// parked or blocked block back through the engine: a one-entry replay
-/// table with batching off parks nearly every MAC-carrying block until
-/// the previous ACK returns, and an 8-GPU ring with two data-VC credits
-/// per port makes forwarding waypoints answer `Blocked` and retry. The
-/// constants were captured from the engine before events moved their
-/// block state into the per-block table; if this test fails, fix the
-/// code, do not re-capture them.
+/// The fully-connected matrix never defers a block at the ACK window, so
+/// this cell pins the path that routes a parked block back through the
+/// engine: a one-entry replay table with batching off parks nearly every
+/// MAC-carrying block until the previous ACK returns (the same cell with
+/// a four-entry table finishes in 30,147 cycles). The constants were
+/// captured from the engine before fabric ports lost their VC credits;
+/// if this test fails, fix the code, do not re-capture them.
 #[test]
-fn ack_deferral_and_ring_retry_cell_stays_bit_for_bit() {
-    const CYCLES: u64 = 119_034;
+fn ack_deferral_cell_stays_bit_for_bit() {
+    const CYCLES: u64 = 118_919;
     const BYTES: u64 = 422_895;
     const ACKS: u64 = 1_600;
-    const EVENTS: u64 = 19_599;
+    const EVENTS: u64 = 19_494;
 
     let mut cfg = configs::private(&SystemConfig::paper_4gpu(), 4);
     cfg.gpu_count = 8;
     cfg.topology = TopologyKind::Ring;
-    cfg.flow.data_vc_credits = Some(2);
     cfg.security.ack_table_entries = 1;
     assert!(!cfg.security.batching.enabled);
     let r = Simulation::new(cfg, Benchmark::Spmv, 42).run_for_requests(200);
@@ -202,6 +199,22 @@ fn ack_deferral_and_ring_retry_cell_stays_bit_for_bit() {
     assert_eq!(r.traffic.total().as_u64(), BYTES, "wire-byte drift");
     assert_eq!(r.acks_sent, ACKS, "ACK count drift");
     assert_eq!(r.events_processed, EVENTS, "event count drift");
+}
+
+/// The paper-parameter 8-GPU system on a radix-4 switch fabric under the
+/// batching scheme: switch egress contention plus ACK-window deferral.
+/// The constants were captured from the tree before ACK-window
+/// arbitration became configurable; if this test fails, fix the code,
+/// do not re-capture them.
+#[test]
+fn switch_cell_reproduces_golden_digest() {
+    let base = SystemConfig::paper_8gpu().with_topology(TopologyKind::Switch { radix: 4 });
+    let report = Simulation::new(configs::batching(&base, 4), Benchmark::MatrixTranspose, 42)
+        .run_for_requests(150);
+    assert_eq!(report.total_cycles.as_u64(), 4260, "cycle drift");
+    assert_eq!(report.traffic.total().as_u64(), 378_029, "wire-byte drift");
+    assert_eq!(report.blocks, 1326, "block-count drift");
+    assert_eq!(report.acks_sent, 103, "ACK-count drift");
 }
 
 /// Crypto-backend parity: the entire 12-cell golden matrix must be

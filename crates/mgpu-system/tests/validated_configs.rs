@@ -2,19 +2,21 @@
 //! completion and keep the report's invariants.
 //!
 //! Each case draws a random system: 2–16 GPUs on every fabric shape,
-//! every OTP scheme, batching and deadline close on or off, finite or
-//! unbounded data/ctrl VC credits, small ACK tables, both arbitration
-//! policies, constant-rate shaping (with envelopes wide enough to cross
-//! the validation bounds), batch-close jitter, observability and the
+//! every OTP scheme, batching and deadline close on or off, small ACK
+//! tables, constant-rate shaping (with envelopes wide enough to cross
+//! the validation bound), batch-close jitter, observability and the
 //! wire adversary. Configs that fail validation are skipped; the rest
 //! run 20–40 requests per GPU and must finish within a wall-clock budget
 //! and a generous simulated-cycle ceiling. A shaping envelope its ctrl VC
 //! cannot carry breaks both: its chaff backlog outgrows simulated time.
+//! In the debug profile every run also checks at drain that each ACK
+//! window is whole again and no block is left parked.
 
 use mgpu_sim::link::TrafficClass;
+use mgpu_sim::RoutingTable;
 use mgpu_system::{RunReport, Simulation};
 use mgpu_types::{
-    AdversaryConfig, ArbitrationKind, Direction, Duration, ObservabilityConfig, OtpSchemeKind,
+    AdversaryConfig, Direction, Duration, NodeId, ObservabilityConfig, OtpSchemeKind, PairId,
     SystemConfig, TopologyKind,
 };
 use mgpu_workloads::Benchmark;
@@ -32,15 +34,10 @@ impl Draws<'_> {
     fn flip(&mut self) -> bool {
         self.below(2) == 1
     }
-
-    /// `None` (unbounded) or `1..=max` credits.
-    fn credits(&mut self, max: u32) -> Option<u32> {
-        Some(self.below(max + 1)).filter(|&c| c > 0)
-    }
 }
 
 /// Random draws each case consumes.
-const DRAWS: usize = 24;
+const DRAWS: usize = 21;
 
 /// Wall-clock budget for one run. Valid draws finish in well under a
 /// second even in the test profile.
@@ -81,20 +78,13 @@ fn draw_config(d: &mut Draws) -> SystemConfig {
     let defense = &mut sec.defense;
     defense.constant_rate = d.flip();
     // Log-spread envelope sizes, so both sides of the ctrl VC
-    // bandwidth and credit bounds come up.
+    // bandwidth bound come up.
     let magnitude = 1 + d.below(15);
     defense.shape_bytes = 1 + d.below(1 << magnitude);
     defense.shape_grants = 1 + d.below(defense.shape_bytes.min(64));
     defense.shape_period = Duration::cycles(u64::from(20 + d.below(481)));
     defense.close_jitter = d.flip();
     defense.jitter_bound = Duration::cycles(u64::from(1 + d.below(128)));
-    cfg.flow.data_vc_credits = d.credits(4);
-    cfg.flow.ctrl_vc_credits = d.credits(4);
-    cfg.flow.arbitration = if d.flip() {
-        ArbitrationKind::FixedPriority
-    } else {
-        ArbitrationKind::RoundRobin
-    };
     if d.flip() {
         cfg.observability = ObservabilityConfig::enabled();
     }
@@ -102,6 +92,19 @@ fn draw_config(d: &mut Draws) -> SystemConfig {
         cfg.adversary = AdversaryConfig::active(1 + d.below(100));
     }
     cfg
+}
+
+/// Hops on the longest route of `cfg`'s fabric.
+fn longest_route(cfg: &SystemConfig) -> u64 {
+    let routes = RoutingTable::new(cfg.topology, cfg.gpu_count);
+    NodeId::all(cfg.gpu_count)
+        .flat_map(|src| {
+            src.peers(cfg.gpu_count)
+                .map(move |dst| PairId::new(src, dst))
+        })
+        .map(|pair| routes.hops(pair) as u64)
+        .max()
+        .expect("at least two nodes")
 }
 
 proptest! {
@@ -121,7 +124,7 @@ proptest! {
         // As if every request ran alone, one after another, each taking
         // 16 one-way trips along the longest route. Valid draws peak
         // near half of it.
-        let trip = cfg.link_latency.as_u64() * u64::from(cfg.topology.max_hops(cfg.gpu_count));
+        let trip = cfg.link_latency.as_u64() * longest_route(&cfg);
         let ceiling = 16 * gpus * per_gpu as u64 * trip;
         let label = format!("{cfg:?} {benchmark:?} seed {seed} x{per_gpu}");
 

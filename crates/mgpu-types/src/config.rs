@@ -114,91 +114,6 @@ impl TopologyKind {
             }
         }
     }
-
-    /// Hops on the longest route of this shape with `gpu_count` GPUs: 1
-    /// when fully connected, ⌊N/2⌋ around a ring, 2 through a single leaf
-    /// switch and 4 across leaf, root and leaf. CPU pairs always take one
-    /// direct hop, so they never set the maximum.
-    #[must_use]
-    pub fn max_hops(&self, gpu_count: u16) -> u16 {
-        match *self {
-            TopologyKind::FullyConnected => 1,
-            TopologyKind::Ring => gpu_count / 2,
-            TopologyKind::Switch { radix } if gpu_count <= radix => 2,
-            TopologyKind::Switch { .. } => 4,
-        }
-    }
-}
-
-/// How a contended flow-control point orders waiting work when capacity
-/// frees.
-///
-/// Applies wherever the engine parks work behind a credit gate (the NIC
-/// replay-table gate today; any future finite-credit port). Port servers
-/// themselves serve admissions in booking order — arbitration chooses
-/// which *parked* item is admitted when a credit returns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ArbitrationKind {
-    /// Fair rotation: the longest-waiting item goes first (FIFO unpark).
-    /// The default, reproducing the pre-flow-substrate service order
-    /// bit for bit.
-    #[default]
-    RoundRobin,
-    /// Strict priority: the parked item with the lowest priority key
-    /// (oldest request index) goes first, even if it parked later.
-    FixedPriority,
-}
-
-impl fmt::Display for ArbitrationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArbitrationKind::RoundRobin => f.write_str("round-robin"),
-            ArbitrationKind::FixedPriority => f.write_str("fixed-priority"),
-        }
-    }
-}
-
-/// Credit-based flow control of the timed-server substrate.
-///
-/// Every fabric port and control link is a timed server with per-virtual-
-/// channel credits. `None` credits model an unbounded downstream buffer:
-/// a server then never rejects, which reproduces the pre-substrate
-/// booking behaviour exactly (the validated default). Finite data-VC
-/// credits bound the blocks simultaneously in service at any egress port;
-/// an over-credit request is rejected with an explicit retry cycle and
-/// the engine re-presents it then. Finite ctrl-VC credits instead shift
-/// the sender (control messages are small and ordered, so the server
-/// models the wait in-line rather than bouncing the caller).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct FlowControlConfig {
-    /// How credit gates order parked work when capacity frees.
-    pub arbitration: ArbitrationKind,
-    /// Data-VC credits per egress port (`None` = unbounded, the default).
-    pub data_vc_credits: Option<u32>,
-    /// Ctrl-VC credits per control link (`None` = unbounded, the default).
-    pub ctrl_vc_credits: Option<u32>,
-}
-
-impl FlowControlConfig {
-    /// Validates the credit limits: a configured limit must be ≥ 1 (zero
-    /// credits would deadlock the channel — use `None` for unbounded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] naming the zero-credit channel.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.data_vc_credits == Some(0) {
-            return Err(ConfigError::new(
-                "data_vc_credits of 0 would deadlock the data VC; use None for unbounded",
-            ));
-        }
-        if self.ctrl_vc_credits == Some(0) {
-            return Err(ConfigError::new(
-                "ctrl_vc_credits of 0 would deadlock the ctrl VC; use None for unbounded",
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Parameters of the paper's `Dynamic` OTP allocator (§IV-B, Table III).
@@ -667,10 +582,6 @@ pub struct SystemConfig {
     /// Time-series observability configuration. Disabled by default and
     /// guaranteed timing-neutral when enabled.
     pub observability: ObservabilityConfig,
-    /// Credit-based flow control of the timed-server substrate. The
-    /// default (unbounded credits, round-robin arbitration) reproduces
-    /// the pre-substrate service order bit for bit.
-    pub flow: FlowControlConfig,
 }
 
 impl Default for SystemConfig {
@@ -695,7 +606,6 @@ impl SystemConfig {
             security: SecurityConfig::default(),
             adversary: AdversaryConfig::default(),
             observability: ObservabilityConfig::default(),
-            flow: FlowControlConfig::default(),
         }
     }
 
@@ -779,7 +689,6 @@ impl SystemConfig {
         self.security.defense.validate()?;
         self.adversary.validate()?;
         self.observability.validate()?;
-        self.flow.validate()?;
         self.validate_shaping_envelope()
     }
 
@@ -802,21 +711,6 @@ impl SystemConfig {
                 "shaping envelope of {bytes} B per {period} cycles exceeds the \
                  {bw} B/cycle ctrl VC bandwidth"
             )));
-        }
-        if let Some(credits) = self.flow.ctrl_vc_credits {
-            // Each shaped message holds a ctrl credit while it serializes
-            // and propagates along its route; compare the total hold time
-            // per period, in byte-ticks, against what `credits` supply.
-            let flight = u128::from(d.shape_grants)
-                * u128::from(self.link_latency.as_u64())
-                * u128::from(self.topology.max_hops(self.gpu_count));
-            if bytes + flight * bw > u128::from(credits) * period * bw {
-                return Err(ConfigError::new(format!(
-                    "shaping envelope of {} B in {} messages per {period} cycles \
-                     holds more than {credits} ctrl VC credits can supply",
-                    d.shape_bytes, d.shape_grants
-                )));
-            }
         }
         Ok(())
     }
@@ -956,14 +850,12 @@ mod tests {
             ..DefenseConfig::constant_rate()
         };
         cfg.validate()
-            .expect("the leakage experiment's envelope fits unbounded VCs");
-        // Per 250 cy, the default envelope holds credits for 8 cy of
-        // serialization plus 4 messages x 100 cy x 4 ring hops: 1608 cy,
-        // so 7 credits suffice and 6 do not.
-        cfg.security.defense = DefenseConfig::constant_rate();
-        cfg.flow.ctrl_vc_credits = Some(7);
-        cfg.validate().expect("7 credits carry 1608 cy of hold");
-        cfg.flow.ctrl_vc_credits = Some(6);
+            .expect("the leakage experiment's envelope fits the ctrl VCs");
+        // The 32 B/cy PCIe VCs carry at most 1280 B per 40 cycles.
+        cfg.security.defense.shape_bytes = 1280;
+        cfg.validate()
+            .expect("an envelope at the bandwidth bound fits");
+        cfg.security.defense.shape_bytes = 1281;
         assert!(cfg.validate().is_err());
     }
 
@@ -1032,36 +924,6 @@ mod tests {
         // A zero capacity is fine while collection is off.
         bad.observability.enabled = false;
         bad.validate().unwrap();
-    }
-
-    #[test]
-    fn flow_control_defaults_and_validation() {
-        // The default must be behaviour-preserving: unbounded credits,
-        // round-robin arbitration.
-        let cfg = SystemConfig::paper_4gpu();
-        assert_eq!(cfg.flow.arbitration, ArbitrationKind::RoundRobin);
-        assert_eq!(cfg.flow.data_vc_credits, None);
-        assert_eq!(cfg.flow.ctrl_vc_credits, None);
-        cfg.validate().unwrap();
-
-        let mut finite = SystemConfig::paper_4gpu();
-        finite.flow.data_vc_credits = Some(4);
-        finite.flow.ctrl_vc_credits = Some(8);
-        finite.flow.arbitration = ArbitrationKind::FixedPriority;
-        finite.validate().unwrap();
-
-        let mut bad = SystemConfig::paper_4gpu();
-        bad.flow.data_vc_credits = Some(0);
-        assert!(bad.validate().is_err());
-        let mut bad = SystemConfig::paper_4gpu();
-        bad.flow.ctrl_vc_credits = Some(0);
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn arbitration_display_names() {
-        assert_eq!(ArbitrationKind::RoundRobin.to_string(), "round-robin");
-        assert_eq!(ArbitrationKind::FixedPriority.to_string(), "fixed-priority");
     }
 
     #[test]

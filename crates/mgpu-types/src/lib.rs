@@ -27,9 +27,8 @@ pub mod ids;
 pub mod units;
 
 pub use config::{
-    AdversaryConfig, ArbitrationKind, BatchingConfig, DefenseConfig, DynamicConfig,
-    FlowControlConfig, ObservabilityConfig, OtpSchemeKind, SecurityConfig, SystemConfig,
-    TopologyKind,
+    AdversaryConfig, BatchingConfig, DefenseConfig, DynamicConfig, ObservabilityConfig,
+    OtpSchemeKind, SecurityConfig, SystemConfig, TopologyKind,
 };
 pub use dense::{DenseNodeMap, PairTable};
 pub use error::{ConfigError, MgpuError};
