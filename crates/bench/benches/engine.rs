@@ -7,7 +7,9 @@
 //!   [`HeapEventQueue`] oracle under the simulator's characteristic
 //!   event-gap distribution (same-cycle reissues, link latencies, DRAM
 //!   access, flush timeouts) at a sustained backlog, isolating the
-//!   scheduler from the rest of the engine.
+//!   scheduler from the rest of the engine. A timed pre-run prints the
+//!   calendar's pop+schedule pairs per second as the
+//!   `engine-queue-churn` line.
 //! * `engine` — representative simulation cells (a 4-GPU
 //!   Dynamic+Batching run, the configuration of fig21's headline scheme,
 //!   a topology-scaling-style 8-GPU ring run, and the 64-GPU switch cell
@@ -35,7 +37,33 @@ const GAPS: [u64; 8] = [0, 2, 7, 40, 100, 161, 200, 1000];
 /// matching the order of magnitude a busy 8-GPU cell sustains.
 const BACKLOG: usize = 512;
 
+/// Pop+schedule pairs per timed pre-run sample of the queue churn.
+const CHURN_OPS: u64 = 1_000_000;
+
 fn bench_event_queue(c: &mut Criterion) {
+    // Timed pre-run for the CI floor gate: calendar pop+schedule pairs
+    // per second at the sustained backlog, best of five, as for the
+    // engine cells below.
+    let mut best = 0.0f64;
+    for _ in 0..5 {
+        let mut q = EventQueue::new();
+        for i in 0..BACKLOG {
+            q.schedule(Cycle::new(GAPS[i % GAPS.len()]), i as u64);
+        }
+        let started = Instant::now();
+        for i in 0..CHURN_OPS as usize {
+            let (now, payload) = q.pop().expect("backlog never drains");
+            let gap = GAPS[i % GAPS.len()];
+            q.schedule(Cycle::new(now.as_u64() + gap), black_box(payload));
+        }
+        let seconds = started.elapsed().as_secs_f64();
+        black_box(q.len());
+        best = best.max(CHURN_OPS as f64 / seconds.max(f64::EPSILON));
+    }
+    println!(
+        "engine-events-per-sec engine-queue-churn {best:.0} ({CHURN_OPS} pop+schedule pairs per run, best of 5)"
+    );
+
     let mut group = c.benchmark_group("engine-queue");
     group.bench_function("calendar-pop-schedule", |b| {
         let mut q = EventQueue::new();

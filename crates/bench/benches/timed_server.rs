@@ -9,7 +9,7 @@
 //! compares against the floor in `crates/bench/engine-floor.txt`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mgpu_sim::link::TrafficClass;
+use mgpu_sim::link::{TrafficClass, WireParts};
 use mgpu_sim::TimedServer;
 use mgpu_types::{ByteSize, Cycle, Duration};
 use std::time::Instant;
@@ -21,7 +21,7 @@ const CHURN_OPS: u64 = 1_000_000;
 /// after `now` and is served. Returns its arrival cycle.
 fn churn_step(srv: &mut TimedServer, now: Cycle, i: u64) -> Cycle {
     let now = now + Duration::cycles(2 + i % 3);
-    let parts = [(ByteSize::new(64 + (i % 7) * 8), TrafficClass::Data)];
+    let parts = WireParts::of(ByteSize::new(64 + (i % 7) * 8), TrafficClass::Data);
     black_box(srv.serve_parts(now, &parts));
     now
 }

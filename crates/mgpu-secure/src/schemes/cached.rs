@@ -110,8 +110,7 @@ impl CachedScheme {
     /// windows (never the protected `key` itself).
     fn evict_for(&mut self, key: Key, needed: u32, now: Cycle, engine: &mut AesEngine) {
         let mut to_free = needed;
-        let order: Vec<Key> = self.lru.clone();
-        for victim in order {
+        for &victim in &self.lru {
             if to_free == 0 {
                 break;
             }

@@ -7,19 +7,23 @@
 //!
 //! * [`EventQueue`] — a calendar queue (bucketed time wheel). Near-future
 //!   events (within [`WHEEL_SPAN`] cycles of the clock) go straight into a
-//!   per-cycle bucket, so `schedule` and `pop` are O(1) amortized with no
-//!   heap sift. Far-future events park in an overflow binary heap and
-//!   migrate into the wheel as the clock advances. This is the engine's
-//!   hot-path queue: simulation event gaps (link latency, DRAM access,
-//!   flush timeouts) are typically a few hundred cycles, far inside the
-//!   wheel span.
+//!   per-cycle bucket, so `schedule` and `pop` are O(1) with no heap sift.
+//!   The buckets are intrusive FIFO lists threaded through one slab of
+//!   slots with a free list, and a one-bit-per-bucket occupancy bitmap
+//!   finds the earliest non-empty bucket a word at a time, so the wheel
+//!   costs three allocations however many buckets it has, and a steady
+//!   backlog recycles slots without allocating. Far-future events park in
+//!   an overflow binary heap and migrate into the wheel as the clock
+//!   advances. This is the engine's hot-path queue: simulation event gaps
+//!   (link latency, DRAM access, flush timeouts) are typically a few
+//!   hundred cycles, far inside the wheel span.
 //! * [`HeapEventQueue`] — the original binary-heap queue, kept as the
 //!   reference oracle. Property tests drive both with the same operation
 //!   sequences and require identical pop streams.
 //!
 //! # Ordering equivalence
 //!
-//! The wheel reproduces heap order exactly because of two invariants:
+//! The wheel reproduces heap order exactly because of three invariants:
 //!
 //! 1. Every pending event with time `< horizon` lives in the wheel;
 //!    everything at or past `horizon` lives in the overflow heap. The
@@ -31,10 +35,12 @@
 //!    a direct insert for `t` requires `t < horizon`, which first becomes
 //!    true at the very migration that drains every overflow entry for `t`
 //!    (all of which carry smaller sequence numbers).
+//! 3. Wheel times lie in `[now, now + WHEEL_SPAN)`, so walking the buckets
+//!    cyclically from `now & WHEEL_MASK` visits them in time order.
 
 use mgpu_types::Cycle;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Cycles covered by the calendar wheel ahead of the clock. Power of two
 /// so bucket indexing is a mask, sized to swallow the simulator's typical
@@ -42,6 +48,12 @@ use std::collections::{BinaryHeap, VecDeque};
 pub const WHEEL_SPAN: u64 = 1 << 12;
 
 const WHEEL_MASK: u64 = WHEEL_SPAN - 1;
+
+/// Words of the bucket-occupancy bitmap, one bit per bucket.
+const WORDS: usize = (WHEEL_SPAN / 64) as usize;
+
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// One scheduled entry: ordered by `(time, seq)` ascending.
 struct Entry<E> {
@@ -74,6 +86,14 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One slab slot: a wheel entry linked into its bucket's list, or (with
+/// `event: None`) a link of the free list.
+struct Slot<E> {
+    time: Cycle,
+    next: u32,
+    event: Option<E>,
+}
+
 /// A time-ordered event queue with FIFO tie-breaking, implemented as a
 /// calendar queue (per-cycle buckets plus a far-future overflow heap).
 ///
@@ -91,18 +111,24 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, vec!["early", "early-second", "late"]);
 /// ```
 pub struct EventQueue<E> {
-    /// `WHEEL_SPAN` per-cycle buckets; bucket `t & WHEEL_MASK` holds the
+    /// Slot storage shared by every bucket list and the free list. It
+    /// grows to the peak wheel backlog and is recycled from then on.
+    slots: Vec<Slot<E>>,
+    /// Head of the free list of `slots`.
+    free: u32,
+    /// First and last slot of each bucket's list, meaningful while the
+    /// bucket's `occupied` bit is set. Bucket `t & WHEEL_MASK` holds the
     /// events for the unique time `t` inside `[now, horizon)` that maps to
-    /// it. Each bucket is FIFO in sequence order (see module docs).
-    buckets: Vec<VecDeque<(Cycle, E)>>,
+    /// it, FIFO in sequence order (see module docs).
+    heads: Box<[u32; WHEEL_SPAN as usize]>,
+    tails: Box<[u32; WHEEL_SPAN as usize]>,
+    /// Bit `b % 64` of word `b / 64` is set while bucket `b` is non-empty.
+    occupied: [u64; WORDS],
     /// Pending events currently in the wheel.
     wheel_len: usize,
     /// Exclusive upper bound of wheel coverage: wheel entries have
     /// `time < horizon`, overflow entries `time >= horizon`.
     horizon: u64,
-    /// Lower bound for the earliest occupied bucket (absolute cycles);
-    /// buckets for times in `[now, scan_from)` are empty.
-    scan_from: u64,
     /// Far-future events, ordered `(time, seq)` ascending.
     overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -119,13 +145,14 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     #[must_use]
     pub fn new() -> Self {
-        let mut buckets = Vec::new();
-        buckets.resize_with(WHEEL_SPAN as usize, VecDeque::new);
         EventQueue {
-            buckets,
+            slots: Vec::new(),
+            free: NIL,
+            heads: Box::new([NIL; WHEEL_SPAN as usize]),
+            tails: Box::new([NIL; WHEEL_SPAN as usize]),
+            occupied: [0; WORDS],
             wheel_len: 0,
             horizon: WHEEL_SPAN,
-            scan_from: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
             now: Cycle::ZERO,
@@ -146,16 +173,62 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let t = time.as_u64();
-        if t < self.horizon {
-            self.buckets[(t & WHEEL_MASK) as usize].push_back((time, event));
-            self.wheel_len += 1;
-            if t < self.scan_from {
-                self.scan_from = t;
-            }
+        if time.as_u64() < self.horizon {
+            self.push_wheel(time, event);
         } else {
             self.overflow.push(Entry { time, seq, event });
         }
+    }
+
+    /// Appends an event to the tail of its bucket's list.
+    fn push_wheel(&mut self, time: Cycle, event: E) {
+        let slot = Slot {
+            time,
+            next: NIL,
+            event: Some(event),
+        };
+        let idx = if self.free == NIL {
+            self.slots.push(slot);
+            u32::try_from(self.slots.len() - 1).expect("wheel backlog fits u32")
+        } else {
+            let idx = self.free;
+            self.free = self.slots[idx as usize].next;
+            self.slots[idx as usize] = slot;
+            idx
+        };
+        let b = (time.as_u64() & WHEEL_MASK) as usize;
+        let bit = 1 << (b % 64);
+        if self.occupied[b / 64] & bit == 0 {
+            self.heads[b] = idx;
+            self.occupied[b / 64] |= bit;
+        } else {
+            let tail = self.tails[b];
+            self.slots[tail as usize].next = idx;
+        }
+        self.tails[b] = idx;
+        self.wheel_len += 1;
+    }
+
+    /// The earliest non-empty bucket. Wheel times lie in
+    /// `[now, now + WHEEL_SPAN)`, so the first set bit found walking the
+    /// bitmap cyclically from the clock's bucket is the earliest time.
+    /// Requires a non-empty wheel.
+    fn first_bucket(&self) -> usize {
+        let start = (self.now.as_u64() & WHEEL_MASK) as usize;
+        let word = start / 64;
+        let upper = self.occupied[word] & (!0 << (start % 64));
+        if upper != 0 {
+            return word * 64 + upper.trailing_zeros() as usize;
+        }
+        // The last step revisits `word` whole: its bits below `start`
+        // are the wheel's latest times.
+        (1..=WORDS)
+            .map(|k| (word + k) % WORDS)
+            .find_map(|w| {
+                let bits = self.occupied[w];
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            })
+            .expect("non-empty wheel has an occupied bucket")
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
@@ -164,23 +237,24 @@ impl<E> EventQueue<E> {
         if self.wheel_len > 0 {
             // The wheel always wins: every wheel entry is earlier than the
             // horizon, every overflow entry at or past it.
-            let mut t = self.scan_from.max(self.now.as_u64());
-            loop {
-                let bucket = &mut self.buckets[(t & WHEEL_MASK) as usize];
-                if let Some((time, event)) = bucket.pop_front() {
-                    debug_assert_eq!(time.as_u64(), t, "bucket holds a single absolute time");
-                    self.wheel_len -= 1;
-                    self.scan_from = t;
-                    self.now = time;
-                    self.migrate();
-                    return Some((time, event));
-                }
-                t += 1;
+            let b = self.first_bucket();
+            let idx = self.heads[b];
+            let slot = &mut self.slots[idx as usize];
+            let (time, next) = (slot.time, slot.next);
+            let event = slot.event.take().expect("listed slot holds an event");
+            slot.next = self.free;
+            self.free = idx;
+            self.heads[b] = next;
+            if next == NIL {
+                self.occupied[b / 64] &= !(1 << (b % 64));
             }
+            self.wheel_len -= 1;
+            self.now = time;
+            self.migrate();
+            return Some((time, event));
         }
         let entry = self.overflow.pop()?;
         self.now = entry.time;
-        self.scan_from = entry.time.as_u64();
         self.migrate();
         Some((entry.time, entry.event))
     }
@@ -200,8 +274,7 @@ impl<E> EventQueue<E> {
             .is_some_and(|e| e.time.as_u64() < self.horizon)
         {
             let e = self.overflow.pop().expect("peeked entry exists");
-            self.buckets[(e.time.as_u64() & WHEEL_MASK) as usize].push_back((e.time, e.event));
-            self.wheel_len += 1;
+            self.push_wheel(e.time, e.event);
         }
     }
 
@@ -209,13 +282,8 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn peek_time(&self) -> Option<Cycle> {
         if self.wheel_len > 0 {
-            let mut t = self.scan_from.max(self.now.as_u64());
-            loop {
-                if let Some(&(time, _)) = self.buckets[(t & WHEEL_MASK) as usize].front() {
-                    return Some(time);
-                }
-                t += 1;
-            }
+            let head = self.heads[self.first_bucket()];
+            return Some(self.slots[head as usize].time);
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -456,6 +524,24 @@ mod tests {
         }
         let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn latest_wheel_time_below_the_clock_bucket_pops_last() {
+        // The clock sits mid-word; the latest wheel time maps to a bucket
+        // just below it in the same bitmap word, reached only after the
+        // cyclic scan wraps through every other word.
+        let mut q = EventQueue::new();
+        q.schedule(Cycle::new(40), 0);
+        assert_eq!(q.pop(), Some((Cycle::new(40), 0)));
+        let latest = Cycle::new(40 + WHEEL_SPAN - 1);
+        q.schedule(latest, 2);
+        q.schedule(Cycle::new(41 + 64), 1);
+        assert_eq!(q.peek_time(), Some(Cycle::new(105)));
+        assert_eq!(q.pop(), Some((Cycle::new(105), 1)));
+        assert_eq!(q.peek_time(), Some(latest));
+        assert_eq!(q.pop(), Some((latest, 2)));
+        assert!(q.is_empty());
     }
 
     mod prop_tests {

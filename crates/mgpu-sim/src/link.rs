@@ -60,7 +60,9 @@ impl TrafficClass {
 /// transit) carries at most [`WireParts::CAPACITY`] parts (payload,
 /// counter, MAC/batch framing, sender ID), so a fixed-capacity `Copy`
 /// array replaces the `Vec` that used to cost one heap allocation per
-/// transmitted block.
+/// transmitted block. Block parts are fixed wire-format fields of at most
+/// a header plus a cacheline, so sizes are stored as `u16` and the whole
+/// list is 14 bytes — it is kept once per block for the entire run.
 ///
 /// # Examples
 ///
@@ -75,9 +77,13 @@ impl TrafficClass {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireParts {
+    sizes: [u16; WireParts::CAPACITY],
+    classes: [TrafficClass; WireParts::CAPACITY],
     len: u8,
-    items: [(ByteSize, TrafficClass); WireParts::CAPACITY],
 }
+
+// Stored once per block for the whole run (see the type docs).
+const _: () = assert!(std::mem::size_of::<WireParts>() <= 16);
 
 impl WireParts {
     /// Maximum parts one block can carry (data + counter/sender-id +
@@ -88,12 +94,17 @@ impl WireParts {
     #[must_use]
     pub fn new() -> Self {
         WireParts {
+            sizes: [0; WireParts::CAPACITY],
+            classes: [TrafficClass::Data; WireParts::CAPACITY],
             len: 0,
-            items: [(ByteSize::ZERO, TrafficClass::Data); WireParts::CAPACITY],
         }
     }
 
     /// Creates a single-part list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds `u16::MAX`.
     #[must_use]
     pub fn of(bytes: ByteSize, class: TrafficClass) -> Self {
         let mut parts = WireParts::new();
@@ -105,38 +116,46 @@ impl WireParts {
     ///
     /// # Panics
     ///
-    /// Panics if the list already holds [`WireParts::CAPACITY`] parts.
+    /// Panics if the list already holds [`WireParts::CAPACITY`] parts, or
+    /// if `bytes` exceeds `u16::MAX`.
     pub fn push(&mut self, bytes: ByteSize, class: TrafficClass) {
         let slot = usize::from(self.len);
         assert!(slot < WireParts::CAPACITY, "wire part capacity exceeded");
-        self.items[slot] = (bytes, class);
+        self.sizes[slot] = u16::try_from(bytes.as_u64()).expect("wire part size fits u16");
+        self.classes[slot] = class;
         self.len += 1;
     }
 
-    /// The parts as a slice.
+    /// Number of parts.
     #[must_use]
-    pub fn as_slice(&self) -> &[(ByteSize, TrafficClass)] {
-        &self.items[..usize::from(self.len)]
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the list holds no parts.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The parts, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (ByteSize, TrafficClass)> + '_ {
+        self.sizes[..self.len()]
+            .iter()
+            .zip(&self.classes)
+            .map(|(&bytes, &class)| (ByteSize::new(u64::from(bytes)), class))
     }
 
     /// Total bytes across all parts.
     #[must_use]
     pub fn total(&self) -> ByteSize {
-        self.as_slice().iter().map(|(b, _)| *b).sum()
+        self.iter().map(|(b, _)| b).sum()
     }
 }
 
 impl Default for WireParts {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl std::ops::Deref for WireParts {
-    type Target = [(ByteSize, TrafficClass)];
-
-    fn deref(&self) -> &Self::Target {
-        self.as_slice()
     }
 }
 
@@ -211,6 +230,40 @@ mod tests {
     fn all_lists_classes_in_discriminant_order() {
         for (i, class) in TrafficClass::ALL.iter().enumerate() {
             assert_eq!(*class as usize, i, "{class:?}");
+        }
+    }
+
+    #[test]
+    fn parts_iterate_in_push_order() {
+        let mut parts = WireParts::new();
+        assert!(parts.is_empty());
+        parts.push(ByteSize::new(72), TrafficClass::Data);
+        parts.push(ByteSize::new(9), TrafficClass::Counter);
+        parts.push(ByteSize::new(u64::from(u16::MAX)), TrafficClass::Mac);
+        let got: Vec<_> = parts.iter().collect();
+        assert_eq!(
+            got,
+            [
+                (ByteSize::new(72), TrafficClass::Data),
+                (ByteSize::new(9), TrafficClass::Counter),
+                (ByteSize::new(65_535), TrafficClass::Mac),
+            ]
+        );
+        assert_eq!(parts.total(), ByteSize::new(72 + 9 + 65_535));
+    }
+
+    #[test]
+    #[should_panic(expected = "fits u16")]
+    fn oversized_part_panics() {
+        let _ = WireParts::of(ByteSize::new(1 << 16), TrafficClass::Data);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity exceeded")]
+    fn fifth_part_panics() {
+        let mut parts = WireParts::new();
+        for _ in 0..=WireParts::CAPACITY {
+            parts.push(ByteSize::new(1), TrafficClass::Data);
         }
     }
 

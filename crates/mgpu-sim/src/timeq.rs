@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use mgpu_sim::timeq::TimedServer;
-//! use mgpu_sim::link::TrafficClass;
+//! use mgpu_sim::link::{TrafficClass, WireParts};
 //! use mgpu_types::{ByteSize, Cycle, Duration};
 //!
 //! // 50 B/cy, 100 cy propagation.
 //! let mut srv = TimedServer::new(50, Duration::cycles(100));
-//! let line = [(ByteSize::CACHELINE, TrafficClass::Data)];
+//! let line = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
 //! // 64 B serialize in ceil(64/50) = 2 cycles, then 100 cycles of flight.
 //! assert_eq!(srv.serve_parts(Cycle::ZERO, &line), Cycle::new(2 + 100));
 //! // A second line queues behind the first: byte-ticks 64..128 end in
@@ -41,7 +41,7 @@
 
 use std::collections::VecDeque;
 
-use crate::link::{TrafficClass, TrafficTotals};
+use crate::link::{TrafficClass, TrafficTotals, WireParts};
 use mgpu_types::{ByteSize, Cycle, Duration};
 
 /// One direction of a serialized port. See the module docs for the
@@ -108,15 +108,23 @@ impl TimedServer {
         done
     }
 
+    /// Serves a single-class message of `bytes` at `now`, accounting the
+    /// bytes to `class`. Returns the cycle the last byte clears the
+    /// server.
+    pub fn serve(&mut self, now: Cycle, bytes: ByteSize, class: TrafficClass) -> Cycle {
+        self.totals.add(class, bytes);
+        self.served_bytes += bytes.as_u64();
+        self.occupy(now, bytes)
+    }
+
     /// Serves a multi-part message at `now`: one booked transmission of
     /// all parts together, with per-class byte accounting. Returns the
     /// cycle the last byte clears the server.
-    pub fn serve_parts(&mut self, now: Cycle, parts: &[(ByteSize, TrafficClass)]) -> Cycle {
-        let mut total = ByteSize::ZERO;
-        for &(bytes, class) in parts {
+    pub fn serve_parts(&mut self, now: Cycle, parts: &WireParts) -> Cycle {
+        for (bytes, class) in parts.iter() {
             self.totals.add(class, bytes);
-            total += bytes;
         }
+        let total = parts.total();
         self.served_bytes += total.as_u64();
         self.occupy(now, total)
     }
@@ -179,8 +187,17 @@ impl TimedServer {
 mod tests {
     use super::*;
 
-    fn parts(bytes: u64) -> [(ByteSize, TrafficClass); 1] {
-        [(ByteSize::new(bytes), TrafficClass::Data)]
+    fn parts(bytes: u64) -> WireParts {
+        WireParts::of(ByteSize::new(bytes), TrafficClass::Data)
+    }
+
+    /// A part list built from `(bytes, class)` pairs.
+    fn list(items: &[(u64, TrafficClass)]) -> WireParts {
+        let mut parts = WireParts::new();
+        for &(bytes, class) in items {
+            parts.push(ByteSize::new(bytes), class);
+        }
+        parts
     }
 
     /// A 32 B/cy port with 10 cycles of propagation.
@@ -227,18 +244,35 @@ mod tests {
         // 64+8+8+1 = 81 B -> ceil(81/32) = 3 cycles + 10 latency.
         let done = srv.serve_parts(
             Cycle::ZERO,
-            &[
-                (ByteSize::new(64), TrafficClass::Data),
-                (ByteSize::new(8), TrafficClass::Mac),
-                (ByteSize::new(8), TrafficClass::Counter),
-                (ByteSize::new(1), TrafficClass::SenderId),
-            ],
+            &list(&[
+                (64, TrafficClass::Data),
+                (8, TrafficClass::Mac),
+                (8, TrafficClass::Counter),
+                (1, TrafficClass::SenderId),
+            ]),
         );
         assert_eq!(done, Cycle::new(13));
         assert_eq!(srv.next_free(), Cycle::new(3));
         assert_eq!(srv.totals().get(TrafficClass::Data).as_u64(), 64);
         assert_eq!(srv.totals().metadata().as_u64(), 17);
         assert_eq!(srv.totals().total().as_u64(), 81);
+    }
+
+    #[test]
+    fn single_part_serve_matches_a_one_part_list() {
+        let (mut a, mut b) = (port(), port());
+        for (i, bytes) in [64, 8, 100, 1].into_iter().enumerate() {
+            let now = Cycle::new(i as u64);
+            assert_eq!(
+                a.serve(now, ByteSize::new(bytes), TrafficClass::Mac),
+                b.serve_parts(now, &WireParts::of(ByteSize::new(bytes), TrafficClass::Mac))
+            );
+        }
+        assert_eq!(a.totals(), b.totals());
+        assert_eq!(a.served_bytes(), b.served_bytes());
+        // A single part may exceed what a block part can hold.
+        a.serve(Cycle::new(10), ByteSize::new(100_000), TrafficClass::Chaff);
+        assert_eq!(a.totals().get(TrafficClass::Chaff).as_u64(), 100_000);
     }
 
     #[test]
@@ -267,10 +301,7 @@ mod tests {
         srv.serve_parts(Cycle::ZERO, &parts(64));
         srv.serve_parts(
             Cycle::ZERO,
-            &[
-                (ByteSize::new(8), TrafficClass::Mac),
-                (ByteSize::new(4), TrafficClass::Ack),
-            ],
+            &list(&[(8, TrafficClass::Mac), (4, TrafficClass::Ack)]),
         );
         // Background charges are class-attributed but never queue.
         srv.charge_background(ByteSize::new(16), TrafficClass::Ack);

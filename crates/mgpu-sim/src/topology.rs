@@ -270,10 +270,10 @@ impl Topology {
     }
 
     /// Transmits a message over the pair's control VC (requests, trailing
-    /// MACs, ACKs, chaff). The VC's propagation latency covers the whole
-    /// route; on multi-hop pairs the bytes are additionally charged once
-    /// per extra hop so control metadata shows the same per-hop
-    /// amplification as data.
+    /// MACs, ACKs, chaff): one part of `bytes` in `class`. The VC's
+    /// propagation latency covers the whole route; on multi-hop pairs the
+    /// bytes are additionally charged once per extra hop so control
+    /// metadata shows the same per-hop amplification as data.
     ///
     /// # Panics
     ///
@@ -282,15 +282,14 @@ impl Topology {
         &mut self,
         pair: PairId,
         now: Cycle,
-        parts: &[(ByteSize, TrafficClass)],
+        bytes: ByteSize,
+        class: TrafficClass,
     ) -> Cycle {
         let hops = self.routes.hops(pair) as u64;
         let vc = self.ctrl.get_mut(pair).expect("pair within system");
-        let arrival = vc.serve_parts(now, parts);
-        for &(bytes, class) in parts {
-            if hops > 1 {
-                vc.charge_background(bytes * (hops - 1), class);
-            }
+        let arrival = vc.serve(now, bytes, class);
+        if hops > 1 {
+            vc.charge_background(bytes * (hops - 1), class);
         }
         arrival
     }
@@ -429,10 +428,10 @@ mod tests {
     fn port_speeds_follow_node_kind() {
         let mut topo = paper_topo();
         let (cpu, g1, g2) = (NodeId::CPU, NodeId::gpu(1), NodeId::gpu(2));
-        let msg = [(ByteSize::new(100), TrafficClass::Mac)];
+        let (msg, mac) = (ByteSize::new(100), TrafficClass::Mac);
         // Control VCs: 100 B at 32 B/cy (4 cy) vs 50 B/cy (2 cy), + 100.
-        let pcie = topo.transmit_ctrl(PairId::new(cpu, g1), Cycle::ZERO, &msg);
-        let nvlink = topo.transmit_ctrl(PairId::new(g1, g2), Cycle::ZERO, &msg);
+        let pcie = topo.transmit_ctrl(PairId::new(cpu, g1), Cycle::ZERO, msg, mac);
+        let nvlink = topo.transmit_ctrl(PairId::new(g1, g2), Cycle::ZERO, msg, mac);
         assert_eq!(pcie, Cycle::new(4 + 100));
         assert_eq!(nvlink, Cycle::new(2 + 100));
         // Data: the CPU egress serializes at PCIe speed, the GPU ingress
@@ -499,11 +498,7 @@ mod tests {
             send(&mut topo, pair, Cycle::ZERO, &data(64));
         }
         // A control message still goes through immediately.
-        let arrival = topo.transmit_ctrl(
-            pair,
-            Cycle::ZERO,
-            &[(ByteSize::new(16), TrafficClass::Data)],
-        );
+        let arrival = topo.transmit_ctrl(pair, Cycle::ZERO, ByteSize::new(16), TrafficClass::Data);
         assert_eq!(arrival, Cycle::new(1 + 100));
     }
 
@@ -512,15 +507,12 @@ mod tests {
         let mut topo = paper_topo();
         let pair = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
         send(&mut topo, pair, Cycle::ZERO, &data(64));
-        topo.transmit_ctrl(
-            pair,
-            Cycle::ZERO,
-            &[(ByteSize::new(16), TrafficClass::Data)],
-        );
+        topo.transmit_ctrl(pair, Cycle::ZERO, ByteSize::new(16), TrafficClass::Data);
         topo.transmit_ctrl(
             PairId::new(NodeId::gpu(2), NodeId::gpu(1)),
             Cycle::ZERO,
-            &[(ByteSize::new(16), TrafficClass::Ack)],
+            ByteSize::new(16),
+            TrafficClass::Ack,
         );
         let totals = topo.traffic_totals();
         assert_eq!(totals.get(TrafficClass::Data).as_u64(), 80);
@@ -619,8 +611,7 @@ mod tests {
     fn ctrl_latency_and_accounting_scale_with_hops() {
         let mut topo = topo_for(TopologyKind::Ring, 8);
         let far = PairId::new(NodeId::gpu(1), NodeId::gpu(4)); // 3 hops
-        let arrival =
-            topo.transmit_ctrl(far, Cycle::ZERO, &[(ByteSize::new(16), TrafficClass::Mac)]);
+        let arrival = topo.transmit_ctrl(far, Cycle::ZERO, ByteSize::new(16), TrafficClass::Mac);
         // 1 cy serialization + 3 x 100 cy propagation.
         assert_eq!(arrival, Cycle::new(1 + 300));
         assert_eq!(topo.traffic_totals().get(TrafficClass::Mac).as_u64(), 48);
@@ -684,7 +675,7 @@ mod tests {
                     let pair = PairId::new(src, dst);
                     let hops = topo.hops(pair) as u64;
                     topo.transmit_ctrl(
-                        pair, Cycle::ZERO, &[(ByteSize::new(bytes), TrafficClass::Mac)]);
+                        pair, Cycle::ZERO, ByteSize::new(bytes), TrafficClass::Mac);
                     expected += bytes * hops;
                 }
                 prop_assert_eq!(topo.traffic_totals().get(TrafficClass::Mac).as_u64(), expected);

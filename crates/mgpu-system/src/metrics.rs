@@ -31,6 +31,17 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
+    /// An empty report with room for `requests` samples per vector.
+    #[must_use]
+    pub fn with_capacity(requests: usize) -> Self {
+        LatencyReport {
+            total: Vec::with_capacity(requests),
+            first_byte: Vec::with_capacity(requests),
+            service: Vec::with_capacity(requests),
+            ..LatencyReport::default()
+        }
+    }
+
     /// Records one completed request. Samples are appended unsorted;
     /// call [`LatencyReport::finish`] before publishing.
     pub fn record(
@@ -56,10 +67,12 @@ impl LatencyReport {
     }
 
     /// Sorts the sample vectors into their canonical ascending order.
+    /// Values equal under `total_cmp` have equal bits, so the unstable
+    /// sort's output is the stable sort's, without its scratch buffer.
     pub fn finish(&mut self) {
-        self.total.sort_by(f64::total_cmp);
-        self.first_byte.sort_by(f64::total_cmp);
-        self.service.sort_by(f64::total_cmp);
+        self.total.sort_unstable_by(f64::total_cmp);
+        self.first_byte.sort_unstable_by(f64::total_cmp);
+        self.service.sort_unstable_by(f64::total_cmp);
     }
 
     /// The `p`-th percentile (0–100) of total latency; `None` when no

@@ -299,7 +299,7 @@ mod tests {
         let first = nic.prepare_send(Cycle::new(10_000), dst);
         let second = nic.prepare_send(Cycle::new(10_001), dst);
         let has_header =
-            |p: &PreparedBlock| p.parts.iter().any(|(_, c)| *c == TrafficClass::BatchHeader);
+            |p: &PreparedBlock| p.parts.iter().any(|(_, c)| c == TrafficClass::BatchHeader);
         assert!(has_header(&first));
         assert!(!has_header(&second));
     }
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(flushed[0].0, dst);
         // After a flush, the next block restarts a batch (header again).
         let p = nic.prepare_send(Cycle::new(500), dst);
-        assert!(p.parts.iter().any(|(_, c)| *c == TrafficClass::BatchHeader));
+        assert!(p.parts.iter().any(|(_, c)| c == TrafficClass::BatchHeader));
     }
 
     #[test]
@@ -331,6 +331,40 @@ mod tests {
         assert_eq!(nic.ack_bytes(), ByteSize::ZERO);
         // Crypto latency still applies (ready > now).
         assert!(p.ready > Cycle::new(10_000));
+    }
+
+    /// Every `prepare_send` path fits the fixed-capacity `WireParts` the
+    /// engine stores per block: batching off and on, metadata charged or
+    /// not, and the first, middle and batch-closing blocks of a batch.
+    /// A one-block batch (first block is also the closer) is the fullest
+    /// list: data, counter + sender ID, batch header and MAC.
+    #[test]
+    fn every_prepared_block_fits_wire_parts() {
+        let mut fullest = 0;
+        for batching in [false, true] {
+            for charge in [false, true] {
+                for batch_size in [1, 2, 16] {
+                    let mut cfg = config(OtpSchemeKind::Dynamic, batching);
+                    cfg.security.charge_metadata_traffic = charge;
+                    cfg.security.batching.batch_size = batch_size;
+                    let mut nic = SecureNic::new(NodeId::gpu(1), &cfg);
+                    // Two whole batches to each of two peers.
+                    for i in 0..4 * u64::from(batch_size) {
+                        let dst = NodeId::gpu(2 + (i % 2) as u16);
+                        let p = nic.prepare_send(Cycle::new(10_000 + i), dst);
+                        assert!(p.parts.len() <= WireParts::CAPACITY);
+                        for (bytes, class) in p.parts.iter() {
+                            assert!(
+                                u16::try_from(bytes.as_u64()).is_ok(),
+                                "{class:?} part of {bytes} does not fit u16"
+                            );
+                        }
+                        fullest = fullest.max(p.parts.len());
+                    }
+                }
+            }
+        }
+        assert_eq!(fullest, WireParts::CAPACITY);
     }
 
     #[test]

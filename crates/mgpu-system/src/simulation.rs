@@ -130,10 +130,11 @@ enum Ev {
     Sample,
 }
 
-// Every `schedule` and `pop` moves a `(Cycle, Ev)` entry and every
-// calendar bucket reserves room for them, so both stay small.
+// Every `schedule` and `pop` moves a `(Cycle, Ev)` entry through a queue
+// slot, and the block table keeps one row per block for the whole run, so
+// both stay small.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 8);
-const _: () = assert!(std::mem::size_of::<Block>() <= 128);
+const _: () = assert!(std::mem::size_of::<Block>() <= 40);
 
 impl Ev {
     /// Event-type label for the observability scope counters.
@@ -248,6 +249,18 @@ impl Simulation {
         // that a defense catches each one.
         let mut harness = (self.secure() && cfg.adversary.enabled).then(|| WireHarness::new(cfg));
 
+        // The run's tables get their exact final size up front: one
+        // `pending` row, issue time and latency sample per request, one
+        // block row per block. Growing them by doubling would touch up to
+        // twice the memory, and a heap that shrinks between runs is handed
+        // back to the OS and faulted in again by the next one.
+        let request_count: usize = queues.values().map(VecDeque::len).sum();
+        let block_count: usize = queues
+            .values()
+            .flatten()
+            .map(|r| r.kind.blocks() as usize)
+            .sum();
+
         // Per-GPU in-flight limit: the lower of the hardware MLP cap and
         // the kernel's achievable memory-level parallelism.
         let slots_per_gpu = cfg.max_outstanding.min(self.params.outstanding).max(1);
@@ -289,12 +302,12 @@ impl Simulation {
             events.schedule(Cycle::ZERO + shape_period, Ev::ChaffTick);
         }
 
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut blocks: Vec<Block> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::with_capacity(request_count);
+        let mut blocks: Vec<Block> = Vec::with_capacity(block_count);
         let mut completion = Cycle::ZERO;
         let mut sum_latency = Duration::ZERO;
-        let mut latency = crate::metrics::LatencyReport::default();
-        let mut issue_times: Vec<Cycle> = Vec::new();
+        let mut latency = crate::metrics::LatencyReport::with_capacity(request_count);
+        let mut issue_times: Vec<Cycle> = Vec::with_capacity(request_count);
         let mut last_issue = Cycle::ZERO;
         let mut requests_done = 0u64;
         let mut blocks_done = 0u64;
@@ -335,7 +348,8 @@ impl Simulation {
                             let arrive = fabric.transmit_ctrl(
                                 to_owner,
                                 now,
-                                &[(wire.request, TrafficClass::Data)],
+                                wire.request,
+                                TrafficClass::Data,
                             );
                             events.schedule(arrive, Ev::ReqArrive(idx));
                             // Another request may issue this same cycle.
@@ -459,7 +473,8 @@ impl Simulation {
                             let back = fabric.transmit_ctrl(
                                 PairId::new(requester, owner),
                                 now,
-                                &[(ack, TrafficClass::Ack)],
+                                ack,
+                                TrafficClass::Ack,
                             );
                             acks_sent += 1;
                             events.schedule(back, Ev::AckArrive(owner));
@@ -511,7 +526,8 @@ impl Simulation {
                         let arrive = fabric.transmit_ctrl(
                             PairId::new(owner, dst),
                             now,
-                            &[(mac_bytes, TrafficClass::Mac)],
+                            mac_bytes,
+                            TrafficClass::Mac,
                         );
                         events.schedule(
                             arrive,
@@ -531,7 +547,8 @@ impl Simulation {
                         let back = fabric.transmit_ctrl(
                             PairId::new(receiver, owner),
                             now,
-                            &[(ack, TrafficClass::Ack)],
+                            ack,
+                            TrafficClass::Ack,
                         );
                         acks_sent += 1;
                         events.schedule(back, Ev::AckArrive(owner));
@@ -698,7 +715,7 @@ fn shape_topup(fabric: &mut Topology, cfg: &SystemConfig, now: Cycle) {
                 } else {
                     1
                 };
-                fabric.transmit_ctrl(pair, now, &[(ByteSize::new(bytes), TrafficClass::Chaff)]);
+                fabric.transmit_ctrl(pair, now, ByteSize::new(bytes), TrafficClass::Chaff);
             }
         }
     }
@@ -730,15 +747,12 @@ fn drain_open_batches(
             fabric.transmit_ctrl(
                 PairId::new(owner, dst),
                 completion,
-                &[(mac_bytes, TrafficClass::Mac)],
+                mac_bytes,
+                TrafficClass::Mac,
             );
             let ack = pool.ack_bytes(dst);
             if ack > ByteSize::ZERO {
-                fabric.transmit_ctrl(
-                    PairId::new(dst, owner),
-                    completion,
-                    &[(ack, TrafficClass::Ack)],
-                );
+                fabric.transmit_ctrl(PairId::new(dst, owner), completion, ack, TrafficClass::Ack);
                 *acks_sent += 1;
             }
         }
