@@ -40,26 +40,33 @@ const BACKLOG: usize = 512;
 /// Pop+schedule pairs per timed pre-run sample of the queue churn.
 const CHURN_OPS: u64 = 1_000_000;
 
+/// One timed churn run: [`CHURN_OPS`] pop+schedule pairs on a calendar
+/// queue holding [`BACKLOG`] events; returns pairs per second. Kept out
+/// of line so the measured loop's code placement does not depend on
+/// the bench body around it (inlined there, one binary's readings were
+/// bimodal from run to run).
+#[inline(never)]
+fn queue_churn_rate() -> f64 {
+    let mut q = EventQueue::new();
+    for i in 0..BACKLOG {
+        q.schedule(Cycle::new(GAPS[i % GAPS.len()]), i as u64);
+    }
+    let started = Instant::now();
+    for i in 0..CHURN_OPS as usize {
+        let (now, payload) = q.pop().expect("backlog never drains");
+        let gap = GAPS[i % GAPS.len()];
+        q.schedule(Cycle::new(now.as_u64() + gap), black_box(payload));
+    }
+    let seconds = started.elapsed().as_secs_f64();
+    black_box(q.len());
+    CHURN_OPS as f64 / seconds.max(f64::EPSILON)
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     // Timed pre-run for the CI floor gate: calendar pop+schedule pairs
     // per second at the sustained backlog, best of five, as for the
     // engine cells below.
-    let mut best = 0.0f64;
-    for _ in 0..5 {
-        let mut q = EventQueue::new();
-        for i in 0..BACKLOG {
-            q.schedule(Cycle::new(GAPS[i % GAPS.len()]), i as u64);
-        }
-        let started = Instant::now();
-        for i in 0..CHURN_OPS as usize {
-            let (now, payload) = q.pop().expect("backlog never drains");
-            let gap = GAPS[i % GAPS.len()];
-            q.schedule(Cycle::new(now.as_u64() + gap), black_box(payload));
-        }
-        let seconds = started.elapsed().as_secs_f64();
-        black_box(q.len());
-        best = best.max(CHURN_OPS as f64 / seconds.max(f64::EPSILON));
-    }
+    let best = (0..5).map(|_| queue_churn_rate()).fold(0.0f64, f64::max);
     println!(
         "engine-events-per-sec engine-queue-churn {best:.0} ({CHURN_OPS} pop+schedule pairs per run, best of 5)"
     );

@@ -71,11 +71,11 @@ pub fn attack_campaign(mode: Mode) -> Vec<Table> {
     for &rate in rate_sweep {
         for (_, cfg) in &schemes {
             for &bench in benches(mode) {
-                cells.push((with_adversary(cfg, rate), bench));
+                cells.push(common::Cell::new(with_adversary(cfg, rate), bench, mode));
             }
         }
     }
-    common::prefetch(&cells, mode);
+    common::prefetch(&cells);
 
     let mut summary = Table::new(
         "Attack campaign: detection summary",

@@ -365,8 +365,9 @@ fn main() -> ExitCode {
             .iter()
             .any(|id| id == "timeline")
             .then(|| timeline::summary(mode)),
-        // The serving and leakage sweeps re-run here (their seeded cells
-        // bypass the cell cache), but both are small and deterministic.
+        // The serving sweep and the leakage phase probes replay traces,
+        // which bypass the cell cache, so they re-run here; both are small
+        // and deterministic. The leakage sweep's seeded cells are cache hits.
         serving: ids
             .iter()
             .any(|id| id == "serving")

@@ -2,9 +2,9 @@
 //! deterministic simulation-cell cache, and the parallel cell runner.
 //!
 //! Every experiment decomposes into *cells* — one `(config, benchmark,
-//! request count)` simulation each. Cells are pure functions of their key
-//! (the simulation is seeded), so the harness memoizes them in a
-//! process-wide cache and fans uncached cells across worker threads.
+//! seed, request count)` simulation each. Cells are pure functions of
+//! their key (the simulation is seeded), so the harness memoizes them in
+//! a process-wide cache and fans uncached cells across worker threads.
 //! Experiments share many cells (every figure re-runs the unsecure
 //! baselines, and the Private/Cached/Ours triple appears in five figures),
 //! so the cache removes most of `repro all`'s work; the fan-out uses
@@ -25,10 +25,10 @@ use std::sync::{Mutex, OnceLock};
 
 use mgpu_system::runner::configs;
 use mgpu_system::{RunReport, Simulation};
-use mgpu_types::{OtpSchemeKind, SystemConfig};
+use mgpu_types::SystemConfig;
 use mgpu_workloads::Benchmark;
 
-/// Deterministic seed used by every experiment.
+/// Deterministic seed used by every experiment unless a cell names its own.
 pub const SEED: u64 = 42;
 
 /// How much work an experiment run does.
@@ -69,19 +69,52 @@ impl Mode {
     }
 }
 
-/// One unit of simulation work: a configuration evaluated on a benchmark.
-pub type Cell = (SystemConfig, Benchmark);
+/// One unit of simulation work: a configuration evaluated on a benchmark
+/// for `requests` remote requests per GPU under `seed`.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The simulated system.
+    pub config: SystemConfig,
+    /// The workload.
+    pub benchmark: Benchmark,
+    /// Workload seed.
+    pub seed: u64,
+    /// Remote requests per GPU.
+    pub requests: usize,
+}
+
+impl Cell {
+    /// The cell `mode` runs for `config` on `benchmark`: the shared
+    /// [`SEED`] and the mode's request count.
+    #[must_use]
+    pub fn new(config: SystemConfig, benchmark: Benchmark, mode: Mode) -> Self {
+        Self {
+            config,
+            benchmark,
+            seed: SEED,
+            requests: mode.requests(),
+        }
+    }
+
+    /// The memo key: the full config state plus benchmark, seed and run
+    /// size. The derived `Debug` form is deterministic and covers every
+    /// field that can influence a run.
+    fn key(&self) -> String {
+        format!(
+            "{}|{}|{:?}|{:?}",
+            self.seed, self.requests, self.benchmark, self.config
+        )
+    }
+
+    fn simulate(&self) -> RunReport {
+        Simulation::new(self.config.clone(), self.benchmark, self.seed)
+            .run_for_requests(self.requests)
+    }
+}
 
 fn cell_cache() -> &'static Mutex<HashMap<String, RunReport>> {
     static CACHE: OnceLock<Mutex<HashMap<String, RunReport>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The memo key: the full config state plus benchmark and run size. The
-/// derived `Debug` form is deterministic and covers every field that can
-/// influence a run (the seed is the global [`SEED`]).
-fn cell_key(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> String {
-    format!("{requests}|{bench:?}|{cfg:?}")
 }
 
 fn cache_enabled() -> bool {
@@ -126,30 +159,31 @@ pub fn workers() -> usize {
     parsed.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn simulate(cfg: &SystemConfig, bench: Benchmark, requests: usize) -> RunReport {
-    Simulation::new(cfg.clone(), bench, SEED).run_for_requests(requests)
-}
-
-/// Runs one configuration on one benchmark, consulting the cell cache.
-#[must_use]
-pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    let requests = mode.requests();
+/// Runs one cell, consulting the cell cache.
+fn run_cell(cell: &Cell) -> RunReport {
     if !cache_enabled() {
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        return simulate(cfg, bench, requests);
+        return cell.simulate();
     }
-    let key = cell_key(cfg, bench, requests);
+    let key = cell.key();
     if let Some(hit) = cell_cache().lock().expect("cell cache poisoned").get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
         return hit.clone();
     }
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let report = simulate(cfg, bench, requests);
+    let report = cell.simulate();
     cell_cache()
         .lock()
         .expect("cell cache poisoned")
         .insert(key, report.clone());
     report
+}
+
+/// Runs one configuration on one benchmark at `mode`'s size, consulting
+/// the cell cache.
+#[must_use]
+pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
+    run_cell(&Cell::new(cfg.clone(), bench, mode))
 }
 
 /// Runs every cell, fanning uncached work across [`workers`] threads, and
@@ -159,14 +193,11 @@ pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
 /// bit-identical to running the cells sequentially — parallelism only
 /// changes wall-clock time.
 #[must_use]
-pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
+pub fn run_many(cells: &[Cell]) -> Vec<RunReport> {
     let n = cells.len();
     let worker_count = workers().min(n);
     if worker_count <= 1 {
-        return cells
-            .iter()
-            .map(|(cfg, bench)| run(cfg, *bench, mode))
-            .collect();
+        return cells.iter().map(run_cell).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -177,8 +208,7 @@ pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
                 if i >= n {
                     break;
                 }
-                let (cfg, bench) = &cells[i];
-                let report = run(cfg, *bench, mode);
+                let report = run_cell(&cells[i]);
                 *slots[i].lock().expect("result slot poisoned") = Some(report);
             });
         }
@@ -195,37 +225,28 @@ pub fn run_many(cells: &[Cell], mode: Mode) -> Vec<RunReport> {
 
 /// Warms the cell cache for `cells` in parallel; later `run` calls for the
 /// same cells are lookups. A no-op when the cache is disabled.
-pub fn prefetch(cells: &[Cell], mode: Mode) {
+pub fn prefetch(cells: &[Cell]) {
     if cache_enabled() && !cells.is_empty() {
-        let _ = run_many(cells, mode);
+        let _ = run_many(cells);
     }
-}
-
-/// The unsecure twin of `cfg`: same system, security scheme off.
-#[must_use]
-pub fn baseline_of(cfg: &SystemConfig) -> SystemConfig {
-    let mut base = cfg.clone();
-    base.security.scheme = OtpSchemeKind::Unsecure;
-    base.security.batching.enabled = false;
-    base
 }
 
 /// Runs the unsecure twin of `cfg` on `bench`.
 #[must_use]
 pub fn run_baseline(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    run(&baseline_of(cfg), bench, mode)
+    run(&configs::unsecure(cfg), bench, mode)
 }
 
 /// Builds the prefetch cell list for a normalized-table experiment: per
 /// benchmark, the baseline of `base` plus every listed configuration.
 #[must_use]
 pub fn table_cells(base: &SystemConfig, cfgs: &[(String, SystemConfig)], mode: Mode) -> Vec<Cell> {
-    let baseline = baseline_of(base);
+    let baseline = configs::unsecure(base);
     let mut cells = Vec::with_capacity(mode.suite().len() * (cfgs.len() + 1));
     for &bench in mode.suite() {
-        cells.push((baseline.clone(), bench));
+        cells.push(Cell::new(baseline.clone(), bench, mode));
         for (_, cfg) in cfgs {
-            cells.push((cfg.clone(), bench));
+            cells.push(Cell::new(cfg.clone(), bench, mode));
         }
     }
     cells
@@ -263,6 +284,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgpu_types::OtpSchemeKind;
 
     #[test]
     fn quick_mode_is_smaller() {
@@ -313,19 +335,21 @@ mod tests {
         let base = SystemConfig::paper_4gpu();
         let mut cells: Vec<Cell> = Vec::new();
         for bench in [Benchmark::Fir, Benchmark::MatrixTranspose] {
-            cells.push((baseline_of(&base), bench));
-            cells.push((configs::private(&base, 4), bench));
-            cells.push((configs::batching(&base, 4), bench));
+            cells.push(Cell::new(configs::unsecure(&base), bench, Mode::Bench));
+            cells.push(Cell::new(configs::private(&base, 4), bench, Mode::Bench));
+            cells.push(Cell::new(configs::batching(&base, 4), bench, Mode::Bench));
         }
+        cells.push(Cell {
+            seed: 7,
+            requests: 60,
+            ..Cell::new(configs::dynamic(&base, 4), Benchmark::Spmv, Mode::Bench)
+        });
         // Ground truth: fresh sequential simulations, no cache involved.
         let sequential: Vec<String> = cells
             .iter()
-            .map(|(cfg, bench)| fingerprint(&simulate(cfg, *bench, Mode::Bench.requests())))
+            .map(|cell| fingerprint(&cell.simulate()))
             .collect();
-        let parallel: Vec<String> = run_many(&cells, Mode::Bench)
-            .iter()
-            .map(fingerprint)
-            .collect();
+        let parallel: Vec<String> = run_many(&cells).iter().map(fingerprint).collect();
         assert_eq!(sequential, parallel);
     }
 
@@ -338,22 +362,32 @@ mod tests {
         // And both equal an uncached simulation.
         assert_eq!(
             fingerprint(&first),
-            fingerprint(&simulate(&cfg, Benchmark::Spmv, Mode::Bench.requests()))
+            fingerprint(&Cell::new(cfg, Benchmark::Spmv, Mode::Bench).simulate())
         );
     }
 
     #[test]
     fn cell_keys_distinguish_configs_benchmarks_and_sizes() {
         let base = SystemConfig::paper_4gpu();
-        let a = cell_key(&base, Benchmark::Fir, 100);
-        assert_ne!(a, cell_key(&base, Benchmark::Fir, 250));
-        assert_ne!(a, cell_key(&base, Benchmark::Spmv, 100));
-        assert_ne!(a, cell_key(&baseline_of(&base), Benchmark::Fir, 100));
+        let key = |cfg: &SystemConfig, benchmark, seed, requests| {
+            Cell {
+                config: cfg.clone(),
+                benchmark,
+                seed,
+                requests,
+            }
+            .key()
+        };
+        let a = key(&base, Benchmark::Fir, SEED, 100);
+        assert_ne!(a, key(&base, Benchmark::Fir, SEED, 250));
+        assert_ne!(a, key(&base, Benchmark::Fir, SEED + 1, 100));
+        assert_ne!(a, key(&base, Benchmark::Spmv, SEED, 100));
+        assert_ne!(a, key(&configs::unsecure(&base), Benchmark::Fir, SEED, 100));
         assert_ne!(
             a,
-            cell_key(&configs::private(&base, 16), Benchmark::Fir, 100)
+            key(&configs::private(&base, 16), Benchmark::Fir, SEED, 100)
         );
-        assert_eq!(a, cell_key(&base.clone(), Benchmark::Fir, 100));
+        assert_eq!(a, key(&base.clone(), Benchmark::Fir, SEED, 100));
     }
 
     #[test]
@@ -362,7 +396,7 @@ mod tests {
         let cfgs = ours_triple(&base);
         let cells = table_cells(&base, &cfgs, Mode::Bench);
         assert_eq!(cells.len(), Mode::Bench.suite().len() * (cfgs.len() + 1));
-        assert_eq!(cells[0].0.security.scheme, OtpSchemeKind::Unsecure);
+        assert_eq!(cells[0].config.security.scheme, OtpSchemeKind::Unsecure);
     }
 
     #[test]

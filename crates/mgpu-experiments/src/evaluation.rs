@@ -28,7 +28,7 @@ fn normalized_table(
     cfgs: &[(String, SystemConfig)],
     mode: Mode,
 ) -> Table {
-    common::prefetch(&common::table_cells(base, cfgs, mode), mode);
+    common::prefetch(&common::table_cells(base, cfgs, mode));
     let mut headers: Vec<&str> = vec!["bench"];
     headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
     let mut t = Table::new(title, &headers);
@@ -70,7 +70,7 @@ pub fn fig22(mode: Mode) -> Vec<Table> {
 pub fn fig23(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_4gpu();
     let cfgs = common::ours_triple(&base);
-    common::prefetch(&common::table_cells(&base, &cfgs, mode), mode);
+    common::prefetch(&common::table_cells(&base, &cfgs, mode));
     let mut headers: Vec<&str> = vec!["bench"];
     headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
     let mut t = Table::new("Fig. 23: communication traffic (4 GPUs, OTP 4x)", &headers);
@@ -127,11 +127,11 @@ pub fn fig26(mode: Mode) -> Vec<Table> {
         let mut cells: Vec<common::Cell> = Vec::new();
         for (_, cfg) in &cfgs {
             for &bench in mode.suite() {
-                cells.push((common::baseline_of(cfg), bench));
-                cells.push((cfg.clone(), bench));
+                cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
+                cells.push(common::Cell::new(cfg.clone(), bench, mode));
             }
         }
-        common::prefetch(&cells, mode);
+        common::prefetch(&cells);
         let mut row = vec![format!("{cycles}cy")];
         for (_, cfg) in &cfgs {
             let mut values = Vec::new();
@@ -243,11 +243,11 @@ pub fn ablation_batch_size(mode: Mode) -> Vec<Table> {
     let mut cells: Vec<common::Cell> = Vec::new();
     for cfg in &sweep {
         for &bench in mode.suite() {
-            cells.push((common::baseline_of(cfg), bench));
-            cells.push((cfg.clone(), bench));
+            cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
+            cells.push(common::Cell::new(cfg.clone(), bench, mode));
         }
     }
-    common::prefetch(&cells, mode);
+    common::prefetch(&cells);
     for (n, cfg) in [4u32, 8, 16, 32, 64].into_iter().zip(&sweep) {
         let mut times = Vec::new();
         let mut traffics = Vec::new();
@@ -290,11 +290,11 @@ pub fn ablation_interval(mode: Mode) -> Vec<Table> {
     let mut cells: Vec<common::Cell> = Vec::new();
     for (_, cfg) in &sweep {
         for &bench in mode.suite() {
-            cells.push((common::baseline_of(cfg), bench));
-            cells.push((cfg.clone(), bench));
+            cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
+            cells.push(common::Cell::new(cfg.clone(), bench, mode));
         }
     }
-    common::prefetch(&cells, mode);
+    common::prefetch(&cells);
     for (interval, cfg) in &sweep {
         let mut times = Vec::new();
         for &bench in mode.suite() {

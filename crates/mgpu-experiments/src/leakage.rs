@@ -37,7 +37,7 @@
 //! When `MGPU_LEAKAGE_CSV` names a path, the frontier table is also
 //! written there as CSV (the CI `leakage_smoke` step consumes it).
 
-use crate::common::{workers, Mode};
+use crate::common::{self, Cell, Mode};
 use crate::report::{percent, ratio, Table};
 use mgpu_sim::link::TrafficClass;
 use mgpu_sim::stats::percentile_sorted;
@@ -49,8 +49,6 @@ use mgpu_system::{
 };
 use mgpu_types::{Cycle, DefenseConfig, Duration, NodeId, ObservabilityConfig, SystemConfig};
 use mgpu_workloads::{Benchmark, Request};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Observation window and shaping period, in cycles. One constant keeps
 /// the constant-rate identity precondition (samples land on shaping-period
@@ -180,7 +178,7 @@ fn defense_variants(flush_timeout: Duration) -> Vec<(&'static str, DefenseConfig
     ]
 }
 
-/// One observed run: its class label, seed, and full report.
+/// One observed run: its class label and full report.
 struct ObservedRun {
     scheme: String,
     report: RunReport,
@@ -207,8 +205,8 @@ fn observed_config(scheme_cfg: &SystemConfig, defense: DefenseConfig) -> SystemC
     cfg
 }
 
-/// Runs every `(scheme, seed)` cell under `defense`, fanned across the
-/// shared worker budget. Output order is `schemes × seeds`, row-major —
+/// Runs every `(scheme, seed)` cell under `defense` through the shared
+/// cell runner. Output order is `schemes × seeds`, row-major —
 /// deterministic, so twin runs across variants align by index.
 fn run_variant(
     schemes: &[(String, SystemConfig)],
@@ -216,43 +214,24 @@ fn run_variant(
     defense: DefenseConfig,
     mode: Mode,
 ) -> Vec<ObservedRun> {
-    let jobs: Vec<(String, SystemConfig, u64)> = schemes
+    let cells: Vec<Cell> = schemes
         .iter()
-        .flat_map(|(label, cfg)| {
-            seeds
-                .iter()
-                .map(|&seed| (label.clone(), observed_config(cfg, defense), seed))
+        .flat_map(|(_, cfg)| {
+            let config = observed_config(cfg, defense);
+            seeds.iter().map(move |&seed| Cell {
+                config: config.clone(),
+                benchmark: BENCHMARK,
+                seed,
+                requests: requests(mode),
+            })
         })
         .collect();
-    let n = jobs.len();
-    let per_gpu = requests(mode);
-    let slots: Vec<Mutex<Option<ObservedRun>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let worker_count = workers().min(n).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (scheme, cfg, seed) = &jobs[i];
-                let report =
-                    Simulation::new(cfg.clone(), BENCHMARK, *seed).run_for_requests(per_gpu);
-                *slots[i].lock().expect("result slot poisoned") = Some(ObservedRun {
-                    scheme: scheme.clone(),
-                    report,
-                });
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every job index is visited")
-        })
+    let labels = schemes
+        .iter()
+        .flat_map(|(label, _)| seeds.iter().map(move |_| label.clone()));
+    labels
+        .zip(common::run_many(&cells))
+        .map(|(scheme, report)| ObservedRun { scheme, report })
         .collect()
 }
 

@@ -164,7 +164,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "ring8_smoke",
-            title: "8-GPU ring compare_schemes smoke",
+            title: "8-GPU ring scheme-comparison smoke",
             run: topology::ring8_smoke,
         },
         Experiment {

@@ -49,7 +49,7 @@ pub fn fig08(mode: Mode) -> Vec<Table> {
         .iter()
         .map(|&m| (format!("otp-{m}x"), configs::private(&base, m)))
         .collect();
-    common::prefetch(&common::table_cells(&base, &sweep, mode), mode);
+    common::prefetch(&common::table_cells(&base, &sweep, mode));
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); mults.len()];
     for &bench in mode.suite() {
         let baseline = common::run_baseline(&base, bench, mode);
@@ -88,7 +88,7 @@ pub fn fig09(mode: Mode) -> Vec<Table> {
 
 /// Shared scaffolding for normalized-execution-time tables.
 fn scheme_comparison_table(title: &str, cfgs: &[(String, SystemConfig)], mode: Mode) -> Table {
-    common::prefetch(&common::table_cells(&cfgs[0].1, cfgs, mode), mode);
+    common::prefetch(&common::table_cells(&cfgs[0].1, cfgs, mode));
     let mut headers: Vec<&str> = vec!["bench"];
     headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
     let mut t = Table::new(title, &headers);
@@ -149,9 +149,13 @@ pub(crate) fn otp_distribution_table(
     );
     let cells: Vec<common::Cell> = cfgs
         .iter()
-        .flat_map(|(_, cfg)| mode.suite().iter().map(|&bench| (cfg.clone(), bench)))
+        .flat_map(|(_, cfg)| {
+            mode.suite()
+                .iter()
+                .map(|&bench| common::Cell::new(cfg.clone(), bench, mode))
+        })
         .collect();
-    common::prefetch(&cells, mode);
+    common::prefetch(&cells);
     for (label, cfg) in cfgs {
         let mut otp = mgpu_secure::OtpStats::default();
         for &bench in mode.suite() {
@@ -201,10 +205,11 @@ pub fn fig12(mode: Mode) -> Vec<Table> {
         "Fig. 12: communication traffic with security metadata (Private 4x)",
         &["bench", "traffic-ratio", "metadata-share"],
     );
-    common::prefetch(
-        &common::table_cells(&cfg, &[("private-4x".into(), cfg.clone())], mode),
+    common::prefetch(&common::table_cells(
+        &cfg,
+        &[("private-4x".into(), cfg.clone())],
         mode,
-    );
+    ));
     let mut ratios = Vec::new();
     for &bench in mode.suite() {
         let baseline = common::run_baseline(&cfg, bench, mode);

@@ -10,9 +10,9 @@
 //! scheme matters *more* on routed fabrics: the fewer metadata bytes it
 //! puts on the wire, the less there is to amplify.
 
-use crate::common::{self, Mode};
+use crate::common::{self, Cell, Mode};
 use crate::report::{ratio, Table};
-use mgpu_system::runner::{compare_schemes, configs, SchemeResult};
+use mgpu_system::runner::configs;
 use mgpu_types::{SystemConfig, TopologyKind};
 use mgpu_workloads::Benchmark;
 
@@ -67,15 +67,16 @@ fn base_for(gpus: u16) -> SystemConfig {
     }
 }
 
-/// The schemes compared: the Private baseline, Dynamic, and the full
-/// Dynamic + Batching proposal.
-fn scheme_set(base: &SystemConfig) -> Vec<(String, SystemConfig)> {
-    vec![
-        ("private".into(), configs::private(base, 4)),
-        ("dynamic".into(), configs::dynamic(base, 4)),
-        ("batching".into(), configs::batching(base, 4)),
-    ]
-}
+/// A scheme builder from [`configs`]: base config and OTP multiplier in.
+type SchemeBuilder = fn(&SystemConfig, u32) -> SystemConfig;
+
+/// The schemes compared, each at OTP 4×: the Private baseline, Dynamic,
+/// and the full Dynamic + Batching proposal.
+const SCHEMES: [(&str, SchemeBuilder); 3] = [
+    ("private", configs::private),
+    ("dynamic", configs::dynamic),
+    ("batching", configs::batching),
+];
 
 /// Benchmarks swept: one transpose-heavy and one sparse pattern (reduced
 /// under `Bench`).
@@ -86,24 +87,67 @@ fn benches(mode: Mode) -> &'static [Benchmark] {
     }
 }
 
-/// One sweep cell: scheme results for `gpus` GPUs on `kind`, summed over
-/// the mode's benchmarks.
-fn sweep_cell(gpus: u16, kind: TopologyKind, mode: Mode) -> Vec<(String, u64, u64, u64)> {
-    let base = base_for(gpus).with_topology(kind);
-    let schemes = scheme_set(&base);
-    let mut out: Vec<(String, u64, u64, u64)> = schemes
+/// One sweep point: a system size on a fabric shape.
+type Point = (u16, TopologyKind);
+
+/// One scheme's totals at a sweep point, summed over the mode's
+/// benchmarks: `(label, cycles, total bytes, metadata bytes)`.
+type SchemeTotals = (String, u64, u64, u64);
+
+/// Every point of the sweep, in table order: the paper scales on all
+/// [`SHAPES`], then the scale-out sizes on [`LARGE_SHAPES`]. Both shape
+/// lists start with the fully-connected amplification reference.
+fn points() -> Vec<Point> {
+    let paper = GPU_COUNTS
         .iter()
-        .map(|(label, _)| (label.clone(), 0, 0, 0))
-        .collect();
-    for &bench in benches(mode) {
-        let results = compare_schemes(bench, &schemes, requests_for(gpus, mode), common::SEED);
-        for (slot, r) in out.iter_mut().zip(&results) {
-            slot.1 += r.report.total_cycles.as_u64();
-            slot.2 += r.report.traffic.total().as_u64();
-            slot.3 += r.report.traffic.metadata().as_u64();
-        }
-    }
-    out
+        .flat_map(|&gpus| SHAPES.iter().map(move |&kind| (gpus, kind)));
+    let large = LARGE_GPU_COUNTS
+        .iter()
+        .flat_map(|&gpus| LARGE_SHAPES.iter().map(move |&kind| (gpus, kind)));
+    paper.chain(large).collect()
+}
+
+/// The cells of one sweep point, scheme-major: every scheme on every
+/// benchmark of the mode.
+fn point_cells((gpus, kind): Point, mode: Mode) -> Vec<Cell> {
+    let base = base_for(gpus).with_topology(kind);
+    let requests = requests_for(gpus, mode);
+    SCHEMES
+        .iter()
+        .flat_map(|(_, scheme)| {
+            let cfg = scheme(&base, 4);
+            benches(mode).iter().map(move |&bench| Cell {
+                requests,
+                ..Cell::new(cfg.clone(), bench, mode)
+            })
+        })
+        .collect()
+}
+
+/// Runs every point's cells in one [`common::run_many`] call and returns
+/// each point's per-scheme totals, in point order.
+fn sweep(points: &[Point], mode: Mode) -> Vec<Vec<SchemeTotals>> {
+    let cells: Vec<Cell> = points.iter().flat_map(|&p| point_cells(p, mode)).collect();
+    let per_scheme = benches(mode).len();
+    common::run_many(&cells)
+        .chunks(SCHEMES.len() * per_scheme)
+        .map(|point| {
+            SCHEMES
+                .iter()
+                .zip(point.chunks(per_scheme))
+                .map(|((label, _), runs)| {
+                    runs.iter().fold((label.to_string(), 0, 0, 0), |acc, r| {
+                        (
+                            acc.0,
+                            acc.1 + r.total_cycles.as_u64(),
+                            acc.2 + r.traffic.total().as_u64(),
+                            acc.3 + r.traffic.metadata().as_u64(),
+                        )
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The `topology_scaling` experiment: GPUs × fabric shape × scheme, with
@@ -123,29 +167,15 @@ pub fn topology_scaling(mode: Mode) -> Vec<Table> {
             "metadata-amp",
         ],
     );
-    for &gpus in &GPU_COUNTS {
-        push_scale(&mut table, gpus, &SHAPES, mode);
-    }
-    for &gpus in &LARGE_GPU_COUNTS {
-        push_scale(&mut table, gpus, &LARGE_SHAPES, mode);
-    }
-    vec![table]
-}
-
-/// Appends one system size's rows to the sweep table: every shape in
-/// `shapes`, with metadata amplification computed against the
-/// fully-connected reference of the same size and scheme.
-fn push_scale(table: &mut Table, gpus: u16, shapes: &[TopologyKind], mode: Mode) {
-    // Fully-connected first: the amplification reference.
-    let reference = sweep_cell(gpus, TopologyKind::FullyConnected, mode);
-    for &kind in shapes {
-        let cells = if kind == TopologyKind::FullyConnected {
-            reference.clone()
-        } else {
-            sweep_cell(gpus, kind, mode)
-        };
+    let points = points();
+    let results = sweep(&points, mode);
+    let mut reference: &[SchemeTotals] = &[];
+    for (&(gpus, kind), totals) in points.iter().zip(&results) {
+        if kind == TopologyKind::FullyConnected {
+            reference = totals;
+        }
         for ((label, cycles, total, metadata), (_, _, _, ref_metadata)) in
-            cells.iter().zip(&reference)
+            totals.iter().zip(reference)
         {
             let amp = if *ref_metadata > 0 {
                 *metadata as f64 / *ref_metadata as f64
@@ -163,42 +193,31 @@ fn push_scale(table: &mut Table, gpus: u16, shapes: &[TopologyKind], mode: Mode)
             ]);
         }
     }
+    vec![table]
 }
 
-/// The `ring8_smoke` experiment: a fast end-to-end `compare_schemes` run
-/// on an 8-GPU ring — the CI check that the routed-fabric path stays
-/// alive (the fully-connected path is covered by the golden parity
-/// test).
+/// The `ring8_smoke` experiment: a fast end-to-end scheme comparison on
+/// an 8-GPU ring — the CI check that the routed-fabric path stays alive
+/// (the fully-connected path is covered by the golden parity test).
 #[must_use]
 pub fn ring8_smoke(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
-    let schemes = scheme_set(&base);
-    let results = compare_schemes(
-        Benchmark::MatrixTranspose,
-        &schemes,
-        mode.requests(),
-        common::SEED,
-    );
+    let bench = Benchmark::MatrixTranspose;
+    let baseline = common::run_baseline(&base, bench, mode);
     let mut table = Table::new(
-        "8-GPU ring smoke: compare_schemes",
+        "8-GPU ring smoke: scheme comparison",
         &["scheme", "norm-time", "traffic-ratio", "metadata-bytes"],
     );
-    for SchemeResult {
-        label,
-        normalized_time,
-        traffic_ratio,
-        report,
-        ..
-    } in &results
-    {
+    for (label, scheme) in SCHEMES {
+        let report = common::run(&scheme(&base, 4), bench, mode);
         assert!(
             report.traffic.metadata().as_u64() > 0,
             "{label}: secure scheme produced no metadata on the ring"
         );
         table.add_row(vec![
-            label.clone(),
-            ratio(*normalized_time),
-            ratio(*traffic_ratio),
+            label.to_string(),
+            ratio(report.normalized_time(&baseline).unwrap_or(1.0)),
+            ratio(report.traffic_ratio(&baseline).unwrap_or(1.0)),
             report.traffic.metadata().to_string(),
         ]);
     }
@@ -209,9 +228,13 @@ pub fn ring8_smoke(mode: Mode) -> Vec<Table> {
 mod tests {
     use super::*;
 
-    /// Metadata bytes per scheme for one (gpus, kind) point.
-    fn metadata_of(cells: &[(String, u64, u64, u64)], scheme: &str) -> u64 {
-        cells
+    const FC: TopologyKind = TopologyKind::FullyConnected;
+    const RING: TopologyKind = TopologyKind::Ring;
+    const SWITCH: TopologyKind = TopologyKind::Switch { radix: 4 };
+
+    /// Metadata bytes per scheme for one sweep point.
+    fn metadata_of(totals: &[SchemeTotals], scheme: &str) -> u64 {
+        totals
             .iter()
             .find(|(label, ..)| label == scheme)
             .unwrap_or_else(|| panic!("scheme {scheme} in sweep"))
@@ -221,11 +244,11 @@ mod tests {
     #[test]
     fn routed_fabrics_amplify_private_metadata() {
         for gpus in [4, 8] {
-            let fc = sweep_cell(gpus, TopologyKind::FullyConnected, Mode::Bench);
-            for kind in [TopologyKind::Ring, TopologyKind::Switch { radix: 4 }] {
-                let routed = sweep_cell(gpus, kind, Mode::Bench);
+            let points = [(gpus, FC), (gpus, RING), (gpus, SWITCH)];
+            let totals = sweep(&points, Mode::Bench);
+            for (&(_, kind), routed) in points.iter().zip(&totals).skip(1) {
                 assert!(
-                    metadata_of(&routed, "private") > metadata_of(&fc, "private"),
+                    metadata_of(routed, "private") > metadata_of(&totals[0], "private"),
                     "{gpus} GPUs / {kind}: routed Private metadata not above fully-connected"
                 );
             }
@@ -237,11 +260,12 @@ mod tests {
         // The absolute metadata cost a routed fabric adds on top of
         // fully-connected must shrink when batching collapses per-block
         // MACs and ACKs into per-batch ones.
-        for kind in [TopologyKind::Ring, TopologyKind::Switch { radix: 4 }] {
-            let fc = sweep_cell(8, TopologyKind::FullyConnected, Mode::Bench);
-            let routed = sweep_cell(8, kind, Mode::Bench);
-            let private_gap = metadata_of(&routed, "private") - metadata_of(&fc, "private");
-            let batching_gap = metadata_of(&routed, "batching") - metadata_of(&fc, "batching");
+        let points = [(8, FC), (8, RING), (8, SWITCH)];
+        let totals = sweep(&points, Mode::Bench);
+        let fc = &totals[0];
+        for (&(_, kind), routed) in points.iter().zip(&totals).skip(1) {
+            let private_gap = metadata_of(routed, "private") - metadata_of(fc, "private");
+            let batching_gap = metadata_of(routed, "batching") - metadata_of(fc, "batching");
             assert!(
                 batching_gap < private_gap,
                 "{kind}: batching gap {batching_gap} not below private gap {private_gap}"
@@ -251,7 +275,17 @@ mod tests {
 
     #[test]
     fn table_covers_the_full_sweep() {
+        let (hits_before, misses_before) = common::cache_counters();
         let tables = topology_scaling(Mode::Bench);
+        let (hits_after, misses_after) = common::cache_counters();
+        // Every sweep cell goes through the cell runner, so each counts
+        // as a cache hit or a miss (other tests may add more).
+        let cells = points().len() * SCHEMES.len() * benches(Mode::Bench).len();
+        let counted = (hits_after - hits_before) + (misses_after - misses_before);
+        assert!(
+            counted >= cells as u64,
+            "{counted} cells counted, sweep has {cells}"
+        );
         assert_eq!(tables.len(), 1);
         // Paper scales: 3 GPU counts x 3 shapes x 3 schemes. Scale-out:
         // 3 GPU counts x 2 shapes x 3 schemes.
@@ -278,21 +312,29 @@ mod tests {
         assert_eq!(requests_for(128, Mode::Full), 125);
         // The floor keeps tiny modes from starving the largest fabrics.
         assert!(requests_for(128, Mode::Bench) >= 8);
+        // The scaled count is what the scale-out cells carry.
+        for cell in point_cells((128, SWITCH), Mode::Full) {
+            assert_eq!(cell.requests, 125);
+        }
     }
 
     #[test]
     fn scale_out_switch_cell_amplifies_metadata() {
         // The 32-GPU switch cell must complete and show the same
         // routed-fabric amplification the paper scales show.
-        let fc = sweep_cell(32, TopologyKind::FullyConnected, Mode::Bench);
-        let sw = sweep_cell(32, TopologyKind::Switch { radix: 4 }, Mode::Bench);
-        assert!(metadata_of(&sw, "private") > metadata_of(&fc, "private"));
-        assert!(metadata_of(&sw, "batching") > 0);
+        let totals = sweep(&[(32, FC), (32, SWITCH)], Mode::Bench);
+        let (fc, sw) = (&totals[0], &totals[1]);
+        assert!(metadata_of(sw, "private") > metadata_of(fc, "private"));
+        assert!(metadata_of(sw, "batching") > 0);
     }
 
     #[test]
     fn ring_smoke_runs_and_reports_all_schemes() {
+        let (hits_before, misses_before) = common::cache_counters();
         let tables = ring8_smoke(Mode::Bench);
+        let (hits_after, misses_after) = common::cache_counters();
+        // Three scheme cells plus the unsecure baseline.
+        assert!((hits_after - hits_before) + (misses_after - misses_before) >= 4);
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 3);
     }

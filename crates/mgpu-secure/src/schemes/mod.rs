@@ -137,7 +137,12 @@ mod tests {
 
     #[test]
     fn build_every_secure_scheme() {
-        for kind in OtpSchemeKind::SECURE {
+        for kind in [
+            OtpSchemeKind::Private,
+            OtpSchemeKind::Shared,
+            OtpSchemeKind::Cached,
+            OtpSchemeKind::Dynamic,
+        ] {
             let mut cfg = SystemConfig::paper_4gpu();
             cfg.security.scheme = kind;
             let mut engine = AesEngine::new(cfg.security.aes_latency);

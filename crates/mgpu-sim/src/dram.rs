@@ -25,8 +25,6 @@ pub struct Hbm {
     bytes_per_cycle: u32,
     latency: Duration,
     next_free: Cycle,
-    served: u64,
-    bytes: ByteSize,
 }
 
 impl Hbm {
@@ -43,16 +41,7 @@ impl Hbm {
             bytes_per_cycle,
             latency,
             next_free: Cycle::ZERO,
-            served: 0,
-            bytes: ByteSize::ZERO,
         }
-    }
-
-    /// The paper's configuration: 512 GB/s at 1 GHz with a 200-cycle
-    /// access latency.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Hbm::new(512, Duration::cycles(200))
     }
 
     /// Services an access of `size` bytes arriving at `now`; returns the
@@ -65,21 +54,7 @@ impl Hbm {
                 .max(1),
         );
         self.next_free = start + occupancy;
-        self.served += 1;
-        self.bytes += size;
         start + self.latency + occupancy
-    }
-
-    /// Number of requests served.
-    #[must_use]
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Total bytes transferred.
-    #[must_use]
-    pub fn bytes(&self) -> ByteSize {
-        self.bytes
     }
 }
 
@@ -89,13 +64,11 @@ mod tests {
 
     #[test]
     fn single_access_latency() {
-        let mut hbm = Hbm::paper_default();
+        let mut hbm = Hbm::new(512, Duration::cycles(200));
         assert_eq!(
             hbm.access(Cycle::ZERO, ByteSize::CACHELINE),
             Cycle::new(201)
         );
-        assert_eq!(hbm.served(), 1);
-        assert_eq!(hbm.bytes(), ByteSize::CACHELINE);
     }
 
     #[test]

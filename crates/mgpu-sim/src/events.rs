@@ -278,22 +278,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycle> {
-        if self.wheel_len > 0 {
-            let head = self.heads[self.first_bucket()];
-            return Some(self.slots[head as usize].time);
-        }
-        self.overflow.peek().map(|e| e.time)
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -377,18 +361,6 @@ impl<E> HeapEventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -439,15 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.now(), Cycle::ZERO);
-        q.schedule(Cycle::new(42), ());
-        q.pop();
-        assert_eq!(q.now(), Cycle::new(42));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -475,14 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn len_and_peek() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(Cycle::new(7), "x");
         q.schedule(Cycle::new(3), "y");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Cycle::new(3)));
     }
 
     #[test]
@@ -493,7 +454,6 @@ mod tests {
         q.schedule(Cycle::new(1), "near");
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((Cycle::new(1), "near")));
-        assert_eq!(q.peek_time(), Some(far));
         assert_eq!(q.pop(), Some((far, "far")));
         assert!(q.is_empty());
     }
@@ -537,9 +497,7 @@ mod tests {
         let latest = Cycle::new(40 + WHEEL_SPAN - 1);
         q.schedule(latest, 2);
         q.schedule(Cycle::new(41 + 64), 1);
-        assert_eq!(q.peek_time(), Some(Cycle::new(105)));
         assert_eq!(q.pop(), Some((Cycle::new(105), 1)));
-        assert_eq!(q.peek_time(), Some(latest));
         assert_eq!(q.pop(), Some((latest, 2)));
         assert!(q.is_empty());
     }
@@ -595,14 +553,18 @@ mod tests {
                 let mut cal = EventQueue::new();
                 let mut heap = HeapEventQueue::new();
                 let mut payload = 0u32;
+                let mut now = 0u64;
                 for &(kind, delta_idx) in &ops {
                     let delta = DELTAS[delta_idx];
                     if kind == 3 {
                         // Interleaved pop: schedule-while-draining.
-                        prop_assert_eq!(cal.pop(), heap.pop());
-                        prop_assert_eq!(cal.now(), heap.now());
+                        let popped = cal.pop();
+                        prop_assert_eq!(popped, heap.pop());
+                        if let Some((time, _)) = popped {
+                            now = time.as_u64();
+                        }
                     } else {
-                        let time = Cycle::new(cal.now().as_u64() + delta);
+                        let time = Cycle::new(now + delta);
                         cal.schedule(time, payload);
                         heap.schedule(time, payload);
                         payload += 1;

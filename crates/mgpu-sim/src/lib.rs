@@ -7,9 +7,8 @@
 //! parts ([`link`]), the port model: a bandwidth-serialized
 //! [`TimedServer`] ([`timeq`]), static route computation over configurable
 //! fabric shapes ([`routing`]), the CPU-hub + routed-GPU-fabric
-//! [`Topology`] that moves blocks hop by hop ([`topology`]), set-associative
-//! write-back caches ([`cache`]), a fixed-latency HBM model ([`dram`]), an
-//! access-counter page-migration policy ([`page`]) and percentile helpers
+//! [`Topology`] that moves blocks hop by hop ([`topology`]), a
+//! fixed-latency HBM model ([`dram`]) and percentile helpers
 //! ([`stats`]).
 //!
 //! The detailed shader pipelines of a real GPU are intentionally abstracted
@@ -33,17 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod dram;
 pub mod events;
 pub mod link;
-pub mod page;
 pub mod routing;
 pub mod stats;
 pub mod timeq;
 pub mod topology;
 
-pub use cache::{Cache, CacheConfig};
 pub use events::EventQueue;
 pub use routing::{RoutingTable, Waypoint};
 pub use timeq::TimedServer;

@@ -1,6 +1,6 @@
 //! Small statistics helpers used across the simulator and experiments:
 //! histograms with custom bucket edges (for the paper's burstiness
-//! figures) and running means.
+//! figures), geometric means and percentiles.
 
 use core::fmt;
 
@@ -26,7 +26,6 @@ use core::fmt;
 /// h.record(25);
 /// h.record(100);
 /// h.record(100_000);
-/// assert_eq!(h.counts(), &[1, 1, 0, 0, 1]);
 /// assert_eq!(h.total(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,12 +73,6 @@ impl Histogram {
         self.counts[bucket] += 1;
     }
 
-    /// Per-bucket counts (last bucket is the overflow bucket).
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total samples recorded.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -109,18 +102,6 @@ impl Histogram {
         labels.push(format!("[{}, inf)", self.edges.last().expect("non-empty")));
         labels
     }
-
-    /// Merges another histogram with identical edges into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge vectors differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "histograms must share edges");
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -130,55 +111,6 @@ impl fmt::Display for Histogram {
             writeln!(f, "{label:>16}: {:5.1}%", frac * 100.0)?;
         }
         Ok(())
-    }
-}
-
-/// An online mean over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use mgpu_sim::stats::RunningMean;
-///
-/// let mut m = RunningMean::new();
-/// m.add(1.0);
-/// m.add(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        RunningMean::default()
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Current mean; zero when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -283,7 +215,7 @@ mod tests {
         h.record(2559);
         h.record(2560);
         h.record(1_000_000);
-        assert_eq!(h.counts(), &[2, 2, 1, 1, 2]);
+        assert_eq!(h.fractions(), vec![0.25, 0.25, 0.125, 0.125, 0.25]);
         assert_eq!(h.total(), 8);
     }
 
@@ -311,25 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(&[0, 10]);
-        let mut b = Histogram::new(&[0, 10]);
-        a.record(5);
-        b.record(5);
-        b.record(15);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[2, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "share edges")]
-    fn merge_rejects_mismatched_edges() {
-        let mut a = Histogram::new(&[0, 10]);
-        let b = Histogram::new(&[0, 20]);
-        a.merge(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "ascending")]
     fn non_ascending_edges_panic() {
         let _ = Histogram::new(&[0, 10, 10]);
@@ -340,11 +253,6 @@ mod tests {
     fn sample_below_range_panics() {
         let mut h = Histogram::new(&[10, 20]);
         h.record(5);
-    }
-
-    #[test]
-    fn running_mean_empty_is_zero() {
-        assert_eq!(RunningMean::new().mean(), 0.0);
     }
 
     #[test]

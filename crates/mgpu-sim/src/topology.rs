@@ -208,16 +208,6 @@ impl Topology {
         self.routes.hops(pair)
     }
 
-    /// The egress data port of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the system.
-    #[must_use]
-    pub fn egress(&self, node: NodeId) -> &TimedServer {
-        self.node_egress.get(node).expect("node within system")
-    }
-
     /// The control VC for `pair`.
     ///
     /// # Panics
@@ -525,8 +515,8 @@ mod tests {
         assert_eq!(topo.tampered_total(), 0);
         topo.note_tampered_egress(NodeId::gpu(1), 2);
         topo.note_tampered_egress(NodeId::gpu(3), 1);
-        assert_eq!(topo.egress(NodeId::gpu(1)).tampered_messages(), 2);
-        assert_eq!(topo.egress(NodeId::gpu(2)).tampered_messages(), 0);
+        assert_eq!(topo.node_egress[NodeId::gpu(1)].tampered_messages(), 2);
+        assert_eq!(topo.node_egress[NodeId::gpu(2)].tampered_messages(), 0);
         assert_eq!(topo.tampered_total(), 3);
     }
 
@@ -560,7 +550,7 @@ mod tests {
         );
         // The forwarding GPU's egress carried the transit bytes.
         assert_eq!(
-            topo.egress(NodeId::gpu(2))
+            topo.node_egress[NodeId::gpu(2)]
                 .totals()
                 .get(TrafficClass::Data)
                 .as_u64(),
@@ -575,7 +565,7 @@ mod tests {
         // traffic reaches it: the transit queues behind it.
         let own = PairId::new(NodeId::gpu(2), NodeId::gpu(3));
         send(&mut topo, own, Cycle::ZERO, &data(50_000));
-        let free = topo.egress(NodeId::gpu(2)).next_free();
+        let free = topo.node_egress[NodeId::gpu(2)].next_free();
         let routed = PairId::new(NodeId::gpu(1), NodeId::gpu(3));
         let arrival = send(&mut topo, routed, Cycle::ZERO, &data(64));
         assert!(

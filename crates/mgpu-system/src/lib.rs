@@ -46,7 +46,6 @@ pub use observer::{
     circular_error, close_phase, FeatureSet, FeatureVector, NearestCentroid, PassiveObserver,
     PhaseEstimate,
 };
-pub use runner::{compare_schemes, normalized_time, SchemeResult};
 pub use simulation::Simulation;
 pub use timeseries::{
     FabricSample, IntervalSample, TimeSeriesCollector, Timeline, TimelineSummary, TraceEvent,

@@ -20,8 +20,6 @@ use mgpu_workloads::Benchmark;
 pub struct LatencyReport {
     /// Total latency: completion − arrival.
     pub total: Vec<f64>,
-    /// First-byte latency: first usable block − arrival.
-    pub first_byte: Vec<f64>,
     /// Service latency: completion − issue (excludes queueing delay).
     pub service: Vec<f64>,
     /// Requests that carried an SLO deadline.
@@ -36,7 +34,6 @@ impl LatencyReport {
     pub fn with_capacity(requests: usize) -> Self {
         LatencyReport {
             total: Vec::with_capacity(requests),
-            first_byte: Vec::with_capacity(requests),
             service: Vec::with_capacity(requests),
             ..LatencyReport::default()
         }
@@ -44,18 +41,9 @@ impl LatencyReport {
 
     /// Records one completed request. Samples are appended unsorted;
     /// call [`LatencyReport::finish`] before publishing.
-    pub fn record(
-        &mut self,
-        arrived: Cycle,
-        issued: Cycle,
-        first_byte: Cycle,
-        done: Cycle,
-        deadline: Option<Cycle>,
-    ) {
+    pub fn record(&mut self, arrived: Cycle, issued: Cycle, done: Cycle, deadline: Option<Cycle>) {
         self.total
             .push(done.saturating_since(arrived).as_u64() as f64);
-        self.first_byte
-            .push(first_byte.saturating_since(arrived).as_u64() as f64);
         self.service
             .push(done.saturating_since(issued).as_u64() as f64);
         if let Some(d) = deadline {
@@ -71,7 +59,6 @@ impl LatencyReport {
     /// sort's output is the stable sort's, without its scratch buffer.
     pub fn finish(&mut self) {
         self.total.sort_unstable_by(f64::total_cmp);
-        self.first_byte.sort_unstable_by(f64::total_cmp);
         self.service.sort_unstable_by(f64::total_cmp);
     }
 
@@ -81,12 +68,6 @@ impl LatencyReport {
     #[must_use]
     pub fn total_percentile(&self, p: f64) -> Option<f64> {
         percentile_sorted(&self.total, p)
-    }
-
-    /// The `p`-th percentile (0–100) of first-byte latency.
-    #[must_use]
-    pub fn first_byte_percentile(&self, p: f64) -> Option<f64> {
-        percentile_sorted(&self.first_byte, p)
     }
 
     /// Mean total latency in cycles; zero when empty.
@@ -252,32 +233,28 @@ mod tests {
     #[test]
     fn latency_report_records_and_sorts() {
         let mut l = LatencyReport::default();
-        // Arrived 0, issued 10, first byte 50, done 100, deadline 80: miss.
+        // Arrived 0, issued 10, done 100, deadline 80: miss.
         l.record(
             Cycle::new(0),
             Cycle::new(10),
-            Cycle::new(50),
             Cycle::new(100),
             Some(Cycle::new(80)),
         );
-        // Arrived 5, issued 5, first byte 20, done 30, deadline 60: met.
+        // Arrived 5, issued 5, done 30, deadline 60: met.
         l.record(
             Cycle::new(5),
             Cycle::new(5),
-            Cycle::new(20),
             Cycle::new(30),
             Some(Cycle::new(60)),
         );
         l.finish();
         assert_eq!(l.total, vec![25.0, 100.0]);
-        assert_eq!(l.first_byte, vec![15.0, 50.0]);
         assert_eq!(l.service, vec![25.0, 90.0]);
         assert_eq!(l.with_deadline, 2);
         assert_eq!(l.violations, 1);
         assert!((l.violation_rate() - 0.5).abs() < 1e-12);
         assert!((l.mean_total() - 62.5).abs() < 1e-12);
         assert_eq!(l.total_percentile(100.0), Some(100.0));
-        assert_eq!(l.first_byte_percentile(0.0), Some(15.0));
     }
 
     #[test]

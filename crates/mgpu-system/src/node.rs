@@ -84,12 +84,6 @@ impl SecureNic {
         }
     }
 
-    /// The wire format used for metadata sizing.
-    #[must_use]
-    pub fn wire(&self) -> &WireFormat {
-        &self.wire
-    }
-
     /// Prepares one outgoing data block to `dst` whose payload is ready at
     /// `now`. Returns timing, metadata parts, and whether an ACK is due.
     pub fn prepare_send(&mut self, now: Cycle, dst: NodeId) -> PreparedBlock {

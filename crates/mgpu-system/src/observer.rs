@@ -149,12 +149,6 @@ impl PassiveObserver {
         }
     }
 
-    /// The observed port labels, in feature order.
-    #[must_use]
-    pub fn ports(&self) -> &[String] {
-        &self.ports
-    }
-
     fn port_rows<'t>(&self, timeline: &'t Timeline, port: &str) -> Vec<&'t FabricSample> {
         timeline.fabric.iter().filter(|f| f.port == port).collect()
     }

@@ -133,12 +133,6 @@ impl IssuePacer {
     pub fn complete(&mut self, node: NodeId) {
         self.slots.put(node);
     }
-
-    /// Issue-slot credits granted to `node` so far.
-    #[must_use]
-    pub fn slot_grants(&self, node: NodeId) -> u64 {
-        self.slots.grants(node)
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +231,6 @@ mod tests {
         assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
         p.complete(g1);
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
-        assert_eq!(p.slot_grants(g1), 2);
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct Simulation {
     config: SystemConfig,
     benchmark: Benchmark,
-    params: mgpu_workloads::WorkloadParams,
     seed: u64,
     open_loop: bool,
 }
@@ -72,8 +71,6 @@ struct Pending {
     arrived_at: Cycle,
     /// Optional SLO deadline carried by the request.
     deadline: Option<Cycle>,
-    /// When the request's first block became usable.
-    first_byte: Option<Cycle>,
 }
 
 /// One block of a request: a row of the per-block table. Events name a
@@ -169,7 +166,6 @@ impl Simulation {
         Simulation {
             config,
             benchmark,
-            params: benchmark.params(),
             seed,
             open_loop: false,
         }
@@ -186,29 +182,11 @@ impl Simulation {
         self
     }
 
-    /// Overrides the workload parameters (calibration sweeps).
-    #[must_use]
-    pub fn with_workload_params(mut self, params: mgpu_workloads::WorkloadParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Runs the workload with `per_gpu` remote requests per GPU and
     /// returns the collected metrics.
     #[must_use]
     pub fn run_for_requests(&self, per_gpu: usize) -> RunReport {
-        let model = TrafficModel::with_params(
-            self.benchmark,
-            self.params,
-            self.config.gpu_count,
-            self.seed,
-        );
+        let model = TrafficModel::new(self.benchmark, self.config.gpu_count, self.seed);
         let mut queues: BTreeMap<NodeId, VecDeque<Request>> = BTreeMap::new();
         for gpu in 1..=self.config.gpu_count {
             let node = NodeId::gpu(gpu);
@@ -217,8 +195,9 @@ impl Simulation {
         self.run_requests(queues)
     }
 
-    /// Runs an explicit request stream (grouped per requester). Used by
-    /// tests and the address-trace mode.
+    /// Runs an explicit request stream (grouped per requester): the
+    /// serving, timeline and leakage-phase experiments replay generated
+    /// traces through it.
     #[must_use]
     pub fn run_trace(&self, requests: Vec<Request>) -> RunReport {
         let mut queues: BTreeMap<NodeId, VecDeque<Request>> = BTreeMap::new();
@@ -263,7 +242,10 @@ impl Simulation {
 
         // Per-GPU in-flight limit: the lower of the hardware MLP cap and
         // the kernel's achievable memory-level parallelism.
-        let slots_per_gpu = cfg.max_outstanding.min(self.params.outstanding).max(1);
+        let slots_per_gpu = cfg
+            .max_outstanding
+            .min(self.benchmark.params().outstanding)
+            .max(1);
         let mut pacer = if self.open_loop {
             IssuePacer::open_loop(queues, slots_per_gpu)
         } else {
@@ -341,7 +323,6 @@ impl Simulation {
                                 blocks_left: request.kind.blocks(),
                                 arrived_at: request.available_at,
                                 deadline: request.deadline,
-                                first_byte: None,
                             });
                             issue_times.push(now);
                             let to_owner = PairId::new(request.requester, request.target);
@@ -462,9 +443,6 @@ impl Simulation {
                     let block = &blocks[id as usize];
                     let (idx, acks) = (block.req as usize, block.acks);
                     blocks_done += 1;
-                    if pending[idx].first_byte.is_none() {
-                        pending[idx].first_byte = Some(now);
-                    }
                     if acks {
                         let requester = pending[idx].requester;
                         let owner = pending[idx].owner;
@@ -492,9 +470,6 @@ impl Simulation {
                         latency.record(
                             pending[idx].arrived_at,
                             issue_times[idx],
-                            pending[idx]
-                                .first_byte
-                                .expect("block done implies first byte"),
                             now,
                             pending[idx].deadline,
                         );

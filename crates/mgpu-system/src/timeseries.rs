@@ -392,12 +392,6 @@ impl TimeSeriesCollector {
         }
     }
 
-    /// The sampling interval.
-    #[must_use]
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
     /// Counts one simulation-loop event of type `name` (cycle-accounting
     /// scope for the hot path).
     pub fn note_event(&mut self, name: &'static str) {

@@ -2,15 +2,15 @@
 //! pre-refactor timings bit for bit under `TopologyKind::FullyConnected`.
 //!
 //! The constants below were captured from the monolithic (pre-fabric)
-//! timing loop: the seeded `compare_schemes` matrix over the paper's
-//! 4-GPU system, 200 requests per GPU, seed 42. The event queue breaks
+//! timing loop: the seeded scheme matrix over the paper's 4-GPU system,
+//! 200 requests per GPU, seed 42. The event queue breaks
 //! time ties by insertion order, so any change to the call sequence of
 //! the fully-connected hot path shows up here as a cycle or byte drift.
 //! If this test fails, the refactor changed simulated behaviour — fix
 //! the code, do not re-capture the constants.
 
-use mgpu_system::runner::{compare_schemes, configs};
-use mgpu_system::Simulation;
+use mgpu_system::runner::configs;
+use mgpu_system::{RunReport, Simulation};
 use mgpu_types::{Duration, ObservabilityConfig, SystemConfig, TopologyKind};
 use mgpu_workloads::{ArrivalProcess, Benchmark, ServingModel};
 
@@ -41,25 +41,29 @@ fn scheme_matrix(base: &SystemConfig) -> Vec<(String, SystemConfig)> {
     ]
 }
 
+/// One golden-matrix cell: 200 requests per GPU, seed 42.
+fn run_cell(cfg: &SystemConfig, bench: Benchmark) -> RunReport {
+    Simulation::new(cfg.clone(), bench, 42).run_for_requests(200)
+}
+
 fn assert_matches_golden(base: &SystemConfig, context: &str) {
     let cfgs = scheme_matrix(base);
     for bench in [Benchmark::MatrixTranspose, Benchmark::Spmv] {
-        for r in compare_schemes(bench, &cfgs, 200, 42) {
+        for (label, cfg) in &cfgs {
+            let report = run_cell(cfg, bench);
             let (_, _, cycles, bytes) = *GOLDEN
                 .iter()
-                .find(|(label, b, _, _)| *label == r.label && *b == bench)
-                .unwrap_or_else(|| panic!("no golden entry for {} / {bench:?}", r.label));
+                .find(|(l, b, _, _)| l == label && *b == bench)
+                .unwrap_or_else(|| panic!("no golden entry for {label} / {bench:?}"));
             assert_eq!(
-                r.report.total_cycles.as_u64(),
+                report.total_cycles.as_u64(),
                 cycles,
-                "{context}: {} / {bench:?}: cycle drift",
-                r.label
+                "{context}: {label} / {bench:?}: cycle drift"
             );
             assert_eq!(
-                r.report.traffic.total().as_u64(),
+                report.traffic.total().as_u64(),
                 bytes,
-                "{context}: {} / {bench:?}: wire-byte drift",
-                r.label
+                "{context}: {label} / {bench:?}: wire-byte drift"
             );
         }
     }
@@ -85,14 +89,8 @@ fn observability_enabled_changes_no_timing() {
     assert_matches_golden(&base, "observability on");
 
     // And the observed runs really did collect interval series.
-    let cfgs = scheme_matrix(&base);
-    let results = compare_schemes(Benchmark::MatrixTranspose, &cfgs, 200, 42);
-    let dynamic = results
-        .iter()
-        .find(|r| r.label == "dynamic-4x")
-        .expect("dynamic cell present");
+    let dynamic = run_cell(&configs::dynamic(&base, 4), Benchmark::MatrixTranspose);
     let timeline = dynamic
-        .report
         .timeline
         .as_ref()
         .expect("observed run attaches a timeline");
@@ -237,16 +235,15 @@ fn crypto_backends_reproduce_identical_golden_matrix() {
         Backend::Soft
     };
     for bench in [Benchmark::MatrixTranspose, Benchmark::Spmv] {
-        set_default_backend(Backend::Soft);
-        let soft = compare_schemes(bench, &cfgs, 200, 42);
-        set_default_backend(auto);
-        let hw = compare_schemes(bench, &cfgs, 200, 42);
-        for (s, h) in soft.iter().zip(hw.iter()) {
+        for (label, cfg) in &cfgs {
+            set_default_backend(Backend::Soft);
+            let soft = run_cell(cfg, bench);
+            set_default_backend(auto);
+            let hw = run_cell(cfg, bench);
             assert_eq!(
-                format!("{:?}", s.report),
-                format!("{:?}", h.report),
-                "{} / {bench:?}: soft vs {} backend digest drift",
-                s.label,
+                format!("{soft:?}"),
+                format!("{hw:?}"),
+                "{label} / {bench:?}: soft vs {} backend digest drift",
                 auto.name(),
             );
         }
@@ -266,6 +263,6 @@ fn defenses_off_reproduce_golden_matrix() {
 
     let mut base = SystemConfig::paper_4gpu();
     base.security.defense = DefenseConfig::default();
-    assert!(!base.security.defense.any_enabled());
+    assert!(!base.security.defense.constant_rate && !base.security.defense.close_jitter);
     assert_matches_golden(&base, "defenses off");
 }

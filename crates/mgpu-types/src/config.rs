@@ -27,16 +27,6 @@ pub enum OtpSchemeKind {
     Dynamic,
 }
 
-impl OtpSchemeKind {
-    /// All secure schemes (everything except [`OtpSchemeKind::Unsecure`]).
-    pub const SECURE: [OtpSchemeKind; 4] = [
-        OtpSchemeKind::Private,
-        OtpSchemeKind::Shared,
-        OtpSchemeKind::Cached,
-        OtpSchemeKind::Dynamic,
-    ];
-}
-
 impl fmt::Display for OtpSchemeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -233,15 +223,6 @@ impl Default for BatchingConfig {
 }
 
 impl BatchingConfig {
-    /// Batching enabled with the paper's defaults (n = 16).
-    #[must_use]
-    pub fn enabled() -> Self {
-        BatchingConfig {
-            enabled: true,
-            ..BatchingConfig::default()
-        }
-    }
-
     /// Validates the batch size (must be ≥ 1 and fit the 1 B length header).
     ///
     /// # Errors
@@ -341,12 +322,6 @@ impl DefenseConfig {
             close_jitter: true,
             ..DefenseConfig::default()
         }
-    }
-
-    /// Whether any defense is active.
-    #[must_use]
-    pub fn any_enabled(&self) -> bool {
-        self.constant_rate || self.close_jitter
     }
 
     /// Validates the active defenses' parameters.
@@ -637,12 +612,6 @@ impl SystemConfig {
         self
     }
 
-    /// Total nodes in the system (GPUs + the CPU).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        usize::from(self.gpu_count) + 1
-    }
-
     /// Peers each node communicates with (everyone but itself).
     #[must_use]
     pub fn peers_per_node(&self) -> u32 {
@@ -822,16 +791,13 @@ mod tests {
         let cfg = SystemConfig::paper_4gpu();
         assert!(!cfg.security.defense.constant_rate);
         assert!(!cfg.security.defense.close_jitter);
-        assert!(!cfg.security.defense.any_enabled());
 
         let shaped = DefenseConfig::constant_rate();
         assert!(shaped.constant_rate && !shaped.close_jitter);
-        assert!(shaped.any_enabled());
         shaped.validate().unwrap();
 
         let jittered = DefenseConfig::jittered();
         assert!(jittered.close_jitter && !jittered.constant_rate);
-        assert!(jittered.any_enabled());
         jittered.validate().unwrap();
 
         let mut both = SystemConfig::paper_4gpu();
@@ -927,17 +893,8 @@ mod tests {
     }
 
     #[test]
-    fn batching_enabled_constructor() {
-        let b = BatchingConfig::enabled();
-        assert!(b.enabled);
-        assert_eq!(b.batch_size, 16);
-        b.validate().unwrap();
-    }
-
-    #[test]
     fn scheme_display_names() {
         assert_eq!(OtpSchemeKind::Private.to_string(), "private");
         assert_eq!(OtpSchemeKind::Dynamic.to_string(), "dynamic");
-        assert_eq!(OtpSchemeKind::SECURE.len(), 4);
     }
 }

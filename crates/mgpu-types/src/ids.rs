@@ -102,7 +102,7 @@ impl fmt::Display for NodeId {
 /// use mgpu_types::{NodeId, PairId};
 ///
 /// let p = PairId::new(NodeId::gpu(1), NodeId::gpu(2));
-/// assert_eq!(p.reversed(), PairId::new(NodeId::gpu(2), NodeId::gpu(1)));
+/// assert_eq!((p.src, p.dst), (NodeId::gpu(1), NodeId::gpu(2)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PairId {
@@ -122,15 +122,6 @@ impl PairId {
     pub fn new(src: NodeId, dst: NodeId) -> Self {
         assert_ne!(src, dst, "communication pair must connect distinct nodes");
         PairId { src, dst }
-    }
-
-    /// The same physical path in the opposite direction.
-    #[must_use]
-    pub fn reversed(self) -> Self {
-        PairId {
-            src: self.dst,
-            dst: self.src,
-        }
     }
 
     /// Whether this pair crosses the CPU–GPU (PCIe) boundary.
@@ -162,15 +153,6 @@ pub enum Direction {
 impl Direction {
     /// Both directions, send first.
     pub const BOTH: [Direction; 2] = [Direction::Send, Direction::Recv];
-
-    /// The opposite direction.
-    #[must_use]
-    pub const fn opposite(self) -> Direction {
-        match self {
-            Direction::Send => Direction::Recv,
-            Direction::Recv => Direction::Send,
-        }
-    }
 }
 
 impl fmt::Display for Direction {
@@ -224,9 +206,8 @@ mod tests {
     }
 
     #[test]
-    fn pair_reversal_round_trips() {
+    fn pairs_know_when_they_cross_the_cpu_boundary() {
         let p = PairId::new(NodeId::CPU, NodeId::gpu(1));
-        assert_eq!(p.reversed().reversed(), p);
         assert!(p.involves_cpu());
         assert!(!PairId::new(NodeId::gpu(1), NodeId::gpu(2)).involves_cpu());
     }
@@ -235,13 +216,6 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn self_pair_panics() {
         let _ = PairId::new(NodeId::gpu(1), NodeId::gpu(1));
-    }
-
-    #[test]
-    fn direction_opposite_is_involutive() {
-        for d in Direction::BOTH {
-            assert_eq!(d.opposite().opposite(), d);
-        }
     }
 
     #[test]

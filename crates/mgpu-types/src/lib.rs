@@ -13,7 +13,6 @@
 //!
 //! let cfg = SystemConfig::paper_4gpu();
 //! assert_eq!(cfg.gpu_count, 4);
-//! assert_eq!(cfg.node_count(), 5); // CPU + 4 GPUs
 //! assert!(NodeId::CPU.is_cpu());
 //! ```
 

@@ -10,17 +10,13 @@
 //! (Figs. 13/14), and the page-migration vs. direct-block-access split
 //! (§II-A).
 //!
-//! Three generators are provided:
+//! Two generators are provided:
 //!
 //! * [`model::TrafficModel`] — the primary batch generator: emits each
 //!   GPU's remote-request arrival process directly.
 //! * [`arrivals::ServingModel`] — open-loop serving traffic: seeded
 //!   Poisson/MMPP arrivals, Zipf-skewed destination mixes, and
 //!   per-request SLO deadlines for tail-latency studies.
-//! * [`address_mode::AddressTraceWorkload`] — a finer-grained alternative
-//!   that generates *address* streams and derives remote requests by
-//!   filtering them through the cache hierarchy and page-migration policy
-//!   of `mgpu-sim`, demonstrating the full memory path.
 //!
 //! # Examples
 //!
@@ -38,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod address_mode;
 pub mod arrivals;
 pub mod bench_params;
 pub mod model;

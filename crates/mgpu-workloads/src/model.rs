@@ -42,41 +42,13 @@ impl TrafficModel {
     /// Panics if `gpu_count < 2`.
     #[must_use]
     pub fn new(benchmark: Benchmark, gpu_count: u16, seed: u64) -> Self {
-        Self::with_params(benchmark, benchmark.params(), gpu_count, seed)
-    }
-
-    /// Creates a generator with explicit parameters (calibration sweeps,
-    /// what-if studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu_count < 2`.
-    #[must_use]
-    pub fn with_params(
-        benchmark: Benchmark,
-        params: WorkloadParams,
-        gpu_count: u16,
-        seed: u64,
-    ) -> Self {
         assert!(gpu_count >= 2, "need at least 2 GPUs for remote traffic");
         TrafficModel {
             benchmark,
-            params,
+            params: benchmark.params(),
             gpu_count,
             seed,
         }
-    }
-
-    /// The modeled benchmark.
-    #[must_use]
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    /// The underlying parameters.
-    #[must_use]
-    pub fn params(&self) -> &WorkloadParams {
-        &self.params
     }
 
     fn rng_for(&self, requester: NodeId) -> StdRng {
@@ -287,7 +259,7 @@ mod tests {
         // destination must change (Figs. 13/14 drift).
         let m = model(Benchmark::MatrixMultiplication);
         let reqs = m.generate_for(NodeId::gpu(1), 20_000);
-        let phase_len = m.params().phase_len;
+        let phase_len = Benchmark::MatrixMultiplication.params().phase_len;
         let hot_in = |lo: u64, hi: u64| -> NodeId {
             let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
             for r in reqs

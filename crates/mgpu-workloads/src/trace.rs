@@ -8,12 +8,10 @@
 //! * block-accumulation intervals — how long it takes for `n` blocks to
 //!   gather on a directed pair (Figs. 15/16).
 
-use crate::request::{AccessKind, Request};
+use crate::request::Request;
 use mgpu_sim::stats::Histogram;
 use mgpu_types::{Cycle, NodeId};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 
 /// An ordered remote-request trace plus analysis helpers.
 ///
@@ -164,58 +162,6 @@ impl Trace {
         timeline
     }
 
-    /// Serializes the trace to a line-oriented text format
-    /// (`cycle requester target kind [deadline]`), suitable for archiving a
-    /// workload and replaying it bit-identically later. Requests without a
-    /// deadline serialize exactly as before (v1 lines); deadline-carrying
-    /// requests append the absolute deadline cycle as a fifth field.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mgpu_workloads::{Request, Trace};
-    /// use mgpu_types::{Cycle, NodeId};
-    ///
-    /// let t = Trace::new(vec![Request::direct(
-    ///     Cycle::new(5), NodeId::gpu(1), NodeId::CPU)]);
-    /// let text = t.to_text();
-    /// let back: Trace = text.parse().unwrap();
-    /// assert_eq!(back, t);
-    /// ```
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.requests.len() * 16);
-        if self.requests.iter().any(|r| r.deadline.is_some()) {
-            out.push_str(
-                "# mgpu-trace v2: cycle requester target kind [deadline]
-",
-            );
-        } else {
-            out.push_str(
-                "# mgpu-trace v1: cycle requester target kind
-",
-            );
-        }
-        for r in &self.requests {
-            let kind = match r.kind {
-                AccessKind::DirectBlock => "D",
-                AccessKind::PageMigration => "M",
-            };
-            out.push_str(&format!(
-                "{} {} {} {}",
-                r.available_at.as_u64(),
-                r.requester.raw(),
-                r.target.raw(),
-                kind
-            ));
-            if let Some(d) = r.deadline {
-                out.push_str(&format!(" {}", d.as_u64()));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Destination decomposition of `node`'s outgoing *requests* over
     /// consecutive windows (Fig. 14): for each window, blocks pulled from
     /// each peer. Migrations are expanded per block exactly like
@@ -234,84 +180,6 @@ impl Trace {
             }
         }
         timeline
-    }
-}
-
-/// Error parsing a serialized trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    line: usize,
-    message: String,
-}
-
-impl fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-impl FromStr for Trace {
-    type Err = ParseTraceError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut requests = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |message: &str| ParseTraceError {
-                line: i + 1,
-                message: message.to_string(),
-            };
-            let mut fields = line.split_whitespace();
-            let cycle: u64 = fields
-                .next()
-                .ok_or_else(|| err("missing cycle"))?
-                .parse()
-                .map_err(|_| err("bad cycle"))?;
-            let requester: u16 = fields
-                .next()
-                .ok_or_else(|| err("missing requester"))?
-                .parse()
-                .map_err(|_| err("bad requester"))?;
-            let target: u16 = fields
-                .next()
-                .ok_or_else(|| err("missing target"))?
-                .parse()
-                .map_err(|_| err("bad target"))?;
-            let kind = match fields.next() {
-                Some("D") => AccessKind::DirectBlock,
-                Some("M") => AccessKind::PageMigration,
-                Some(_) => return Err(err("kind must be D or M")),
-                None => return Err(err("missing kind")),
-            };
-            // Optional fifth field (v2): absolute SLO deadline cycle.
-            let deadline = match fields.next() {
-                Some(d) => Some(Cycle::new(d.parse().map_err(|_| err("bad deadline"))?)),
-                None => None,
-            };
-            if fields.next().is_some() {
-                return Err(err("trailing fields"));
-            }
-            if requester == target {
-                return Err(err("requester and target must differ"));
-            }
-            requests.push(Request {
-                available_at: Cycle::new(cycle),
-                requester: NodeId::from_raw(requester),
-                target: NodeId::from_raw(target),
-                kind,
-                deadline,
-            });
-        }
-        Ok(Trace::new(requests))
     }
 }
 
@@ -400,7 +268,10 @@ mod tests {
         // Fig. 14: the dominant pull source changes across phases.
         let m = TrafficModel::new(Benchmark::MatrixMultiplication, 4, 42);
         let t = Trace::new(m.generate_for(NodeId::gpu(1), 30_000));
-        let tl = t.destination_timeline(NodeId::gpu(1), m.params().phase_len);
+        let tl = t.destination_timeline(
+            NodeId::gpu(1),
+            Benchmark::MatrixMultiplication.params().phase_len,
+        );
         let dominant: Vec<Option<NodeId>> = tl
             .iter()
             .map(|w| {
@@ -437,43 +308,6 @@ mod tests {
     fn zero_window_panics() {
         let t = Trace::new(Vec::new());
         let _ = t.send_recv_timeline(NodeId::gpu(1), 0);
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_everything() {
-        let original = trace(Benchmark::Kmeans);
-        let text = original.to_text();
-        let parsed: Trace = text.parse().unwrap();
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!("1 2".parse::<Trace>().is_err()); // missing fields
-        assert!("x 1 2 D".parse::<Trace>().is_err()); // bad cycle
-        assert!("1 1 1 D".parse::<Trace>().is_err()); // self target
-        assert!("1 1 2 Q".parse::<Trace>().is_err()); // bad kind
-        assert!("1 1 2 D extra".parse::<Trace>().is_err()); // bad deadline
-        assert!("1 1 2 D 5 extra".parse::<Trace>().is_err()); // trailing
-        let err = "ok
-"
-        .parse::<Trace>()
-        .unwrap_err();
-        assert!(err.to_string().contains("line 1"));
-    }
-
-    #[test]
-    fn parse_skips_comments_and_blank_lines() {
-        let t: Trace = "# header
-
-10 1 2 D
-20 2 0 M
-"
-        .parse()
-        .unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[1].kind, AccessKind::PageMigration);
-        assert_eq!(t.requests()[1].target, NodeId::CPU);
     }
 
     #[test]
@@ -583,30 +417,6 @@ mod tests {
         // The same number must be exactly the histogram prefix below 160.
         let fr = t.accumulation_histogram(16).fractions();
         assert!((frac - (fr[0] + fr[1])).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deadline_roundtrip_through_text() {
-        let reqs = vec![
-            Request::direct(Cycle::new(5), NodeId::gpu(1), NodeId::gpu(2))
-                .with_deadline(Cycle::new(905)),
-            Request::direct(Cycle::new(9), NodeId::gpu(2), NodeId::CPU),
-            Request::migration(Cycle::new(12), NodeId::gpu(3), NodeId::gpu(1))
-                .with_deadline(Cycle::new(2_012)),
-        ];
-        let t = Trace::new(reqs);
-        let text = t.to_text();
-        assert!(text.starts_with("# mgpu-trace v2"));
-        let back: Trace = text.parse().unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.requests()[0].deadline, Some(Cycle::new(905)));
-        assert_eq!(back.requests()[1].deadline, None);
-    }
-
-    #[test]
-    fn deadline_free_traces_stay_v1() {
-        let t = trace(Benchmark::Atax);
-        assert!(t.to_text().starts_with("# mgpu-trace v1"));
     }
 
     #[test]

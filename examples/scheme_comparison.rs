@@ -5,7 +5,8 @@
 //! cargo run --release --example scheme_comparison [requests-per-gpu]
 //! ```
 
-use secure_mgpu::system::runner::{compare_schemes, configs};
+use secure_mgpu::system::runner::configs;
+use secure_mgpu::system::Simulation;
 use secure_mgpu::types::SystemConfig;
 use secure_mgpu::workloads::Benchmark;
 
@@ -30,11 +31,14 @@ fn main() {
     let mut sums = vec![0.0f64; cfgs.len()];
     let suite = Benchmark::ALL;
     for bench in suite {
-        let results = compare_schemes(bench, &cfgs, per_gpu, 42);
+        let run =
+            |cfg: &SystemConfig| Simulation::new(cfg.clone(), bench, 42).run_for_requests(per_gpu);
+        let baseline = run(&configs::unsecure(&base));
         print!("{:8}", bench.abbrev());
-        for (i, r) in results.iter().enumerate() {
-            print!(" {:>11.3}", r.normalized_time);
-            sums[i] += r.normalized_time.ln();
+        for (sum, (_, cfg)) in sums.iter_mut().zip(&cfgs) {
+            let normalized = run(cfg).normalized_time(&baseline).unwrap_or(1.0);
+            print!(" {normalized:>11.3}");
+            *sum += normalized.ln();
         }
         println!();
     }

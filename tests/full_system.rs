@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: full-system simulations exercising the
 //! workload models, the simulator substrate and every OTP scheme together.
 
-use secure_mgpu::system::runner::{compare_schemes, configs, run_with_baseline};
-use secure_mgpu::system::Simulation;
+use secure_mgpu::system::runner::configs;
+use secure_mgpu::system::{RunReport, Simulation};
 use secure_mgpu::types::{Direction, OtpSchemeKind, SystemConfig};
 use secure_mgpu::workloads::Benchmark;
 
@@ -11,6 +11,15 @@ const SEED: u64 = 42;
 
 fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
+}
+
+fn run(cfg: &SystemConfig, bench: Benchmark) -> RunReport {
+    Simulation::new(cfg.clone(), bench, SEED).run_for_requests(REQS)
+}
+
+/// Runs `cfg` and its unsecure twin; returns `(secure, baseline)`.
+fn run_with_baseline(cfg: &SystemConfig, bench: Benchmark) -> (RunReport, RunReport) {
+    (run(cfg, bench), run(&configs::unsecure(cfg), bench))
 }
 
 /// Normalized times for a reduced suite under each labeled config.
@@ -23,8 +32,14 @@ fn suite_geomeans(cfgs: &[(String, SystemConfig)]) -> Vec<f64> {
     ];
     let mut columns = vec![Vec::new(); cfgs.len()];
     for bench in suite {
-        for (i, r) in compare_schemes(bench, cfgs, REQS, SEED).iter().enumerate() {
-            columns[i].push(r.normalized_time);
+        let baseline = run(&configs::unsecure(&cfgs[0].1), bench);
+        for (column, (_, cfg)) in columns.iter_mut().zip(cfgs) {
+            let secure = run(cfg, bench);
+            column.push(
+                secure
+                    .normalized_time(&baseline)
+                    .expect("non-zero baseline"),
+            );
         }
     }
     columns.iter().map(|c| geomean(c)).collect()
@@ -33,8 +48,8 @@ fn suite_geomeans(cfgs: &[(String, SystemConfig)]) -> Vec<f64> {
 #[test]
 fn simulations_are_deterministic_end_to_end() {
     let cfg = configs::batching(&SystemConfig::paper_4gpu(), 4);
-    let a = Simulation::new(cfg.clone(), Benchmark::PageRank, SEED).run_for_requests(REQS);
-    let b = Simulation::new(cfg, Benchmark::PageRank, SEED).run_for_requests(REQS);
+    let a = run(&cfg, Benchmark::PageRank);
+    let b = run(&cfg, Benchmark::PageRank);
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.traffic.total(), b.traffic.total());
     assert_eq!(a.acks_sent, b.acks_sent);
@@ -44,11 +59,16 @@ fn simulations_are_deterministic_end_to_end() {
 #[test]
 fn secure_never_beats_unsecure() {
     let base = SystemConfig::paper_4gpu();
-    for kind in OtpSchemeKind::SECURE {
+    for kind in [
+        OtpSchemeKind::Private,
+        OtpSchemeKind::Shared,
+        OtpSchemeKind::Cached,
+        OtpSchemeKind::Dynamic,
+    ] {
         let mut cfg = base.clone();
         cfg.security.scheme = kind;
         for bench in [Benchmark::MatrixTranspose, Benchmark::Fir] {
-            let (secure, baseline) = run_with_baseline(&cfg, bench, REQS, SEED);
+            let (secure, baseline) = run_with_baseline(&cfg, bench);
             assert!(
                 secure.total_cycles >= baseline.total_cycles,
                 "{kind} on {bench}: {} < {}",
@@ -95,7 +115,7 @@ fn metadata_traffic_band_matches_paper() {
         Benchmark::Fft,
         Benchmark::Kmeans,
     ] {
-        let (secure, baseline) = run_with_baseline(&base, bench, REQS, SEED);
+        let (secure, baseline) = run_with_baseline(&base, bench);
         ratios.push(
             secure
                 .traffic_ratio(&baseline)
@@ -110,8 +130,8 @@ fn metadata_traffic_band_matches_paper() {
 fn batching_cuts_traffic_and_acks() {
     let base = SystemConfig::paper_4gpu();
     for bench in [Benchmark::MatrixTranspose, Benchmark::MatrixMultiplication] {
-        let (dynamic, _) = run_with_baseline(&configs::dynamic(&base, 4), bench, REQS, SEED);
-        let (batched, _) = run_with_baseline(&configs::batching(&base, 4), bench, REQS, SEED);
+        let dynamic = run(&configs::dynamic(&base, 4), bench);
+        let batched = run(&configs::batching(&base, 4), bench);
         assert!(
             batched.traffic.total() < dynamic.traffic.total(),
             "{bench}: batched {} >= dynamic {}",
@@ -135,7 +155,7 @@ fn overheads_grow_with_gpu_count() {
         SystemConfig::paper_16gpu(),
     ] {
         let private = configs::private(&cfg, 4);
-        let (secure, baseline) = run_with_baseline(&private, bench, REQS, SEED);
+        let (secure, baseline) = run_with_baseline(&private, bench);
         degradations.push(
             secure
                 .normalized_time(&baseline)
@@ -155,8 +175,8 @@ fn ours_beats_private_at_scale() {
     // Paper: 17.5% improvement vs Private at 16 GPUs.
     let cfg16 = SystemConfig::paper_16gpu();
     let bench = Benchmark::Spmv;
-    let (private, baseline) = run_with_baseline(&configs::private(&cfg16, 4), bench, REQS, SEED);
-    let (ours, _) = run_with_baseline(&configs::batching(&cfg16, 4), bench, REQS, SEED);
+    let (private, baseline) = run_with_baseline(&configs::private(&cfg16, 4), bench);
+    let ours = run(&configs::batching(&cfg16, 4), bench);
     let p = private
         .normalized_time(&baseline)
         .expect("non-zero baseline");
@@ -167,7 +187,7 @@ fn ours_beats_private_at_scale() {
 #[test]
 fn otp_stats_cover_every_block() {
     let cfg = configs::cached(&SystemConfig::paper_4gpu(), 4);
-    let report = Simulation::new(cfg, Benchmark::Atax, SEED).run_for_requests(REQS);
+    let report = run(&cfg, Benchmark::Atax);
     assert_eq!(report.otp.total(Direction::Send), report.blocks);
     assert_eq!(report.otp.total(Direction::Recv), report.blocks);
     assert!(report.otp.hidden_fraction(Direction::Recv) > 0.0);
@@ -189,7 +209,7 @@ fn aes_latency_sensitivity_is_bounded_for_ours() {
         let cfg = configs::batching(&base, 4);
         let mut times = Vec::new();
         for bench in suite {
-            let (secure, baseline) = run_with_baseline(&cfg, bench, REQS, SEED);
+            let (secure, baseline) = run_with_baseline(&cfg, bench);
             times.push(
                 secure
                     .normalized_time(&baseline)
@@ -203,20 +223,4 @@ fn aes_latency_sensitivity_is_bounded_for_ours() {
         "faster AES should not hurt: {geos:?}"
     );
     assert!(geos[1] - geos[0] < 0.2, "sensitivity too strong: {geos:?}");
-}
-
-#[test]
-fn address_trace_workload_drives_the_full_stack() {
-    use secure_mgpu::types::NodeId;
-    use secure_mgpu::workloads::address_mode::{AddressStreamParams, AddressTraceWorkload};
-    let mut wl = AddressTraceWorkload::new(4, AddressStreamParams::default(), 9);
-    let mut requests = Vec::new();
-    for gpu in 1..=4u16 {
-        requests.extend(wl.run(NodeId::gpu(gpu), 20_000));
-    }
-    assert!(!requests.is_empty());
-    let cfg = configs::batching(&SystemConfig::paper_4gpu(), 4);
-    let report = Simulation::new(cfg, Benchmark::Kmeans, SEED).run_trace(requests);
-    assert!(report.total_cycles.as_u64() > 0);
-    assert!(report.blocks >= report.requests);
 }
