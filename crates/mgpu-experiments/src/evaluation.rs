@@ -4,6 +4,7 @@ use crate::common::{self, Mode};
 use crate::motivation::otp_distribution_table;
 use crate::report::{percent, ratio, Table};
 use mgpu_system::runner::configs;
+use mgpu_system::RunReport;
 use mgpu_types::{Duration, SystemConfig};
 use mgpu_workloads::Benchmark;
 
@@ -16,17 +17,22 @@ pub fn fig21(mode: Mode) -> Vec<Table> {
         &SystemConfig::paper_4gpu(),
         &common::fig21_configs(&SystemConfig::paper_4gpu()),
         mode,
+        RunReport::normalized_time,
     )]
 }
 
-/// Shared scaffolding: normalized execution times per benchmark +
-/// geomean, one column per configuration. All cells are computed up front
-/// in parallel; the assembly loop below then reads the warm cache.
-fn normalized_table(
+/// Shared scaffolding: one column per configuration, one row per
+/// benchmark plus the geomean. Each cell is `metric(run, baseline)`
+/// against the unsecure twin of `base` (normalized time or traffic
+/// ratio; 1.0 when the baseline is degenerate). All cells are computed
+/// up front in parallel; the assembly loop below then reads the warm
+/// cache.
+pub(crate) fn normalized_table(
     title: &str,
     base: &SystemConfig,
     cfgs: &[(String, SystemConfig)],
     mode: Mode,
+    metric: fn(&RunReport, &RunReport) -> Option<f64>,
 ) -> Table {
     common::prefetch(&common::table_cells(base, cfgs, mode));
     let mut headers: Vec<&str> = vec!["bench"];
@@ -38,7 +44,7 @@ fn normalized_table(
         let mut row = vec![bench.abbrev().to_string()];
         for (i, (_, cfg)) in cfgs.iter().enumerate() {
             let r = common::run(cfg, bench, mode);
-            let n = r.normalized_time(&baseline).unwrap_or(1.0);
+            let n = metric(&r, &baseline).unwrap_or(1.0);
             columns[i].push(n);
             row.push(ratio(n));
         }
@@ -69,29 +75,13 @@ pub fn fig22(mode: Mode) -> Vec<Table> {
 #[must_use]
 pub fn fig23(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_4gpu();
-    let cfgs = common::ours_triple(&base);
-    common::prefetch(&common::table_cells(&base, &cfgs, mode));
-    let mut headers: Vec<&str> = vec!["bench"];
-    headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
-    let mut t = Table::new("Fig. 23: communication traffic (4 GPUs, OTP 4x)", &headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for &bench in mode.suite() {
-        let baseline = common::run_baseline(&base, bench, mode);
-        let mut row = vec![bench.abbrev().to_string()];
-        for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
-            let tr = r.traffic_ratio(&baseline).unwrap_or(1.0);
-            columns[i].push(tr);
-            row.push(ratio(tr));
-        }
-        t.add_row(row);
-    }
-    let mut row = vec!["geomean".to_string()];
-    for col in &columns {
-        row.push(ratio(common::geomean(col)));
-    }
-    t.add_row(row);
-    vec![t]
+    vec![normalized_table(
+        "Fig. 23: communication traffic (4 GPUs, OTP 4x)",
+        &base,
+        &common::ours_triple(&base),
+        mode,
+        RunReport::traffic_ratio,
+    )]
 }
 
 /// Figs. 24/25: execution times for 8- and 16-GPU systems
@@ -109,6 +99,7 @@ pub fn scale(mode: Mode, gpus: u16) -> Vec<Table> {
         &base,
         &common::ours_triple(&base),
         mode,
+        RunReport::normalized_time,
     )]
 }
 

@@ -1,10 +1,12 @@
 //! Motivation-section experiments: Table I and Figs. 8–16.
 
 use crate::common::{self, Mode, SEED};
+use crate::evaluation::normalized_table;
 use crate::report::{percent, ratio, Table};
 use mgpu_crypto::pad::OtpPad;
 use mgpu_secure::PadClass;
 use mgpu_system::runner::configs;
+use mgpu_system::RunReport;
 use mgpu_types::{ByteSize, Direction, SystemConfig};
 use mgpu_workloads::{Benchmark, Trace, TrafficModel};
 
@@ -40,34 +42,17 @@ pub fn table1(_mode: Mode) -> Vec<Table> {
 #[must_use]
 pub fn fig08(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_4gpu();
-    let mults = [1u32, 2, 4, 8, 16];
-    let mut headers: Vec<&str> = vec!["bench"];
-    let labels: Vec<String> = mults.iter().map(|m| format!("otp-{m}x")).collect();
-    headers.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new("Fig. 8: Private vs OTP buffer entries (4 GPUs)", &headers);
-    let sweep: Vec<(String, SystemConfig)> = mults
+    let cfgs: Vec<(String, SystemConfig)> = [1u32, 2, 4, 8, 16]
         .iter()
         .map(|&m| (format!("otp-{m}x"), configs::private(&base, m)))
         .collect();
-    common::prefetch(&common::table_cells(&base, &sweep, mode));
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); mults.len()];
-    for &bench in mode.suite() {
-        let baseline = common::run_baseline(&base, bench, mode);
-        let mut row = vec![bench.abbrev().to_string()];
-        for (i, &m) in mults.iter().enumerate() {
-            let r = common::run(&configs::private(&base, m), bench, mode);
-            let n = r.normalized_time(&baseline).unwrap_or(1.0);
-            columns[i].push(n);
-            row.push(ratio(n));
-        }
-        t.add_row(row);
-    }
-    let mut row = vec!["geomean".to_string()];
-    for col in &columns {
-        row.push(ratio(common::geomean(col)));
-    }
-    t.add_row(row);
-    vec![t]
+    vec![normalized_table(
+        "Fig. 8: Private vs OTP buffer entries (4 GPUs)",
+        &base,
+        &cfgs,
+        mode,
+        RunReport::normalized_time,
+    )]
 }
 
 /// Fig. 9: Private vs Shared vs Cached at OTP 4×, 4 GPUs.
@@ -79,37 +64,13 @@ pub fn fig09(mode: Mode) -> Vec<Table> {
         ("shared".to_string(), configs::shared(&base, 4)),
         ("cached-4x".to_string(), configs::cached(&base, 4)),
     ];
-    vec![scheme_comparison_table(
+    vec![normalized_table(
         "Fig. 9: prior OTP buffer management schemes (4 GPUs)",
+        &base,
         &cfgs,
         mode,
+        RunReport::normalized_time,
     )]
-}
-
-/// Shared scaffolding for normalized-execution-time tables.
-fn scheme_comparison_table(title: &str, cfgs: &[(String, SystemConfig)], mode: Mode) -> Table {
-    common::prefetch(&common::table_cells(&cfgs[0].1, cfgs, mode));
-    let mut headers: Vec<&str> = vec!["bench"];
-    headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
-    let mut t = Table::new(title, &headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for &bench in mode.suite() {
-        let baseline = common::run_baseline(&cfgs[0].1, bench, mode);
-        let mut row = vec![bench.abbrev().to_string()];
-        for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
-            let n = r.normalized_time(&baseline).unwrap_or(1.0);
-            columns[i].push(n);
-            row.push(ratio(n));
-        }
-        t.add_row(row);
-    }
-    let mut row = vec!["geomean".to_string()];
-    for col in &columns {
-        row.push(ratio(common::geomean(col)));
-    }
-    t.add_row(row);
-    t
 }
 
 /// Fig. 10: OTP hit/partial/miss distribution per scheme and direction
@@ -188,10 +149,12 @@ pub fn fig11(mode: Mode) -> Vec<Table> {
         ("+secure-commu".to_string(), commu_only),
         ("+traffic".to_string(), configs::private(&base, 4)),
     ];
-    vec![scheme_comparison_table(
+    vec![normalized_table(
         "Fig. 11: secure communication vs metadata traffic (Private 4x)",
+        &base,
         &cfgs,
         mode,
+        RunReport::normalized_time,
     )]
 }
 

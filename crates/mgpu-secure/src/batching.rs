@@ -306,9 +306,7 @@ impl SenderBatcher {
     }
 
     /// Forces the open batch toward `dst` (if any) closed, regardless of
-    /// its age — a per-destination [`flush_all`].
-    ///
-    /// [`flush_all`]: SenderBatcher::flush_all
+    /// its age.
     pub fn flush_dst(&mut self, dst: NodeId) -> Option<ClosedBatch> {
         self.open.remove(dst).map(|b| {
             self.closed_flush += 1;
@@ -337,22 +335,6 @@ impl SenderBatcher {
             .map(|(dst, _)| dst)
             .collect();
         due.into_iter()
-            .map(|dst| {
-                let b = self.open.remove(dst).expect("present");
-                self.closed_flush += 1;
-                ClosedBatch {
-                    dst,
-                    id: b.id,
-                    macs: b.macs,
-                }
-            })
-            .collect()
-    }
-
-    /// Forces every open batch closed (end of workload drain).
-    pub fn flush_all(&mut self) -> Vec<ClosedBatch> {
-        let dsts: Vec<NodeId> = self.open.keys().collect();
-        dsts.into_iter()
             .map(|dst| {
                 let b = self.open.remove(dst).expect("present");
                 self.closed_flush += 1;
@@ -686,12 +668,13 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_drains_everything() {
+    fn flush_past_every_deadline_drains_everything() {
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
-        b.add_block(Cycle::ZERO, NodeId::gpu(2), [1; 8]);
         b.add_block(Cycle::ZERO, NodeId::gpu(3), [2; 8]);
-        let drained = b.flush_all();
-        assert_eq!(drained.len(), 2);
+        b.add_block(Cycle::new(5), NodeId::gpu(2), [1; 8]);
+        let drained = b.flush_due(Cycle::MAX);
+        let dsts: Vec<NodeId> = drained.iter().map(|c| c.dst).collect();
+        assert_eq!(dsts, [NodeId::gpu(2), NodeId::gpu(3)], "ascending dst");
         assert_eq!(b.next_deadline(), None);
     }
 
@@ -703,7 +686,7 @@ mod tests {
             b.add_block(Cycle::ZERO, dst, [i; 8]);
         }
         b.add_block(Cycle::ZERO, dst, [9; 8]);
-        b.flush_all();
+        b.flush_due(Cycle::MAX);
         // Two closed batches: 4 + 1 blocks.
         assert!((b.mean_occupancy() - 2.5).abs() < 1e-12);
     }
@@ -1020,10 +1003,11 @@ mod tests {
                         closed_blocks += u64::from(batch.len());
                     }
                 }
-                for batch in b.flush_all() {
+                for batch in b.flush_due(Cycle::MAX) {
                     closed_blocks += u64::from(batch.len());
                 }
                 prop_assert_eq!(closed_blocks, blocks.len() as u64);
+                prop_assert_eq!(b.next_deadline(), None);
             }
         }
     }

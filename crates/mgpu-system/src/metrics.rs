@@ -118,13 +118,8 @@ pub struct RunReport {
     pub pads_issued: u64,
     /// Mean blocks per closed batch (0 when batching is off).
     pub mean_batch_occupancy: f64,
-    /// Sum of per-request latencies (completion - issue), for diagnostics.
-    pub sum_request_latency: Duration,
     /// Per-request latency distributions (sorted) and SLO accounting.
     pub latency: LatencyReport,
-    /// Issue time of the last request (workload span under closed-loop
-    /// pacing).
-    pub last_issue: Duration,
     /// Wire crossings tampered with by the adversary harness (0 when the
     /// adversary is disabled).
     pub tampered_crossings: u64,
@@ -204,9 +199,7 @@ mod tests {
             acks_sent: 10,
             pads_issued: 40,
             mean_batch_occupancy: 0.0,
-            sum_request_latency: Duration::cycles(0),
             latency: LatencyReport::default(),
-            last_issue: Duration::cycles(0),
             tampered_crossings: 0,
             security: SecurityEventLog::default(),
             timeline: None,

@@ -29,8 +29,8 @@ pub struct NicPool {
 
 impl NicPool {
     /// Builds the pool. With `secure` false no NICs are instantiated
-    /// (unsecure baseline), but the ACK-table counters still exist so the
-    /// ablation paths can exercise them.
+    /// (unsecure baseline); the ACK windows still exist, but no block of
+    /// an unsecure run carries a MAC, so they are never drawn on.
     #[must_use]
     pub fn new(config: &SystemConfig, secure: bool) -> Self {
         let nics = if secure {
@@ -43,12 +43,6 @@ impl NicPool {
         let capacity = i64::from(config.security.ack_table_entries);
         let gate = CreditGate::new(NodeId::all(config.gpu_count), capacity);
         NicPool { nics, gate }
-    }
-
-    /// Nodes with a NIC, in ascending order.
-    #[must_use]
-    pub fn owners(&self) -> Vec<NodeId> {
-        self.nics.keys().collect()
     }
 
     /// Prepares the next protected block from `owner` to `dst`.
@@ -68,13 +62,6 @@ impl NicPool {
             .receive(now, owner, ctr)
     }
 
-    /// The ACK message size `node` sends (zero under metadata-free
-    /// ablation).
-    #[must_use]
-    pub fn ack_bytes(&self, node: NodeId) -> ByteSize {
-        self.nics[node].ack_bytes()
-    }
-
     /// When `owner`'s batcher next needs a timeout check (`None` when
     /// `owner` has no NIC or no open batch).
     #[must_use]
@@ -82,17 +69,10 @@ impl NicPool {
         self.nics.get(owner)?.next_flush_deadline()
     }
 
-    /// Flushes `owner`'s timed-out batches; empty when `owner` has no NIC.
+    /// Flushes `owner`'s timed-out batches. Only a NIC with an open batch
+    /// arms a flush check, so `owner` always has one.
     pub fn flush_due(&mut self, owner: NodeId, now: Cycle) -> Vec<(NodeId, ByteSize)> {
-        match self.nics.get_mut(owner) {
-            Some(nic) => nic.flush_due(now),
-            None => Vec::new(),
-        }
-    }
-
-    /// Force-closes all of `owner`'s open batches (end of run).
-    pub fn flush_all(&mut self, owner: NodeId) -> Vec<(NodeId, ByteSize)> {
-        self.nics.get_mut(owner).expect("nic").flush_all()
+        self.nics.get_mut(owner).expect("owner nic").flush_due(now)
     }
 
     /// Requests a replay-table (ACK window) credit at `owner` for an
@@ -156,25 +136,24 @@ impl NicPool {
         self.gate.grants(node)
     }
 
-    /// Aggregated OTP statistics, pads issued, and mean batch occupancy
-    /// across the fleet.
+    /// Aggregated OTP statistics, pads issued, and mean blocks per closed
+    /// batch across the fleet: each NIC's mean weighted by its closed
+    /// batches, so a NIC that closed few batches counts for few.
     #[must_use]
     pub fn otp_summary(&self) -> (mgpu_secure::OtpStats, u64, f64) {
         let mut otp = mgpu_secure::OtpStats::default();
         let mut pads_issued = 0;
-        let mut occupancy_sum = 0.0;
-        let mut occupancy_n = 0u32;
+        let mut closed_blocks = 0.0;
+        let mut closed_batches = 0u64;
         for nic in self.nics.values() {
             otp.merge(nic.otp_stats());
             pads_issued += nic.pads_issued();
-            let occ = nic.mean_batch_occupancy();
-            if occ > 0.0 {
-                occupancy_sum += occ;
-                occupancy_n += 1;
-            }
+            let (full, flush) = nic.batch_closes();
+            closed_blocks += nic.mean_batch_occupancy() * (full + flush) as f64;
+            closed_batches += full + flush;
         }
-        let mean_occupancy = if occupancy_n > 0 {
-            occupancy_sum / f64::from(occupancy_n)
+        let mean_occupancy = if closed_batches > 0 {
+            closed_blocks / closed_batches as f64
         } else {
             0.0
         };
@@ -232,11 +211,31 @@ mod tests {
     }
 
     #[test]
+    fn fleet_occupancy_is_blocks_per_closed_batch() {
+        let mut cfg = SystemConfig::paper_4gpu();
+        cfg.security.scheme = OtpSchemeKind::Dynamic;
+        cfg.security.batching.enabled = true;
+        cfg.security.batching.batch_size = 16;
+        let mut p = NicPool::new(&cfg, true);
+        // GPU 1 fills two 16-block batches; GPU 2 sends one block whose
+        // batch closes by timeout.
+        for i in 0..32 {
+            p.prepare_send(NodeId::gpu(1), Cycle::new(10_000 + i), NodeId::gpu(3));
+        }
+        p.prepare_send(NodeId::gpu(2), Cycle::new(10_000), NodeId::gpu(3));
+        assert_eq!(p.flush_due(NodeId::gpu(2), Cycle::MAX).len(), 1);
+        // 33 blocks over 3 batches, not the mean of the per-NIC means
+        // (16 and 1).
+        let (_, _, occupancy) = p.otp_summary();
+        assert!((occupancy - 11.0).abs() < 1e-12, "{occupancy}");
+    }
+
+    #[test]
     fn unsecure_pool_has_no_nics_but_keeps_windows() {
         let cfg = SystemConfig::paper_4gpu();
         let mut p: NicPool = NicPool::new(&cfg, false);
-        assert!(p.owners().is_empty());
-        assert!(p.flush_due(NodeId::gpu(1), Cycle::ZERO).is_empty());
+        assert_eq!(p.iter_nics().count(), 0);
+        assert!(p.next_flush_deadline(NodeId::gpu(1)).is_none());
         assert!(p.admit_ack(NodeId::gpu(1)).is_ok());
     }
 }

@@ -12,7 +12,7 @@ use mgpu_secure::batching::SenderBatcher;
 use mgpu_secure::protocol::WireFormat;
 use mgpu_secure::schemes::{build_scheme, OtpScheme, SchemeTelemetry};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, SystemConfig};
+use mgpu_types::{ByteSize, Cycle, NodeId, SystemConfig};
 
 /// What the NIC decided for one outgoing block.
 #[derive(Debug, Clone)]
@@ -36,8 +36,6 @@ pub struct SecureNic {
     batching: bool,
     charge_metadata: bool,
     batcher: SenderBatcher,
-    open_counts: DenseNodeMap<u32>,
-    batch_size: u32,
 }
 
 impl core::fmt::Debug for SecureNic {
@@ -79,8 +77,6 @@ impl SecureNic {
             batching: b.enabled,
             charge_metadata: config.security.charge_metadata_traffic,
             batcher,
-            open_counts: DenseNodeMap::new(),
-            batch_size: b.batch_size,
         }
     }
 
@@ -99,22 +95,17 @@ impl SecureNic {
             // and no ACK bandwidth either.
             acks = false;
         } else if self.batching {
-            let index = self.open_counts.get(dst).copied().unwrap_or(0);
             parts.push(
                 self.wire.msg_ctr + self.wire.sender_id,
                 TrafficClass::Counter,
             );
-            if index == 0 {
+            // The first block of a batch carries its length field.
+            if self.batcher.peek_slot(dst).1 == 0 {
                 parts.push(self.wire.batch_len, TrafficClass::BatchHeader);
             }
-            let closed = self.batcher.add_block(now, dst, [0; 8]);
-            if closed.is_some() {
+            acks = self.batcher.add_block(now, dst, [0; 8]).is_some();
+            if acks {
                 parts.push(self.wire.msg_mac, TrafficClass::Mac);
-                self.open_counts.insert(dst, 0);
-                acks = true;
-            } else {
-                self.open_counts.insert(dst, index + 1);
-                acks = false;
             }
         } else {
             parts.push(self.wire.msg_ctr, TrafficClass::Counter);
@@ -134,34 +125,10 @@ impl SecureNic {
     /// `(destination, mac_bytes)` entry per flushed batch — the standalone
     /// MAC message to transmit (an ACK follows from each destination).
     pub fn flush_due(&mut self, now: Cycle) -> Vec<(NodeId, ByteSize)> {
-        if !self.batching {
-            return Vec::new();
-        }
         self.batcher
             .flush_due(now)
             .into_iter()
-            .map(|b| {
-                self.open_counts.insert(b.dst, 0);
-                (b.dst, self.wire.msg_mac)
-            })
-            .collect()
-    }
-
-    /// Drains every open batch at end of run (same contract as
-    /// [`flush_due`]).
-    ///
-    /// [`flush_due`]: SecureNic::flush_due
-    pub fn flush_all(&mut self) -> Vec<(NodeId, ByteSize)> {
-        if !self.batching {
-            return Vec::new();
-        }
-        self.batcher
-            .flush_all()
-            .into_iter()
-            .map(|b| {
-                self.open_counts.insert(b.dst, 0);
-                (b.dst, self.wire.msg_mac)
-            })
+            .map(|b| (b.dst, self.wire.msg_mac))
             .collect()
     }
 
@@ -173,38 +140,20 @@ impl SecureNic {
         now + timing.exposed_latency(self.engine.latency())
     }
 
-    /// ACK wire size (zero-sized when metadata is not charged).
-    #[must_use]
-    pub fn ack_bytes(&self) -> ByteSize {
-        if self.charge_metadata {
-            self.wire.ack_message()
-        } else {
-            ByteSize::ZERO
-        }
-    }
-
-    /// Next deadline at which [`flush_due`] would close something.
+    /// Next deadline at which [`flush_due`] would close something
+    /// (`None` with no open batch: unbatched and metadata-free NICs never
+    /// feed the batcher).
     ///
     /// [`flush_due`]: SecureNic::flush_due
     #[must_use]
     pub fn next_flush_deadline(&self) -> Option<Cycle> {
-        if self.batching {
-            self.batcher.next_deadline()
-        } else {
-            None
-        }
+        self.batcher.next_deadline()
     }
 
     /// Mean blocks per closed batch.
     #[must_use]
     pub fn mean_batch_occupancy(&self) -> f64 {
         self.batcher.mean_occupancy()
-    }
-
-    /// Configured batch size.
-    #[must_use]
-    pub fn batch_size(&self) -> u32 {
-        self.batch_size
     }
 
     /// The scheme's accumulated OTP statistics.
@@ -313,18 +262,26 @@ mod tests {
         assert!(p.parts.iter().any(|(_, c)| c == TrafficClass::BatchHeader));
     }
 
+    /// The metadata-free ablation sends no MAC-carrying block and never
+    /// feeds the batcher, batching on or off: it needs no ACK and no
+    /// flush check, which is why the engine has no zero-byte ACK path.
     #[test]
     fn metadata_free_ablation() {
-        let mut cfg = config(OtpSchemeKind::Private, false);
-        cfg.security.charge_metadata_traffic = false;
-        let mut nic = SecureNic::new(NodeId::gpu(1), &cfg);
-        let p = nic.prepare_send(Cycle::new(10_000), NodeId::gpu(2));
-        let total: u64 = p.parts.iter().map(|(b, _)| b.as_u64()).sum();
-        assert_eq!(total, 72); // data + header only
-        assert!(!p.acks);
-        assert_eq!(nic.ack_bytes(), ByteSize::ZERO);
-        // Crypto latency still applies (ready > now).
-        assert!(p.ready > Cycle::new(10_000));
+        for batching in [false, true] {
+            let mut cfg = config(OtpSchemeKind::Private, batching);
+            cfg.security.charge_metadata_traffic = false;
+            let mut nic = SecureNic::new(NodeId::gpu(1), &cfg);
+            for i in 0..40u64 {
+                let now = Cycle::new(10_000 + i);
+                let p = nic.prepare_send(now, NodeId::gpu(2 + (i % 3) as u16));
+                let total: u64 = p.parts.iter().map(|(b, _)| b.as_u64()).sum();
+                assert_eq!(total, 72, "batching={batching}: data + header only");
+                assert!(!p.acks, "batching={batching}");
+                // Crypto latency still applies (ready > now).
+                assert!(p.ready > now);
+                assert_eq!(nic.next_flush_deadline(), None, "batching={batching}");
+            }
+        }
     }
 
     /// Every `prepare_send` path fits the fixed-capacity `WireParts` the

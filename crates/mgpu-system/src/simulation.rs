@@ -34,9 +34,7 @@ use mgpu_sim::dram::Hbm;
 use mgpu_sim::events::EventQueue;
 use mgpu_sim::link::{TrafficClass, WireParts};
 use mgpu_sim::topology::{HopOutcome, Topology, Transit};
-use mgpu_types::{
-    ByteSize, Cycle, DenseNodeMap, Duration, NodeId, OtpSchemeKind, PairId, SystemConfig,
-};
+use mgpu_types::{ByteSize, Cycle, DenseNodeMap, NodeId, OtpSchemeKind, PairId, SystemConfig};
 use mgpu_workloads::{Benchmark, Request, TrafficModel};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -218,6 +216,7 @@ impl Simulation {
     fn run_requests(&self, queues: BTreeMap<NodeId, VecDeque<Request>>) -> RunReport {
         let cfg = &self.config;
         let wire = mgpu_secure::protocol::WireFormat::default();
+        let ack = wire.ack_message();
         let mut fabric = Topology::new(cfg);
         let mut hbm: DenseNodeMap<Hbm> = NodeId::all(cfg.gpu_count)
             .map(|n| (n, Hbm::new(512, cfg.dram_latency)))
@@ -287,10 +286,8 @@ impl Simulation {
         let mut pending: Vec<Pending> = Vec::with_capacity(request_count);
         let mut blocks: Vec<Block> = Vec::with_capacity(block_count);
         let mut completion = Cycle::ZERO;
-        let mut sum_latency = Duration::ZERO;
         let mut latency = crate::metrics::LatencyReport::with_capacity(request_count);
         let mut issue_times: Vec<Cycle> = Vec::with_capacity(request_count);
-        let mut last_issue = Cycle::ZERO;
         let mut requests_done = 0u64;
         let mut blocks_done = 0u64;
         let mut acks_sent = 0u64;
@@ -315,7 +312,6 @@ impl Simulation {
                             }
                         }
                         Ok(request) => {
-                            last_issue = last_issue.max(now);
                             let idx = u32::try_from(pending.len()).expect("request index fits u32");
                             pending.push(Pending {
                                 requester: request.requester,
@@ -444,29 +440,13 @@ impl Simulation {
                     let (idx, acks) = (block.req as usize, block.acks);
                     blocks_done += 1;
                     if acks {
-                        let requester = pending[idx].requester;
-                        let owner = pending[idx].owner;
-                        let ack = pool.ack_bytes(requester);
-                        if ack > ByteSize::ZERO {
-                            let back = fabric.transmit_ctrl(
-                                PairId::new(requester, owner),
-                                now,
-                                ack,
-                                TrafficClass::Ack,
-                            );
-                            acks_sent += 1;
-                            events.schedule(back, Ev::AckArrive(owner));
-                        } else {
-                            // Metadata-free ablation: the table entry still
-                            // frees after the ACK flight time.
-                            events.schedule(now + cfg.link_latency, Ev::AckArrive(owner));
-                        }
+                        let pair = PairId::new(pending[idx].requester, pending[idx].owner);
+                        send_ack(&mut fabric, &mut events, pair, now, ack, &mut acks_sent);
                     }
                     pending[idx].blocks_left -= 1;
                     if pending[idx].blocks_left == 0 {
                         let requester = pending[idx].requester;
                         completion = completion.max(now);
-                        sum_latency += now.saturating_since(issue_times[idx]);
                         latency.record(
                             pending[idx].arrived_at,
                             issue_times[idx],
@@ -517,19 +497,8 @@ impl Simulation {
                     }
                 }
                 Ev::TrailerAck { receiver, owner } => {
-                    let ack = pool.ack_bytes(receiver);
-                    if ack > ByteSize::ZERO {
-                        let back = fabric.transmit_ctrl(
-                            PairId::new(receiver, owner),
-                            now,
-                            ack,
-                            TrafficClass::Ack,
-                        );
-                        acks_sent += 1;
-                        events.schedule(back, Ev::AckArrive(owner));
-                    } else {
-                        events.schedule(now + cfg.link_latency, Ev::AckArrive(owner));
-                    }
+                    let pair = PairId::new(receiver, owner);
+                    send_ack(&mut fabric, &mut events, pair, now, ack, &mut acks_sent);
                 }
                 Ev::ChaffTick => {
                     shape_topup(&mut fabric, cfg, now);
@@ -573,27 +542,18 @@ impl Simulation {
             }
         }
 
-        // ACK-window conservation: once the queue drains, every ACK has
-        // come home, so each window is whole again and no block is left
-        // parked behind it.
+        // ACK-window conservation and batch close: once the queue drains,
+        // every ACK has come home, so each window is whole again and no
+        // block is left parked behind it; and every batch has closed,
+        // because an open batch always keeps a `FlushCheck` pending at or
+        // before its deadline.
         debug_assert!(
             NodeId::all(cfg.gpu_count).all(|node| pool.ack_free(node)
                 == i64::from(cfg.security.ack_table_entries)
-                && pool.parked_len(node) == 0),
-            "ACK window leaked credits or stranded a parked block at drain"
+                && pool.parked_len(node) == 0
+                && pool.next_flush_deadline(node).is_none()),
+            "ACK window leaked credits, stranded a parked block or left a batch open at drain"
         );
-
-        // Drain any still-open batches at end of run.
-        if self.secure() {
-            drain_open_batches(
-                &mut pool,
-                &mut fabric,
-                &mut harness,
-                &mut collector,
-                completion,
-                &mut acks_sent,
-            );
-        }
 
         // Any batches still open in the harness (its functional batcher
         // may lag the NIC's timing batcher by a partial batch) flush now.
@@ -627,15 +587,29 @@ impl Simulation {
             acks_sent,
             pads_issued,
             mean_batch_occupancy,
-            sum_request_latency: sum_latency,
             latency,
-            last_issue: last_issue.saturating_since(Cycle::ZERO),
             tampered_crossings: fabric.tampered_total(),
             security: harness.map(WireHarness::into_log).unwrap_or_default(),
             timeline: collector.map(TimeSeriesCollector::finish),
             events_processed,
         }
     }
+}
+
+/// Sends one ACK over `pair`'s control VC, receiver to sender. Its arrival
+/// frees a replay-table entry at the sender. Per-block and per-batch ACKs
+/// both go this way.
+fn send_ack(
+    fabric: &mut Topology,
+    events: &mut EventQueue<Ev>,
+    pair: PairId,
+    now: Cycle,
+    ack: ByteSize,
+    acks_sent: &mut u64,
+) {
+    let back = fabric.transmit_ctrl(pair, now, ack, TrafficClass::Ack);
+    *acks_sent += 1;
+    events.schedule(back, Ev::AckArrive(pair.dst));
 }
 
 /// Appends `block` to the per-block table and returns its id.
@@ -691,44 +665,6 @@ fn shape_topup(fabric: &mut Topology, cfg: &SystemConfig, now: Cycle) {
                     1
                 };
                 fabric.transmit_ctrl(pair, now, ByteSize::new(bytes), TrafficClass::Chaff);
-            }
-        }
-    }
-}
-
-/// Drains every still-open batch at end of run: flushes each owner's
-/// batchers, accounts the trailer and ACK control messages at
-/// `completion`, and records the batch-close trace events.
-fn drain_open_batches(
-    pool: &mut NicPool,
-    fabric: &mut Topology,
-    harness: &mut Option<WireHarness>,
-    collector: &mut Option<TimeSeriesCollector>,
-    completion: Cycle,
-    acks_sent: &mut u64,
-) {
-    for owner in pool.owners() {
-        let drained = pool.flush_all(owner);
-        for (dst, mac_bytes) in drained {
-            if let Some(col) = collector.as_mut() {
-                col.record_batch_close(completion, owner, false);
-            }
-            if let Some(h) = harness.as_mut() {
-                let tampered = h.on_flush(completion, owner, dst);
-                if tampered > 0 {
-                    fabric.note_tampered_egress(owner, tampered);
-                }
-            }
-            fabric.transmit_ctrl(
-                PairId::new(owner, dst),
-                completion,
-                mac_bytes,
-                TrafficClass::Mac,
-            );
-            let ack = pool.ack_bytes(dst);
-            if ack > ByteSize::ZERO {
-                fabric.transmit_ctrl(PairId::new(dst, owner), completion, ack, TrafficClass::Ack);
-                *acks_sent += 1;
             }
         }
     }
