@@ -11,7 +11,7 @@ fn bench_figures(c: &mut Criterion) {
     for exp in registry() {
         group.bench_function(exp.id, |b| {
             b.iter(|| {
-                let tables = (exp.run)(Mode::Bench);
+                let tables = (exp.run)(Mode::Bench).tables;
                 assert!(!tables.is_empty());
                 tables
             });

@@ -14,8 +14,9 @@
 //! them, a `serving` block records each cell's tail-latency percentiles
 //! and SLO-violation rate; when the `leakage` experiment is among them,
 //! a `leakage` block records the passive-observer frontier (classifier
-//! accuracy, phase recovery, and defense overheads per variant). Every
-//! record carries an `engine` block
+//! accuracy, phase recovery, and defense overheads per variant). Each of
+//! these blocks comes from the experiment's own run, the one that made
+//! its table. Every record carries an `engine` block
 //! (events/sec over a fixed, never-cached calibration cell) so raw engine
 //! throughput is tracked alongside suite wall-clock. Emitting a record
 //! from a dirty tree prints a loud warning: its timings are not
@@ -23,11 +24,8 @@
 //! in `EXPERIMENTS.md`.
 
 use mgpu_experiments::common::cache_counters;
-use mgpu_experiments::leakage::LeakageSummary;
-use mgpu_experiments::serving::ServingSummary;
-use mgpu_experiments::{find, leakage, registry, serving, timeline, Mode};
+use mgpu_experiments::{find, registry, Mode, Record};
 use mgpu_system::runner::configs;
-use mgpu_system::timeseries::TimelineSummary;
 use mgpu_system::Simulation;
 use mgpu_types::SystemConfig;
 use mgpu_workloads::Benchmark;
@@ -36,12 +34,13 @@ use std::process::ExitCode;
 
 /// One experiment's entry in the benchmark record: wall-clock plus the
 /// cell-cache delta, so warm-cache timings are distinguishable from real
-/// simulation work.
+/// simulation work, and the experiment's record block, if it has one.
 struct Timing {
     id: String,
     seconds: f64,
     cache_hits: u64,
     cache_misses: u64,
+    record: Option<Record>,
 }
 
 /// Engine-throughput calibration: one fixed simulation cell timed fresh
@@ -136,13 +135,81 @@ fn json_opt_bool(x: Option<bool>) -> String {
     x.map_or_else(|| "null".to_string(), |b| b.to_string())
 }
 
-/// Optional per-experiment summary blocks: each is present in the record
-/// only when the corresponding experiment was part of the run.
-#[derive(Default)]
-struct SummaryBlocks {
-    observability: Option<TimelineSummary>,
-    serving: Option<ServingSummary>,
-    leakage: Option<LeakageSummary>,
+/// One record block as a line of the benchmark record.
+fn record_json(record: &Record) -> String {
+    match record {
+        Record::Observability(s) => format!(
+            "  \"observability\": {{\"intervals\": {}, \"trace_events\": {}, \
+             \"events_dropped\": {}, \"hit_rate_p50\": {}, \"hit_rate_p90\": {}, \
+             \"queue_depth_p50\": {}, \"queue_depth_p90\": {}, \
+             \"busy_horizon_p50\": {}, \"busy_horizon_p90\": {}}},\n",
+            s.intervals,
+            s.trace_events,
+            s.events_dropped,
+            json_opt(s.hit_rate_p50),
+            json_opt(s.hit_rate_p90),
+            json_opt(s.queue_depth_p50),
+            json_opt(s.queue_depth_p90),
+            json_opt(s.busy_horizon_p50),
+            json_opt(s.busy_horizon_p90),
+        ),
+        Record::Serving(s) => {
+            let cells = s
+                .cells
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{{\"load\": \"{}\", \"arrivals\": \"{}\", \"scheme\": \"{}\", \
+                         \"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {}, \
+                         \"violation_rate\": {}}}",
+                        json_escape(&c.load),
+                        json_escape(&c.arrivals),
+                        json_escape(&c.scheme),
+                        json_opt(Some(c.p50)),
+                        json_opt(Some(c.p99)),
+                        json_opt(Some(c.p999)),
+                        json_opt(Some(c.mean)),
+                        json_opt(Some(c.violation_rate)),
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "  \"serving\": {{\"requests_per_gpu\": {}, \"cells\": [{cells}]}},\n",
+                s.requests_per_gpu,
+            )
+        }
+        Record::Leakage(s) => {
+            let cells = s
+                .cells
+                .iter()
+                .map(|c| {
+                    format!(
+                        "{{\"defense\": \"{}\", \"acc_ctrl\": {}, \"acc_full\": {}, \
+                         \"phase_lock\": {}, \"phase_err\": {}, \"chaff_fraction\": {}, \
+                         \"traffic_overhead\": {}, \"latency_overhead\": {}}}",
+                        json_escape(&c.defense),
+                        json_opt(Some(c.acc_ctrl)),
+                        json_opt(Some(c.acc_full)),
+                        json_opt(c.phase_lock),
+                        json_opt(c.phase_err),
+                        json_opt(Some(c.chaff_fraction)),
+                        json_opt(Some(c.traffic_overhead)),
+                        json_opt(Some(c.latency_overhead)),
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "  \"leakage\": {{\"requests_per_gpu\": {}, \"classes\": {}, \
+                 \"chance\": {}, \"test_runs\": {}, \"cells\": [{cells}]}},\n",
+                s.requests_per_gpu,
+                s.classes,
+                json_opt(Some(s.chance())),
+                s.test_runs,
+            )
+        }
+    }
 }
 
 /// Renders the benchmark record. Hand-rolled JSON: the schema is a handful
@@ -152,7 +219,6 @@ fn bench_json(
     mode: Mode,
     timings: &[Timing],
     total_seconds: f64,
-    summaries: &SummaryBlocks,
     engine: &EngineThroughput,
 ) -> String {
     let mode_name = match mode {
@@ -186,78 +252,8 @@ fn bench_json(
          \"cell_seconds\": {:.6}}},\n",
         engine.events_per_sec, engine.events_processed, engine.seconds,
     ));
-    if let Some(s) = &summaries.observability {
-        out.push_str(&format!(
-            "  \"observability\": {{\"intervals\": {}, \"trace_events\": {}, \
-             \"events_dropped\": {}, \"hit_rate_p50\": {}, \"hit_rate_p90\": {}, \
-             \"queue_depth_p50\": {}, \"queue_depth_p90\": {}, \
-             \"busy_horizon_p50\": {}, \"busy_horizon_p90\": {}}},\n",
-            s.intervals,
-            s.trace_events,
-            s.events_dropped,
-            json_opt(s.hit_rate_p50),
-            json_opt(s.hit_rate_p90),
-            json_opt(s.queue_depth_p50),
-            json_opt(s.queue_depth_p90),
-            json_opt(s.busy_horizon_p50),
-            json_opt(s.busy_horizon_p90),
-        ));
-    }
-    if let Some(s) = &summaries.serving {
-        let cells = s
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"load\": \"{}\", \"arrivals\": \"{}\", \"scheme\": \"{}\", \
-                     \"p50\": {}, \"p99\": {}, \"p999\": {}, \"mean\": {}, \
-                     \"violation_rate\": {}}}",
-                    json_escape(&c.load),
-                    json_escape(&c.arrivals),
-                    json_escape(&c.scheme),
-                    json_opt(Some(c.p50)),
-                    json_opt(Some(c.p99)),
-                    json_opt(Some(c.p999)),
-                    json_opt(Some(c.mean)),
-                    json_opt(Some(c.violation_rate)),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "  \"serving\": {{\"requests_per_gpu\": {}, \"cells\": [{cells}]}},\n",
-            s.requests_per_gpu,
-        ));
-    }
-    if let Some(s) = &summaries.leakage {
-        let cells = s
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"defense\": \"{}\", \"acc_ctrl\": {}, \"acc_full\": {}, \
-                     \"phase_lock\": {}, \"phase_err\": {}, \"chaff_fraction\": {}, \
-                     \"traffic_overhead\": {}, \"latency_overhead\": {}}}",
-                    json_escape(&c.defense),
-                    json_opt(Some(c.acc_ctrl)),
-                    json_opt(Some(c.acc_full)),
-                    json_opt(c.phase_lock),
-                    json_opt(c.phase_err),
-                    json_opt(Some(c.chaff_fraction)),
-                    json_opt(Some(c.traffic_overhead)),
-                    json_opt(Some(c.latency_overhead)),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "  \"leakage\": {{\"requests_per_gpu\": {}, \"classes\": {}, \
-             \"chance\": {}, \"test_runs\": {}, \"cells\": [{cells}]}},\n",
-            s.requests_per_gpu,
-            s.classes,
-            json_opt(Some(s.chance())),
-            s.test_runs,
-        ));
+    for record in timings.iter().filter_map(|t| t.record.as_ref()) {
+        out.push_str(&record_json(record));
     }
     out.push_str("  \"experiments\": [\n");
     for (i, t) in timings.iter().enumerate() {
@@ -324,8 +320,8 @@ fn main() -> ExitCode {
         eprintln!("running {id} ({})...", exp.title);
         let started = std::time::Instant::now();
         let (hits_before, misses_before) = cache_counters();
-        let tables = (exp.run)(mode);
-        for table in &tables {
+        let output = (exp.run)(mode);
+        for table in &output.tables {
             println!("{}", table.to_text());
             if let Some(dir) = &csv_dir {
                 match table.write_csv(dir) {
@@ -349,6 +345,7 @@ fn main() -> ExitCode {
             seconds,
             cache_hits,
             cache_misses,
+            record: output.record,
         });
     }
     let total_seconds = suite_started.elapsed().as_secs_f64();
@@ -357,32 +354,12 @@ fn main() -> ExitCode {
         timings.len()
     );
 
-    // The timeline run is cheap and deterministic; fold its summary
-    // percentiles into the record whenever the experiment was part of the
-    // suite.
-    let summaries = SummaryBlocks {
-        observability: ids
-            .iter()
-            .any(|id| id == "timeline")
-            .then(|| timeline::summary(mode)),
-        // The serving sweep and the leakage phase probes replay traces,
-        // which bypass the cell cache, so they re-run here; both are small
-        // and deterministic. The leakage sweep's seeded cells are cache hits.
-        serving: ids
-            .iter()
-            .any(|id| id == "serving")
-            .then(|| serving::summary(mode)),
-        leakage: ids
-            .iter()
-            .any(|id| id == "leakage")
-            .then(|| leakage::summary(mode)),
-    };
     let engine = measure_engine_throughput();
     eprintln!(
         "engine throughput: {:.0} events/sec ({} events in {:.3}s)",
         engine.events_per_sec, engine.events_processed, engine.seconds
     );
-    let record = bench_json(mode, &timings, total_seconds, &summaries, &engine);
+    let record = bench_json(mode, &timings, total_seconds, &engine);
     if let Err(err) = std::fs::write(&bench_json_path, record) {
         eprintln!(
             "failed to write benchmark record {}: {err}",

@@ -138,6 +138,10 @@ pub fn fig26(mode: Mode) -> Vec<Table> {
     vec![t]
 }
 
+/// Compute units per GPU (paper Table III). Printed for completeness:
+/// nothing in the model simulates CUs.
+const CUS_PER_GPU: u32 = 64;
+
 /// Table III: the simulated system configuration, as actually wired into
 /// the model (so config drift from the paper is immediately visible).
 #[must_use]
@@ -146,7 +150,7 @@ pub fn table3(_mode: Mode) -> Vec<Table> {
     let mut t = Table::new("Table III: simulated GPU system", &["parameter", "value"]);
     let rows: Vec<(&str, String)> = vec![
         ("system", format!("{} GPUs + CPU", cfg.gpu_count)),
-        ("CUs per GPU", cfg.cus_per_gpu.to_string()),
+        ("CUs per GPU", CUS_PER_GPU.to_string()),
         (
             "GPU-GPU link",
             format!("{} B/cycle (NVLink2-class)", cfg.gpu_link_bytes_per_cycle),

@@ -33,12 +33,10 @@
 //! whole number of shaping periods — the precondition under which the
 //! quota-based chaff makes per-port control observations bit-identical
 //! across schemes (see `DESIGN.md` §14).
-//!
-//! When `MGPU_LEAKAGE_CSV` names a path, the frontier table is also
-//! written there as CSV (the CI `leakage_smoke` step consumes it).
 
 use crate::common::{self, Cell, Mode};
 use crate::report::{percent, ratio, Table};
+use crate::{Output, Record};
 use mgpu_sim::link::TrafficClass;
 use mgpu_sim::stats::percentile_sorted;
 use mgpu_system::runner::configs;
@@ -421,15 +419,10 @@ pub fn sweep(mode: Mode) -> LeakageSummary {
     }
 }
 
-/// The sweep's summary (folded into `BENCH_repro.json` by `repro`).
+/// The `leakage` experiment: the security/overhead frontier table, and
+/// the same sweep as the `leakage` record block.
 #[must_use]
-pub fn summary(mode: Mode) -> LeakageSummary {
-    sweep(mode)
-}
-
-/// The `leakage` experiment: the security/overhead frontier table.
-#[must_use]
-pub fn leakage(mode: Mode) -> Vec<Table> {
+pub fn leakage(mode: Mode) -> Output {
     let s = sweep(mode);
     let mut t = Table::new(
         format!(
@@ -462,15 +455,10 @@ pub fn leakage(mode: Mode) -> Vec<Table> {
             ratio(1.0 + c.latency_overhead),
         ]);
     }
-    if let Ok(path) = std::env::var("MGPU_LEAKAGE_CSV") {
-        if !path.is_empty() {
-            match std::fs::write(&path, t.to_csv()) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(err) => eprintln!("failed to write {path}: {err}"),
-            }
-        }
+    Output {
+        tables: vec![t],
+        record: Some(Record::Leakage(s)),
     }
-    vec![t]
 }
 
 #[cfg(test)]

@@ -29,14 +29,45 @@ pub mod topology;
 pub use common::Mode;
 pub use report::Table;
 
+/// A `BENCH_repro.json` block built from an experiment's own run.
+#[derive(Debug, Clone)]
+pub enum Record {
+    /// The `observability` block: the `timeline` run's summary
+    /// percentiles.
+    Observability(mgpu_system::TimelineSummary),
+    /// The `serving` block: each serving cell's tail latencies.
+    Serving(serving::ServingSummary),
+    /// The `leakage` block: the passive-observer frontier.
+    Leakage(leakage::LeakageSummary),
+}
+
+/// What one experiment run produces.
+#[derive(Debug)]
+pub struct Output {
+    /// The result tables.
+    pub tables: Vec<Table>,
+    /// The record block summarizing the same run, for experiments that
+    /// have one.
+    pub record: Option<Record>,
+}
+
+impl From<Vec<Table>> for Output {
+    fn from(tables: Vec<Table>) -> Self {
+        Output {
+            tables,
+            record: None,
+        }
+    }
+}
+
 /// A runnable experiment bound to a paper artifact.
 pub struct Experiment {
     /// Short id (`table1`, `fig08`, …) used on the command line.
     pub id: &'static str,
     /// What the paper artifact shows.
     pub title: &'static str,
-    /// Produces the result tables.
-    pub run: fn(Mode) -> Vec<Table>,
+    /// Produces the result tables (and record block, if any).
+    pub run: fn(Mode) -> Output,
 }
 
 impl core::fmt::Debug for Experiment {
@@ -55,117 +86,117 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "table1",
             title: "Private OTP storage overhead",
-            run: motivation::table1,
+            run: |m| motivation::table1(m).into(),
         },
         Experiment {
             id: "fig08",
             title: "Private vs OTP buffer entries",
-            run: motivation::fig08,
+            run: |m| motivation::fig08(m).into(),
         },
         Experiment {
             id: "fig09",
             title: "Prior OTP buffer management schemes",
-            run: motivation::fig09,
+            run: |m| motivation::fig09(m).into(),
         },
         Experiment {
             id: "fig10",
             title: "OTP latency-hiding distribution (prior schemes)",
-            run: motivation::fig10,
+            run: |m| motivation::fig10(m).into(),
         },
         Experiment {
             id: "fig11",
             title: "Secure communication vs metadata traffic",
-            run: motivation::fig11,
+            run: |m| motivation::fig11(m).into(),
         },
         Experiment {
             id: "fig12",
             title: "Traffic increase from security metadata",
-            run: motivation::fig12,
+            run: |m| motivation::fig12(m).into(),
         },
         Experiment {
             id: "fig13",
             title: "Send/recv mix over time (mm)",
-            run: motivation::fig13,
+            run: |m| motivation::fig13(m).into(),
         },
         Experiment {
             id: "fig14",
             title: "Receive-source mix over time (mm)",
-            run: motivation::fig14,
+            run: |m| motivation::fig14(m).into(),
         },
         Experiment {
             id: "fig15",
             title: "16-block accumulation intervals",
-            run: |m| motivation::burstiness(m, 16),
+            run: |m| motivation::burstiness(m, 16).into(),
         },
         Experiment {
             id: "fig16",
             title: "32-block accumulation intervals",
-            run: |m| motivation::burstiness(m, 32),
+            run: |m| motivation::burstiness(m, 32).into(),
         },
         Experiment {
             id: "fig21",
             title: "Main result: execution times with 4 GPUs",
-            run: evaluation::fig21,
+            run: |m| evaluation::fig21(m).into(),
         },
         Experiment {
             id: "fig22",
             title: "OTP distribution: Private vs Cached vs Ours",
-            run: evaluation::fig22,
+            run: |m| evaluation::fig22(m).into(),
         },
         Experiment {
             id: "fig23",
             title: "Communication traffic: Private vs Cached vs Ours",
-            run: evaluation::fig23,
+            run: |m| evaluation::fig23(m).into(),
         },
         Experiment {
             id: "fig24",
             title: "Execution times with 8 GPUs",
-            run: |m| evaluation::scale(m, 8),
+            run: |m| evaluation::scale(m, 8).into(),
         },
         Experiment {
             id: "fig25",
             title: "Execution times with 16 GPUs",
-            run: |m| evaluation::scale(m, 16),
+            run: |m| evaluation::scale(m, 16).into(),
         },
         Experiment {
             id: "fig26",
             title: "AES-GCM latency sensitivity",
-            run: evaluation::fig26,
+            run: |m| evaluation::fig26(m).into(),
         },
         Experiment {
             id: "table3",
             title: "Simulated system configuration",
-            run: evaluation::table3,
+            run: |m| evaluation::table3(m).into(),
         },
         Experiment {
             id: "table4",
             title: "Evaluated benchmarks",
-            run: evaluation::table4,
+            run: |m| evaluation::table4(m).into(),
         },
         Experiment {
             id: "ablation-batch",
             title: "Ablation: batch-size sweep",
-            run: evaluation::ablation_batch_size,
+            run: |m| evaluation::ablation_batch_size(m).into(),
         },
         Experiment {
             id: "ablation-interval",
             title: "Ablation: Dynamic interval sweep",
-            run: evaluation::ablation_interval,
+            run: |m| evaluation::ablation_interval(m).into(),
         },
         Experiment {
             id: "attack_campaign",
             title: "Adversary campaign: injection-rate sweep vs detection",
-            run: attack::attack_campaign,
+            run: |m| attack::attack_campaign(m).into(),
         },
         Experiment {
             id: "topology_scaling",
             title: "Fabric shapes: per-hop metadata amplification sweep",
-            run: topology::topology_scaling,
+            run: |m| topology::topology_scaling(m).into(),
         },
         Experiment {
             id: "ring8_smoke",
             title: "8-GPU ring scheme-comparison smoke",
-            run: topology::ring8_smoke,
+            run: |m| topology::ring8_smoke(m).into(),
         },
         Experiment {
             id: "timeline",
@@ -217,7 +248,7 @@ mod tests {
         // the simulation-backed ones are covered by their module tests.
         for id in ["table1", "table4"] {
             let exp = find(id).unwrap();
-            let tables = (exp.run)(Mode::Quick);
+            let tables = (exp.run)(Mode::Quick).tables;
             assert!(!tables.is_empty(), "{id}");
             assert!(!tables[0].is_empty(), "{id}");
         }

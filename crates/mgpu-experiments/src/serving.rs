@@ -21,6 +21,7 @@
 
 use crate::common::{Mode, SEED};
 use crate::report::{percent, Table};
+use crate::{Output, Record};
 use mgpu_system::runner::configs;
 use mgpu_system::{RunReport, Simulation};
 use mgpu_types::{Duration, SystemConfig};
@@ -65,7 +66,8 @@ pub struct ServingCell {
     pub violation_rate: f64,
 }
 
-/// The serving sweep, summarized for `BENCH_repro.json`.
+/// The serving sweep, summarized (the `serving` block of
+/// `BENCH_repro.json`).
 #[derive(Debug, Clone)]
 pub struct ServingSummary {
     /// Requests per GPU in each cell.
@@ -157,16 +159,10 @@ pub fn sweep(mode: Mode) -> ServingSummary {
     }
 }
 
-/// Summary of the serving sweep (folded into `BENCH_repro.json` by the
-/// `repro` binary when the `serving` experiment is among the run ids).
+/// The `serving` experiment: one row per (load, arrivals, scheme) cell,
+/// and the same cells as the `serving` record block.
 #[must_use]
-pub fn summary(mode: Mode) -> ServingSummary {
-    sweep(mode)
-}
-
-/// The `serving` experiment: one row per (load, arrivals, scheme) cell.
-#[must_use]
-pub fn serving(mode: Mode) -> Vec<Table> {
+pub fn serving(mode: Mode) -> Output {
     let s = sweep(mode);
     let mut t = Table::new(
         "Serving: tail latency under open-loop load (cycles)",
@@ -186,7 +182,10 @@ pub fn serving(mode: Mode) -> Vec<Table> {
             percent(c.violation_rate),
         ]);
     }
-    vec![t]
+    Output {
+        tables: vec![t],
+        record: Some(Record::Serving(s)),
+    }
 }
 
 #[cfg(test)]
@@ -295,7 +294,7 @@ mod tests {
 
     #[test]
     fn table_covers_the_full_sweep() {
-        let t = &serving(Mode::Bench)[0];
+        let t = &serving(Mode::Bench).tables[0];
         // 2 loads x 2 arrival processes x 5 schemes.
         assert_eq!(t.len(), 20);
     }

@@ -15,8 +15,9 @@
 
 use crate::common::{Mode, SEED};
 use crate::report::{percent, Table};
+use crate::{Output, Record};
 use mgpu_system::runner::configs;
-use mgpu_system::timeseries::{Timeline, TimelineSummary};
+use mgpu_system::timeseries::Timeline;
 use mgpu_system::Simulation;
 use mgpu_types::{Cycle, NodeId, ObservabilityConfig, SystemConfig};
 use mgpu_workloads::{Benchmark, Request};
@@ -77,16 +78,10 @@ pub fn run_timeline(mode: Mode) -> Timeline {
         .expect("observability-enabled run attaches a timeline")
 }
 
-/// Summary percentiles of the timeline run (folded into
-/// `BENCH_repro.json` by the `repro` binary).
+/// The `timeline` experiment: one row per interval sample of GPU 1, and
+/// the run's summary percentiles as the `observability` record block.
 #[must_use]
-pub fn summary(mode: Mode) -> TimelineSummary {
-    run_timeline(mode).summary()
-}
-
-/// The `timeline` experiment: one row per interval sample of GPU 1.
-#[must_use]
-pub fn timeline(mode: Mode) -> Vec<Table> {
+pub fn timeline(mode: Mode) -> Output {
     let tl = run_timeline(mode);
     let mut t = Table::new(
         "Timeline: GPU 1 send allocation under a traffic-phase shift",
@@ -131,7 +126,10 @@ pub fn timeline(mode: Mode) -> Vec<Table> {
             }
         }
     }
-    vec![t]
+    Output {
+        tables: vec![t],
+        record: Some(Record::Observability(tl.summary())),
+    }
 }
 
 #[cfg(test)]
@@ -187,7 +185,7 @@ mod tests {
             .iter()
             .filter(|s| s.node == NodeId::gpu(1))
             .count();
-        let t = &timeline(Mode::Bench)[0];
+        let t = &timeline(Mode::Bench).tables[0];
         assert_eq!(t.len(), expected);
         assert!(!t.is_empty());
     }

@@ -19,6 +19,16 @@ use crate::otp::{OtpStats, PadWindow};
 use mgpu_crypto::engine::{AesEngine, PadTiming};
 use mgpu_types::{Cycle, DenseNodeMap, Direction, Duration, NodeId, OtpSchemeKind, SystemConfig};
 
+/// Load-monitoring window width of load-triggered mode
+/// (`DynamicConfig::load_triggered`), in place of the fixed interval.
+/// Smaller windows react to bursts faster (the point of the policy) at
+/// the cost of noisier rate estimates.
+const CHECK_INTERVAL: Duration = Duration::cycles(250);
+
+/// Relative per-window event-count shift (`|now - then| / max(then, 1)`)
+/// that triggers a repartition in load-triggered mode.
+const SHIFT_THRESHOLD: f64 = 0.5;
+
 /// Dynamic (EWMA-repartitioned) OTP buffer management (see module docs).
 #[derive(Debug)]
 pub struct DynamicScheme {
@@ -30,8 +40,9 @@ pub struct DynamicScheme {
     next_boundary: Cycle,
     rebalances: u64,
     /// Load-triggered mode: repartition only when the per-window event
-    /// rate shifts by more than `shift_threshold` (relative) since the
-    /// last applied repartition, instead of at every fixed boundary.
+    /// rate shifts by more than `shift_threshold` (relative, normally
+    /// [`SHIFT_THRESHOLD`]) since the last applied repartition, instead
+    /// of at every fixed boundary.
     load_triggered: bool,
     shift_threshold: f64,
     window_events: u64,
@@ -55,7 +66,7 @@ impl DynamicScheme {
         // Load-triggered mode samples the event rate on the (shorter)
         // check interval; fixed mode repartitions on every interval.
         let interval = if dynamic.load_triggered {
-            dynamic.check_interval
+            CHECK_INTERVAL
         } else {
             dynamic.interval
         };
@@ -69,7 +80,7 @@ impl DynamicScheme {
             next_boundary: Cycle::ZERO + interval,
             rebalances: 0,
             load_triggered: dynamic.load_triggered,
-            shift_threshold: dynamic.shift_threshold,
+            shift_threshold: SHIFT_THRESHOLD,
             window_events: 0,
             rate_at_last: None,
             stats: OtpStats::default(),
@@ -318,10 +329,9 @@ mod tests {
     fn load_triggered_setup(threshold: f64) -> (DynamicScheme, AesEngine) {
         let mut cfg = SystemConfig::paper_4gpu();
         cfg.security.dynamic.load_triggered = true;
-        cfg.security.dynamic.check_interval = Duration::cycles(250);
-        cfg.security.dynamic.shift_threshold = threshold;
         let mut engine = AesEngine::new(cfg.security.aes_latency);
-        let scheme = DynamicScheme::new(NodeId::gpu(1), &cfg, &mut engine);
+        let mut scheme = DynamicScheme::new(NodeId::gpu(1), &cfg, &mut engine);
+        scheme.shift_threshold = threshold;
         (scheme, engine)
     }
 
@@ -370,7 +380,7 @@ mod tests {
     #[test]
     fn load_triggered_boundaries_use_check_interval() {
         let (mut s, mut e) = load_triggered_setup(0.5);
-        // First boundary at check_interval (250), not the fixed interval
+        // First boundary at CHECK_INTERVAL (250), not the fixed interval
         // (1000); the first boundary always repartitions.
         s.advance(Cycle::new(249), &mut e);
         assert_eq!(s.rebalances(), 0);

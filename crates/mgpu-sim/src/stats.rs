@@ -152,24 +152,16 @@ pub fn geometric_mean(samples: &[f64]) -> Option<f64> {
 /// ```
 #[must_use]
 pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|s| s.is_nan()) {
-        return None;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let p = p.clamp(0.0, 100.0);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    percentile_sorted(&sorted, p)
 }
 
-/// The `p`-th percentile of **already-sorted** `samples` — same
-/// interpolation as [`percentile`], without the per-call clone, sort, and
-/// NaN scan. For hot summary paths whose sample vectors are sorted once at
-/// collection time (e.g. `LatencyReport::finish`); sortedness is checked
-/// in debug builds only.
+/// The `p`-th percentile of **already-sorted** `samples` — what
+/// [`percentile`] computes after its clone and sort; `None` when empty or
+/// any sample is NaN. For hot summary paths whose sample vectors are
+/// sorted once at collection time (e.g. `LatencyReport::finish`);
+/// sortedness is checked in debug builds only.
 ///
 /// # Examples
 ///

@@ -1,4 +1,4 @@
-//! System-level flow control: typed backpressure, credit gates, and
+//! System-level flow control: typed backpressure, the credit window and
 //! wakeup dedup shared by the pacing, NIC, and engine layers.
 //!
 //! Every "is this resource ready?" question the engine asks answers with
@@ -7,13 +7,12 @@
 //! must re-poll. (Fabric ports never reject: a
 //! [`mgpu_sim::timeq::TimedServer`] only serializes.)
 //!
-//! * [`CreditPool`] — unsigned per-node slot credits (issue slots: a
-//!   GPU's memory-level parallelism).
-//! * [`CreditGate`] — signed per-node credits with a FIFO park queue
-//!   (replay-protection ACK windows, where batch trailers may transiently
-//!   overdraw and blocked senders park prepared blocks until a credit
-//!   returns).
-//! * [`WakeupLadder`] — the PR 5 gap-wakeup dedup, extracted: at most
+//! * [`CreditGate`] — one node's signed credit window with a FIFO park
+//!   queue (the replay-protection ACK window each
+//!   [`crate::node::SecureNic`] owns, where batch trailers may
+//!   transiently overdraw and blocked senders park prepared blocks until
+//!   a credit returns).
+//! * [`WakeupLadder`] — the gap-wakeup dedup (DESIGN.md §10): at most
 //!   one timer wakeup armed per node, none lost.
 
 use mgpu_types::{Cycle, DenseNodeMap, NodeId};
@@ -32,132 +31,78 @@ pub enum Reject {
     Drained,
 }
 
-/// Unsigned per-node slot credits (e.g. issue slots). Taking a credit
-/// either succeeds or answers [`Reject::AwaitCredit`]; returning one is
-/// infallible.
-#[derive(Debug)]
-pub struct CreditPool {
-    free: DenseNodeMap<u32>,
-    grants: DenseNodeMap<u64>,
-}
-
-impl CreditPool {
-    /// A pool giving each node in `nodes` `capacity` credits.
-    #[must_use]
-    pub fn new(nodes: impl Iterator<Item = NodeId>, capacity: u32) -> Self {
-        let free: DenseNodeMap<u32> = nodes.map(|n| (n, capacity)).collect();
-        let grants = free.keys().map(|n| (n, 0)).collect();
-        CreditPool { free, grants }
-    }
-
-    /// Takes one credit from `node`; [`Reject::AwaitCredit`] when none
-    /// are free (a [`CreditPool::put`] will re-offer).
-    pub fn take(&mut self, node: NodeId) -> Result<(), Reject> {
-        let free = self.free.get_mut(node).expect("node in pool");
-        if *free == 0 {
-            return Err(Reject::AwaitCredit);
-        }
-        *free -= 1;
-        *self.grants.get_mut(node).expect("node in pool") += 1;
-        Ok(())
-    }
-
-    /// Returns one credit to `node`.
-    pub fn put(&mut self, node: NodeId) {
-        *self.free.get_mut(node).expect("node in pool") += 1;
-    }
-
-    /// Free credits at `node`.
-    #[must_use]
-    pub fn free(&self, node: NodeId) -> u32 {
-        self.free.get(node).copied().unwrap_or(0)
-    }
-
-    /// Credits granted to `node` so far.
-    #[must_use]
-    pub fn grants(&self, node: NodeId) -> u64 {
-        self.grants.get(node).copied().unwrap_or(0)
-    }
-}
-
-/// Signed per-node credits with a FIFO park queue.
+/// A signed credit window with a FIFO park queue: one node's replay
+/// (ACK) table.
 ///
-/// Models windows where privileged callers may transiently overdraw
-/// (replay-table trailer reservations) and where a denied caller parks
-/// its work item `D` until a credit returns. Each release unparks the
-/// longest-waiting item.
+/// Privileged callers may transiently overdraw (replay-table trailer
+/// reservations), and a denied caller parks its work item `D` until a
+/// credit returns. Each release unparks the longest-waiting item.
 #[derive(Debug)]
 pub struct CreditGate<D> {
-    free: DenseNodeMap<i64>,
-    parked: DenseNodeMap<VecDeque<D>>,
-    grants: DenseNodeMap<u64>,
+    free: i64,
+    grants: u64,
+    parked: VecDeque<D>,
 }
 
 impl<D> CreditGate<D> {
-    /// A gate giving each node in `nodes` `capacity` credits.
+    /// A window of `capacity` credits.
     #[must_use]
-    pub fn new(nodes: impl Iterator<Item = NodeId>, capacity: i64) -> Self {
-        let free: DenseNodeMap<i64> = nodes.map(|n| (n, capacity)).collect();
-        let grants = free.keys().map(|n| (n, 0)).collect();
+    pub fn new(capacity: i64) -> Self {
         CreditGate {
-            free,
-            parked: DenseNodeMap::new(),
-            grants,
+            free: capacity,
+            grants: 0,
+            parked: VecDeque::new(),
         }
     }
 
-    /// Takes one credit at `node`; [`Reject::AwaitCredit`] when the
-    /// window is exhausted (a [`CreditGate::release`] re-offers — park
-    /// the work item, do not poll).
-    pub fn admit(&mut self, node: NodeId) -> Result<(), Reject> {
-        let free = self.free.get_mut(node).expect("node in gate");
-        if *free <= 0 {
+    /// Takes one credit; [`Reject::AwaitCredit`] when the window is
+    /// exhausted (a [`CreditGate::release`] re-offers — park the work
+    /// item, do not poll).
+    pub fn admit(&mut self) -> Result<(), Reject> {
+        if self.free <= 0 {
             return Err(Reject::AwaitCredit);
         }
-        *free -= 1;
-        *self.grants.get_mut(node).expect("node in gate") += 1;
+        self.free -= 1;
+        self.grants += 1;
         Ok(())
     }
 
-    /// Takes one credit at `node` unconditionally, allowing the balance
-    /// to go negative (privileged callers only — batch trailer flushes
-    /// are never parked).
-    pub fn overdraw(&mut self, node: NodeId) {
-        *self.free.get_mut(node).expect("node in gate") -= 1;
-        *self.grants.get_mut(node).expect("node in gate") += 1;
+    /// Takes one credit unconditionally, allowing the balance to go
+    /// negative (privileged callers only — batch trailer flushes are
+    /// never parked).
+    pub fn overdraw(&mut self) {
+        self.free -= 1;
+        self.grants += 1;
     }
 
-    /// Parks `item` at `node` until a credit returns.
-    pub fn park(&mut self, node: NodeId, item: D) {
-        self.parked
-            .get_or_insert_with(node, VecDeque::new)
-            .push_back(item);
+    /// Parks `item` until a credit returns.
+    pub fn park(&mut self, item: D) {
+        self.parked.push_back(item);
     }
 
-    /// Returns one credit to `node` and unparks its longest-waiting work
-    /// item, if any.
-    pub fn release(&mut self, node: NodeId) -> Option<D> {
-        *self.free.get_mut(node).expect("node in gate") += 1;
-        self.parked.get_mut(node)?.pop_front()
+    /// Returns one credit and unparks the longest-waiting work item, if
+    /// any.
+    pub fn release(&mut self) -> Option<D> {
+        self.free += 1;
+        self.parked.pop_front()
     }
 
-    /// Free credits at `node` (negative while overdrawn); zero for nodes
-    /// outside the gate.
+    /// Free credits (negative while overdrawn).
     #[must_use]
-    pub fn free(&self, node: NodeId) -> i64 {
-        self.free.get(node).copied().unwrap_or(0)
+    pub fn free(&self) -> i64 {
+        self.free
     }
 
-    /// Credits granted at `node` so far (admissions plus overdraws).
+    /// Credits granted so far (admissions plus overdraws).
     #[must_use]
-    pub fn grants(&self, node: NodeId) -> u64 {
-        self.grants.get(node).copied().unwrap_or(0)
+    pub fn grants(&self) -> u64 {
+        self.grants
     }
 
-    /// Work items parked at `node`.
+    /// Work items parked, waiting for a credit.
     #[must_use]
-    pub fn parked_len(&self, node: NodeId) -> usize {
-        self.parked.get(node).map_or(0, VecDeque::len)
+    pub fn parked_len(&self) -> usize {
+        self.parked.len()
     }
 }
 
@@ -212,47 +157,48 @@ mod tests {
     }
 
     #[test]
-    fn pool_rejects_await_credit_at_zero_and_recovers() {
-        let g1 = NodeId::gpu(1);
-        let mut pool = CreditPool::new(nodes(), 1);
-        assert_eq!(pool.take(g1), Ok(()));
-        assert_eq!(pool.take(g1), Err(Reject::AwaitCredit));
-        assert_eq!(pool.free(g1), 0);
-        pool.put(g1);
-        assert_eq!(pool.take(g1), Ok(()));
-        assert_eq!(pool.grants(g1), 2);
-        // The other node's credits are untouched.
-        assert_eq!(pool.free(NodeId::gpu(2)), 1);
-    }
-
-    #[test]
     fn gate_unparks_in_fifo_order() {
-        let g1 = NodeId::gpu(1);
-        let mut gate: CreditGate<&str> = CreditGate::new(nodes(), 1);
-        assert!(gate.admit(g1).is_ok());
-        assert_eq!(gate.admit(g1), Err(Reject::AwaitCredit));
-        gate.park(g1, "first-parked");
-        gate.park(g1, "second-parked");
-        assert_eq!(gate.parked_len(g1), 2);
-        assert_eq!(gate.release(g1), Some("first-parked"));
-        assert_eq!(gate.release(g1), Some("second-parked"));
-        assert_eq!(gate.release(g1), None);
+        let mut gate: CreditGate<&str> = CreditGate::new(2);
+        assert!(gate.admit().is_ok());
+        assert!(gate.admit().is_ok());
+        assert_eq!(
+            gate.admit(),
+            Err(Reject::AwaitCredit),
+            "window of 2 is full"
+        );
+        gate.park("first-parked");
+        gate.park("second-parked");
+        assert_eq!(gate.parked_len(), 2);
+        // Each release unparks the oldest item, which then takes the
+        // returned credit.
+        assert_eq!(gate.release(), Some("first-parked"));
+        assert!(gate.admit().is_ok());
+        assert_eq!(gate.release(), Some("second-parked"));
+        assert!(gate.admit().is_ok());
+        assert_eq!(gate.parked_len(), 0);
+        assert_eq!(gate.release(), None);
+        assert_eq!(gate.release(), None);
+        assert_eq!(gate.free(), 2, "every credit came home");
+        // The rejected admission took nothing.
+        assert_eq!(gate.grants(), 4);
     }
 
     #[test]
     fn gate_overdraw_goes_negative_and_must_repay() {
-        let g1 = NodeId::gpu(1);
-        let mut gate: CreditGate<u32> = CreditGate::new(nodes(), 2);
-        gate.admit(g1).unwrap();
-        gate.admit(g1).unwrap();
-        gate.overdraw(g1);
-        assert_eq!(gate.free(g1), -1);
-        assert_eq!(gate.admit(g1), Err(Reject::AwaitCredit));
-        gate.release(g1);
-        assert_eq!(gate.admit(g1), Err(Reject::AwaitCredit), "still at zero");
-        gate.release(g1);
-        assert!(gate.admit(g1).is_ok());
-        assert_eq!(gate.grants(g1), 4);
+        let mut gate: CreditGate<u32> = CreditGate::new(2);
+        gate.admit().unwrap();
+        gate.admit().unwrap();
+        // A batch-closing trailer takes a credit even when the window is
+        // full...
+        gate.overdraw();
+        assert_eq!(gate.free(), -1);
+        assert_eq!(gate.admit(), Err(Reject::AwaitCredit));
+        // ...so the overdraft is repaid before a new block fits.
+        assert!(gate.release().is_none());
+        assert_eq!(gate.admit(), Err(Reject::AwaitCredit), "still at zero");
+        gate.release();
+        assert!(gate.admit().is_ok());
+        assert_eq!(gate.grants(), 4);
     }
 
     #[test]

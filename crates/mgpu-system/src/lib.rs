@@ -31,7 +31,6 @@
 pub mod flow;
 pub mod harness;
 pub mod metrics;
-pub mod nic_pool;
 pub mod node;
 pub mod observer;
 pub mod pacing;
@@ -39,7 +38,7 @@ pub mod runner;
 pub mod simulation;
 pub mod timeseries;
 
-pub use flow::{CreditGate, CreditPool, Reject, WakeupLadder};
+pub use flow::{CreditGate, Reject, WakeupLadder};
 pub use harness::WireHarness;
 pub use metrics::{LatencyReport, RunReport};
 pub use observer::{

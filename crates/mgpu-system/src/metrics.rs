@@ -1,5 +1,6 @@
 //! Run metrics collected by the simulation.
 
+use crate::node::SecureNic;
 use crate::timeseries::Timeline;
 use mgpu_secure::adversary::SecurityEventLog;
 use mgpu_secure::OtpStats;
@@ -177,6 +178,32 @@ impl RunReport {
     }
 }
 
+/// The fleet's [`RunReport`] security fields: merged OTP statistics,
+/// pads issued, and mean blocks per closed batch across `nics`, each
+/// NIC's mean weighted by its closed batches so a NIC that closed few
+/// batches counts for few. An empty fleet (an unsecure run) reads zero.
+pub(crate) fn otp_summary<'a>(
+    nics: impl IntoIterator<Item = &'a SecureNic>,
+) -> (OtpStats, u64, f64) {
+    let mut otp = OtpStats::default();
+    let mut pads_issued = 0;
+    let mut closed_blocks = 0.0;
+    let mut closed_batches = 0u64;
+    for nic in nics {
+        otp.merge(nic.otp_stats());
+        pads_issued += nic.pads_issued();
+        let (full, flush) = nic.batch_closes();
+        closed_blocks += nic.mean_batch_occupancy() * (full + flush) as f64;
+        closed_batches += full + flush;
+    }
+    let mean_occupancy = if closed_batches > 0 {
+        closed_blocks / closed_batches as f64
+    } else {
+        0.0
+    };
+    (otp, pads_issued, mean_occupancy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +283,32 @@ mod tests {
         assert_eq!(l.total_percentile(99.0), None);
         assert_eq!(l.mean_total(), 0.0);
         assert_eq!(l.violation_rate(), 0.0);
+    }
+
+    #[test]
+    fn fleet_occupancy_is_blocks_per_closed_batch() {
+        use mgpu_types::{NodeId, SystemConfig};
+        let mut cfg = SystemConfig::paper_4gpu();
+        cfg.security.scheme = OtpSchemeKind::Dynamic;
+        cfg.security.batching.enabled = true;
+        cfg.security.batching.batch_size = 16;
+        let mut gpu1 = SecureNic::new(NodeId::gpu(1), &cfg);
+        let mut gpu2 = SecureNic::new(NodeId::gpu(2), &cfg);
+        // GPU 1 fills two 16-block batches; GPU 2 sends one block whose
+        // batch closes by timeout.
+        for i in 0..32 {
+            gpu1.prepare_send(Cycle::new(10_000 + i), NodeId::gpu(3));
+        }
+        gpu2.prepare_send(Cycle::new(10_000), NodeId::gpu(3));
+        assert_eq!(gpu2.flush_due(Cycle::MAX).len(), 1);
+        // 33 blocks over 3 batches, not the mean of the per-NIC means
+        // (16 and 1).
+        let (_, _, occupancy) = otp_summary([&gpu1, &gpu2]);
+        assert!((occupancy - 11.0).abs() < 1e-12, "{occupancy}");
+        // An unsecure run has no NICs: its summary reads zero.
+        let (otp, pads, occupancy) = otp_summary([]);
+        assert_eq!(otp, OtpStats::default());
+        assert_eq!((pads, occupancy), (0, 0.0));
     }
 
     #[test]

@@ -6,13 +6,30 @@
 //! the block's batch closes so the simulation can charge the batched MAC
 //! and the single ACK. Incoming blocks symmetrically pay the receive-side
 //! pad latency.
+//!
+//! The NIC also owns the node's replay-protection (ACK) window, a
+//! [`CreditGate`]: an outgoing MAC-carrying block (or batch trailer)
+//! takes one window credit until its ACK returns; an exhausted window
+//! answers [`crate::flow::Reject::AwaitCredit`] and the block parks at
+//! the gate until a release unparks it, oldest first.
 
+use crate::flow::CreditGate;
 use mgpu_crypto::AesEngine;
 use mgpu_secure::batching::SenderBatcher;
 use mgpu_secure::protocol::WireFormat;
 use mgpu_secure::schemes::{build_scheme, OtpScheme, SchemeTelemetry};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_types::{ByteSize, Cycle, NodeId, SystemConfig};
+use mgpu_types::{ByteSize, Cycle, Duration, NodeId, SystemConfig};
+
+/// Per-block latency budget of deadline-aware batch close
+/// (`BatchingConfig::deadline_close`): a batch tries to emit its MAC
+/// trailer before its oldest block has been queued this long.
+const DEADLINE_SLACK: Duration = Duration::cycles(96);
+
+/// A block's row in the engine's per-block table. A prepared,
+/// MAC-carrying block waiting for a replay-table entry parks as its id:
+/// its wire parts and counter stay in the table.
+pub type BlockId = u32;
 
 /// What the NIC decided for one outgoing block.
 #[derive(Debug, Clone)]
@@ -36,6 +53,10 @@ pub struct SecureNic {
     batching: bool,
     charge_metadata: bool,
     batcher: SenderBatcher,
+    /// Replay-table (ACK window) credits. Signed: trailer flushes take a
+    /// credit unconditionally and may transiently overdraw. Blocked
+    /// sends park their prepared blocks here.
+    ack_window: CreditGate<BlockId>,
 }
 
 impl core::fmt::Debug for SecureNic {
@@ -61,7 +82,7 @@ impl SecureNic {
         let b = &config.security.batching;
         let mut batcher = SenderBatcher::new(b.batch_size, b.flush_timeout);
         if b.deadline_close {
-            batcher = batcher.with_deadline_close(b.deadline_slack);
+            batcher = batcher.with_deadline_close(DEADLINE_SLACK);
         }
         let d = &config.security.defense;
         if d.close_jitter {
@@ -77,6 +98,7 @@ impl SecureNic {
             batching: b.enabled,
             charge_metadata: config.security.charge_metadata_traffic,
             batcher,
+            ack_window: CreditGate::new(i64::from(config.security.ack_table_entries)),
         }
     }
 
@@ -178,6 +200,18 @@ impl SecureNic {
     #[must_use]
     pub fn scheme_telemetry(&self) -> Option<SchemeTelemetry> {
         self.scheme.telemetry()
+    }
+
+    /// The node's replay-table (ACK) window.
+    #[must_use]
+    pub(crate) fn ack_window(&self) -> &CreditGate<BlockId> {
+        &self.ack_window
+    }
+
+    /// The node's replay-table (ACK) window, to admit, overdraw, park
+    /// and release.
+    pub(crate) fn ack_window_mut(&mut self) -> &mut CreditGate<BlockId> {
+        &mut self.ack_window
     }
 
     /// Cumulative `(closed full, closed by flush)` batch counts.

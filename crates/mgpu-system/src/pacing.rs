@@ -3,11 +3,12 @@
 //! In the default **closed-loop** mode, each GPU's generated request
 //! timestamps define *compute gaps* between consecutive requests, and the
 //! GPU sustains at most `slots` in-flight requests (its memory-level
-//! parallelism). [`IssuePacer`] owns that state: the per-node request
-//! queues, the gap queues, the virtual time marking when the previous
-//! request issued, and the free-slot counters. A stalled GPU pushes all
-//! of its later work back — like a real kernel whose wavefronts cannot
-//! run ahead of their data.
+//! parallelism). [`IssuePacer`] owns that state, one record per node:
+//! the request queue, when the previous request issued and what its
+//! timestamp was (the next gap is the front request's timestamp minus
+//! that one), and the free-slot count. A stalled GPU pushes all of its
+//! later work back — like a real kernel whose wavefronts cannot run
+//! ahead of their data.
 //!
 //! In **open-loop** mode ([`IssuePacer::open_loop`]) requests become
 //! eligible at their *absolute* `available_at` cycles regardless of how
@@ -16,14 +17,13 @@
 //! saturated node accumulates queueing delay that surfaces as request
 //! latency instead of silently shifting the arrival process.
 //!
-//! Issue slots are [`CreditPool`] credits and every non-issue answer is
-//! a typed [`Reject`]: `NotBefore` names the compute-ready cycle (arm
-//! one wakeup), `AwaitCredit` says a completion will re-offer, and
-//! `Drained` ends the node's stream — the flow-substrate contract, with
-//! no decision enum of its own.
+//! Every non-issue answer is a typed [`Reject`]: `NotBefore` names the
+//! compute-ready cycle (arm one wakeup), `AwaitCredit` says a completion
+//! will re-offer, and `Drained` ends the node's stream — the
+//! flow-substrate contract, with no decision enum of its own.
 
-use crate::flow::{CreditPool, Reject};
-use mgpu_types::{Cycle, DenseNodeMap, Duration, NodeId};
+use crate::flow::Reject;
+use mgpu_types::{Cycle, DenseNodeMap, NodeId};
 use mgpu_workloads::Request;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -39,16 +39,24 @@ pub enum PacingMode {
     OpenLoop,
 }
 
+/// One node's issue state.
+#[derive(Debug)]
+struct NodeIssue {
+    reqs: VecDeque<Request>,
+    /// Virtual time: when the node's previous request issued.
+    vt: Cycle,
+    /// The previous request's `available_at`: the closed-loop compute gap
+    /// before the front request is the distance from it.
+    prev_available: Cycle,
+    /// Free issue slots (the node's memory-level parallelism).
+    slots: u32,
+}
+
 /// Per-node issue state for one simulation run.
 #[derive(Debug)]
 pub struct IssuePacer {
     mode: PacingMode,
-    gaps: DenseNodeMap<VecDeque<Duration>>,
-    reqs: DenseNodeMap<VecDeque<Request>>,
-    /// Virtual time: when the node's previous request issued.
-    vt: DenseNodeMap<Cycle>,
-    /// Issue-slot credits (the node's memory-level parallelism).
-    slots: CreditPool,
+    nodes: DenseNodeMap<NodeIssue>,
 }
 
 impl IssuePacer {
@@ -69,69 +77,59 @@ impl IssuePacer {
     }
 
     fn build(queues: BTreeMap<NodeId, VecDeque<Request>>, slots: u32, mode: PacingMode) -> Self {
-        let mut gaps: DenseNodeMap<VecDeque<Duration>> = DenseNodeMap::new();
-        let mut reqs: DenseNodeMap<VecDeque<Request>> = DenseNodeMap::new();
-        for (node, queue) in queues {
-            let mut prev = Cycle::ZERO;
-            let g = gaps.get_or_insert_with(node, VecDeque::new);
-            for r in &queue {
-                g.push_back(r.available_at.saturating_since(prev));
-                prev = r.available_at;
-            }
-            reqs.insert(node, queue);
-        }
-        let vt = reqs.keys().map(|n| (n, Cycle::ZERO)).collect();
-        let slots = CreditPool::new(reqs.keys(), slots);
-        IssuePacer {
-            mode,
-            gaps,
-            reqs,
-            vt,
-            slots,
-        }
+        let nodes = queues
+            .into_iter()
+            .map(|(node, reqs)| {
+                let issue = NodeIssue {
+                    reqs,
+                    vt: Cycle::ZERO,
+                    prev_available: Cycle::ZERO,
+                    slots,
+                };
+                (node, issue)
+            })
+            .collect();
+        IssuePacer { mode, nodes }
     }
 
     /// The nodes with request queues, in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reqs.keys()
+        self.nodes.keys()
     }
 
     /// Polls `node` for an issue at `now`. Idempotent: every condition is
     /// re-checked at call time, so stale polls are harmless. `Ok` carries
-    /// the issued request (a slot credit was consumed); `Err` is the
-    /// typed reject telling the caller exactly what re-offers service.
+    /// the issued request (an issue slot was taken); `Err` is the typed
+    /// reject telling the caller exactly what re-offers service.
     pub fn poll(&mut self, node: NodeId, now: Cycle) -> Result<Request, Reject> {
-        let Some(front_gap) = self.gaps[node].front().copied() else {
+        let n = self.nodes.get_mut(node).expect("node has a request queue");
+        let Some(front) = n.reqs.front() else {
             return Err(Reject::Drained);
         };
         let avail = match self.mode {
-            PacingMode::ClosedLoop => self.vt[node] + front_gap,
-            PacingMode::OpenLoop => {
-                self.reqs[node]
-                    .front()
-                    .expect("gap implies request")
-                    .available_at
-            }
+            PacingMode::ClosedLoop => n.vt + front.available_at.saturating_since(n.prev_available),
+            PacingMode::OpenLoop => front.available_at,
         };
         if avail > now {
             return Err(Reject::NotBefore(avail));
         }
-        self.slots.take(node)?;
-        let request = self
-            .reqs
-            .get_mut(node)
-            .expect("queue exists")
-            .pop_front()
-            .expect("gap implies request");
-        self.gaps.get_mut(node).expect("gaps exist").pop_front();
-        self.vt.insert(node, now);
+        if n.slots == 0 {
+            // A completion returns the slot and re-polls.
+            return Err(Reject::AwaitCredit);
+        }
+        n.slots -= 1;
+        let request = n.reqs.pop_front().expect("front exists");
+        n.prev_available = request.available_at;
+        n.vt = now;
         Ok(request)
     }
 
-    /// Returns `node`'s issue-slot credit after one of its requests
-    /// completes.
+    /// Returns `node`'s issue slot after one of its requests completes.
     pub fn complete(&mut self, node: NodeId) {
-        self.slots.put(node);
+        self.nodes
+            .get_mut(node)
+            .expect("node has a request queue")
+            .slots += 1;
     }
 }
 
@@ -181,6 +179,64 @@ mod tests {
         assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
         p.complete(g1);
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
+    }
+
+    #[test]
+    fn slots_reject_await_credit_at_zero_and_recover_per_node() {
+        let (g1, g2) = (NodeId::gpu(1), NodeId::gpu(2));
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g2, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g2, NodeId::gpu(3)),
+            ]),
+            1,
+        );
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+        assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
+        // GPU 1 at zero slots leaves GPU 2's slot untouched.
+        assert!(p.poll(g2, Cycle::ZERO).is_ok());
+        assert_eq!(p.poll(g2, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
+        // A completion returns exactly one slot, to its own node.
+        p.complete(g1);
+        assert_eq!(p.poll(g2, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+        assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
+        p.complete(g1);
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+    }
+
+    #[test]
+    fn gap_is_distance_from_the_last_issued_timestamp() {
+        let g1 = NodeId::gpu(1);
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(10), g1, NodeId::gpu(2)),
+                // Same timestamp as its predecessor: no gap.
+                Request::direct(Cycle::new(10), g1, NodeId::gpu(2)),
+                Request::direct(Cycle::new(30), g1, NodeId::gpu(2)),
+                // Earlier than its predecessor: the gap saturates to zero.
+                Request::direct(Cycle::new(25), g1, NodeId::gpu(2)),
+            ]),
+            4,
+        );
+        // The first gap counts from cycle 0.
+        assert_eq!(
+            p.poll(g1, Cycle::ZERO).unwrap_err(),
+            Reject::NotBefore(Cycle::new(10))
+        );
+        assert!(p.poll(g1, Cycle::new(12)).is_ok());
+        assert!(p.poll(g1, Cycle::new(12)).is_ok(), "zero gap");
+        // 30 - 10 = 20 cycles after the issue at 12.
+        assert_eq!(
+            p.poll(g1, Cycle::new(12)).unwrap_err(),
+            Reject::NotBefore(Cycle::new(32))
+        );
+        assert!(p.poll(g1, Cycle::new(40)).is_ok());
+        assert!(p.poll(g1, Cycle::new(40)).is_ok(), "saturated gap");
+        assert_eq!(p.poll(g1, Cycle::new(40)).unwrap_err(), Reject::Drained);
     }
 
     #[test]

@@ -18,16 +18,17 @@
 //!
 //! * [`crate::pacing`] — closed-loop issue pacing (compute gaps +
 //!   per-GPU memory-level-parallelism slots),
-//! * [`crate::nic_pool`] — the secure-NIC fleet, replay (ACK) tables and
-//!   the deferred-send queue,
+//! * [`crate::node`] — one secure NIC per node: crypto pipeline, OTP
+//!   scheme, metadata batcher, and the replay (ACK) window where
+//!   deferred sends park,
 //! * [`mgpu_sim::topology`] — the routed interconnect, moving each block
 //!   hop by hop (`Ev::BlockIngress` re-fires per waypoint on multi-hop
 //!   topologies; encryption, MACs and replay protection stay end-to-end).
 
 use crate::flow::{Reject, WakeupLadder};
 use crate::harness::WireHarness;
-use crate::metrics::RunReport;
-use crate::nic_pool::{BlockId, NicPool};
+use crate::metrics::{otp_summary, RunReport};
+use crate::node::{BlockId, SecureNic};
 use crate::pacing::IssuePacer;
 use crate::timeseries::TimeSeriesCollector;
 use mgpu_sim::dram::Hbm;
@@ -221,7 +222,15 @@ impl Simulation {
         let mut hbm: DenseNodeMap<Hbm> = NodeId::all(cfg.gpu_count)
             .map(|n| (n, Hbm::new(512, cfg.dram_latency)))
             .collect();
-        let mut pool = NicPool::new(cfg, self.secure());
+        // One secure NIC per node; an unsecure baseline has none, and no
+        // block of it carries a MAC, so nothing asks for an ACK window.
+        let mut nics: DenseNodeMap<SecureNic> = if self.secure() {
+            NodeId::all(cfg.gpu_count)
+                .map(|n| (n, SecureNic::new(n, cfg)))
+                .collect()
+        } else {
+            DenseNodeMap::new()
+        };
         // Adversarial runs thread every protected crossing through the
         // functional wire harness, which injects seeded faults and checks
         // that a defense catches each one.
@@ -265,7 +274,7 @@ impl Simulation {
         // interval so each sample captures the just-applied allocation.
         let sample_every = cfg.security.dynamic.interval;
         let mut collector = (self.secure() && cfg.observability.enabled)
-            .then(|| TimeSeriesCollector::new(&cfg.observability, sample_every));
+            .then(|| TimeSeriesCollector::new(sample_every));
         let mut sample_pending = false;
         if collector.is_some() && !events.is_empty() {
             events.schedule(Cycle::ZERO + sample_every, Ev::Sample);
@@ -352,9 +361,9 @@ impl Simulation {
                     let req = &pending[idx as usize];
                     let (owner, requester) = (req.owner, req.requester);
                     let transit = Transit::new(PairId::new(owner, requester));
-                    if self.secure() {
+                    if let Some(nic) = nics.get_mut(owner) {
                         for _ in 0..req.blocks_left {
-                            let prep = pool.prepare_send(owner, now, requester);
+                            let prep = nic.prepare_send(now, requester);
                             if prep.acks && cfg.security.batching.enabled {
                                 if let Some(col) = collector.as_mut() {
                                     col.record_batch_close(now, owner, true);
@@ -372,7 +381,7 @@ impl Simulation {
                             );
                             events.schedule(prep.ready, Ev::BlockEgress(id));
                         }
-                        if let Some(deadline) = pool.next_flush_deadline(owner) {
+                        if let Some(deadline) = nic.next_flush_deadline() {
                             events.schedule(deadline.max(now), Ev::FlushCheck(owner));
                         }
                     } else {
@@ -398,9 +407,12 @@ impl Simulation {
                     // A MAC-carrying block must hold a replay-table entry
                     // until its ACK returns. A full table defers the
                     // release; the returning ACK reschedules the egress.
-                    if block.acks && pool.admit_ack(pair.src).is_err() {
-                        pool.defer(pair.src, id);
-                        continue;
+                    if block.acks {
+                        let window = nics.get_mut(pair.src).expect("sender nic").ack_window_mut();
+                        if window.admit().is_err() {
+                            window.park(id);
+                            continue;
+                        }
                     }
                     let at = fabric.begin(&mut block.transit, now, &block.parts);
                     events.schedule(at, Ev::BlockIngress(id));
@@ -418,18 +430,18 @@ impl Simulation {
                 }
                 Ev::BlockRecv(id) => {
                     let block = &blocks[id as usize];
-                    let usable = if self.secure() {
-                        let PairId {
-                            src: owner,
-                            dst: requester,
-                        } = block.transit.pair();
+                    let PairId {
+                        src: owner,
+                        dst: requester,
+                    } = block.transit.pair();
+                    let usable = if let Some(nic) = nics.get_mut(requester) {
                         if let Some(h) = harness.as_mut() {
                             let tampered = h.on_block(now, owner, requester);
                             if tampered > 0 {
                                 fabric.note_tampered_egress(owner, tampered);
                             }
                         }
-                        pool.receive(requester, now, owner, block.counter)
+                        nic.receive(now, owner, block.counter)
                     } else {
                         now
                     };
@@ -459,12 +471,15 @@ impl Simulation {
                     }
                 }
                 Ev::AckArrive(owner) => {
-                    if let Some(id) = pool.release_ack(owner) {
+                    let window = nics.get_mut(owner).expect("owner nic").ack_window_mut();
+                    if let Some(id) = window.release() {
                         events.schedule(now, Ev::BlockEgress(id));
                     }
                 }
                 Ev::FlushCheck(owner) => {
-                    let flushed = pool.flush_due(owner, now);
+                    // Only a NIC with an open batch arms a flush check.
+                    let nic = nics.get_mut(owner).expect("owner nic");
+                    let flushed = nic.flush_due(now);
                     for (dst, mac_bytes) in flushed {
                         if let Some(col) = collector.as_mut() {
                             col.record_batch_close(now, owner, false);
@@ -477,7 +492,7 @@ impl Simulation {
                         }
                         // A flushed batch closes: its trailer occupies a
                         // replay-table entry until the batch ACK returns.
-                        pool.overdraw_ack(owner);
+                        nic.ack_window_mut().overdraw();
                         let arrive = fabric.transmit_ctrl(
                             PairId::new(owner, dst),
                             now,
@@ -492,7 +507,7 @@ impl Simulation {
                             },
                         );
                     }
-                    if let Some(deadline) = pool.next_flush_deadline(owner) {
+                    if let Some(deadline) = nic.next_flush_deadline() {
                         events.schedule(deadline.max(now), Ev::FlushCheck(owner));
                     }
                 }
@@ -518,7 +533,9 @@ impl Simulation {
                     // Force interval processing at the boundary so the
                     // sample reflects the boundary allocation (timing-
                     // equivalent to the lazy path — see `timeseries`).
-                    pool.advance_all(now);
+                    for nic in nics.values_mut() {
+                        nic.advance(now);
+                    }
                     if shaping {
                         // Top up at the boundary too: the quota-based
                         // top-up is idempotent, so whichever of the tick
@@ -531,7 +548,7 @@ impl Simulation {
                             col.record_security_event(&ev);
                         }
                     }
-                    col.sample(now, &pool, &fabric);
+                    col.sample(now, &nics, &fabric);
                     // Keep pace with the run, but never outlive it: a
                     // Sample is never the only event left in the queue.
                     if !events.is_empty() {
@@ -548,10 +565,10 @@ impl Simulation {
         // because an open batch always keeps a `FlushCheck` pending at or
         // before its deadline.
         debug_assert!(
-            NodeId::all(cfg.gpu_count).all(|node| pool.ack_free(node)
+            nics.values().all(|nic| nic.ack_window().free()
                 == i64::from(cfg.security.ack_table_entries)
-                && pool.parked_len(node) == 0
-                && pool.next_flush_deadline(node).is_none()),
+                && nic.ack_window().parked_len() == 0
+                && nic.next_flush_deadline().is_none()),
             "ACK window leaked credits, stranded a parked block or left a batch open at drain"
         );
 
@@ -572,7 +589,7 @@ impl Simulation {
             }
         }
 
-        let (otp, pads_issued, mean_batch_occupancy) = pool.otp_summary();
+        let (otp, pads_issued, mean_batch_occupancy) = otp_summary(nics.values());
         latency.finish();
 
         RunReport {

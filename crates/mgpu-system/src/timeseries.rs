@@ -29,11 +29,11 @@
 //! The timeline is fully deterministic (no wall-clock anywhere), so
 //! observed runs stay reproducible run-to-run.
 
-use crate::nic_pool::NicPool;
+use crate::node::SecureNic;
 use mgpu_secure::adversary::{FaultKind, SecurityEvent};
 use mgpu_sim::stats::percentile;
 use mgpu_sim::topology::Topology;
-use mgpu_types::{Cycle, Duration, NodeId, ObservabilityConfig};
+use mgpu_types::{Cycle, DenseNodeMap, Duration, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -346,6 +346,10 @@ impl Timeline {
     }
 }
 
+/// Capacity of the protocol-event ring buffer. When full, the oldest
+/// record is dropped (and counted) rather than growing without bound.
+const TRACE_CAPACITY: usize = 4096;
+
 /// Per-run state of the observability layer. Lives inside the event loop
 /// only when `config.observability.enabled`; every hook is behind an
 /// `Option` so disabled runs pay nothing.
@@ -375,10 +379,10 @@ impl TimeSeriesCollector {
     /// Creates a collector sampling every `interval` cycles (the
     /// repartition interval `T`).
     #[must_use]
-    pub fn new(cfg: &ObservabilityConfig, interval: Duration) -> Self {
+    pub fn new(interval: Duration) -> Self {
         TimeSeriesCollector {
             interval,
-            trace_capacity: cfg.trace_capacity as usize,
+            trace_capacity: TRACE_CAPACITY,
             samples: Vec::new(),
             fabric: Vec::new(),
             trace: VecDeque::new(),
@@ -438,8 +442,8 @@ impl TimeSeriesCollector {
     /// Takes one sample of every node and fabric port at boundary `now`.
     /// The caller is responsible for having advanced the schemes to the
     /// boundary first (see the module docs on timing neutrality).
-    pub fn sample(&mut self, now: Cycle, pool: &NicPool, topo: &Topology) {
-        for (node, nic) in pool.iter_nics() {
+    pub fn sample(&mut self, now: Cycle, nics: &DenseNodeMap<SecureNic>, topo: &Topology) {
+        for (node, nic) in nics.iter() {
             let stats = nic.otp_stats();
             let hits = stats.count(mgpu_types::Direction::Send, mgpu_secure::PadClass::Hit)
                 + stats.count(mgpu_types::Direction::Recv, mgpu_secure::PadClass::Hit);
@@ -481,8 +485,8 @@ impl TimeSeriesCollector {
                 batch_closed_full: full - bf,
                 batch_closed_flush: flush - bfl,
                 batch_occupancy: nic.mean_batch_occupancy(),
-                ack_window_free: pool.ack_free(node),
-                ack_window_grants: pool.ack_grants(node),
+                ack_window_free: nic.ack_window().free(),
+                ack_window_grants: nic.ack_window().grants(),
             });
         }
 
@@ -561,12 +565,10 @@ impl TimeSeriesCollector {
 mod tests {
     use super::*;
 
-    fn collector(capacity: u32) -> TimeSeriesCollector {
-        let cfg = ObservabilityConfig {
-            enabled: true,
-            trace_capacity: capacity,
-        };
-        TimeSeriesCollector::new(&cfg, Duration::cycles(1000))
+    fn collector(capacity: usize) -> TimeSeriesCollector {
+        let mut c = TimeSeriesCollector::new(Duration::cycles(1000));
+        c.trace_capacity = capacity;
+        c
     }
 
     #[test]

@@ -117,18 +117,12 @@ pub struct DynamicConfig {
     pub interval: Duration,
     /// When `true`, the allocator repartitions on *arrival-rate shifts*
     /// instead of at every fixed `interval` boundary: traffic is counted in
-    /// `check_interval`-wide windows and a repartition fires only when the
-    /// window's event count moves by more than `shift_threshold` (relative)
-    /// against the rate recorded at the last repartition. Off by default —
-    /// the paper's fixed-interval policy.
+    /// fixed load-monitoring windows and a repartition fires only when the
+    /// window's event count moves by more than a relative threshold
+    /// against the rate recorded at the last repartition (both constants
+    /// of the `Dynamic` scheme). Off by default — the paper's
+    /// fixed-interval policy.
     pub load_triggered: bool,
-    /// Load-monitoring window width for `load_triggered` mode. Smaller
-    /// windows react to bursts faster (the point of the policy) at the cost
-    /// of noisier rate estimates.
-    pub check_interval: Duration,
-    /// Relative per-window event-count shift (`|now - then| / max(then, 1)`)
-    /// that triggers a repartition in `load_triggered` mode.
-    pub shift_threshold: f64,
 }
 
 impl Default for DynamicConfig {
@@ -140,14 +134,12 @@ impl Default for DynamicConfig {
             beta: 0.5,
             interval: Duration::cycles(1000),
             load_triggered: false,
-            check_interval: Duration::cycles(250),
-            shift_threshold: 0.5,
         }
     }
 }
 
 impl DynamicConfig {
-    /// Validates that the EWMA rates lie in `(0, 1]` and the intervals are
+    /// Validates that the EWMA rates lie in `(0, 1]` and the interval is
     /// non-zero.
     ///
     /// # Errors
@@ -169,19 +161,6 @@ impl DynamicConfig {
         if self.interval == Duration::ZERO {
             return Err(ConfigError::new("interval must be non-zero"));
         }
-        if self.load_triggered {
-            if self.check_interval == Duration::ZERO {
-                return Err(ConfigError::new(
-                    "check_interval must be non-zero when load_triggered",
-                ));
-            }
-            if !(self.shift_threshold > 0.0 && self.shift_threshold.is_finite()) {
-                return Err(ConfigError::new(format!(
-                    "shift_threshold must be a positive finite ratio, got {}",
-                    self.shift_threshold
-                )));
-            }
-        }
         Ok(())
     }
 }
@@ -199,15 +178,11 @@ pub struct BatchingConfig {
     pub flush_timeout: Duration,
     /// Deadline-aware close: when `true`, each open batch's flush deadline
     /// shrinks below `flush_timeout` whenever the oldest queued block's
-    /// slack (against `deadline_slack`) drops below the batch's estimated
-    /// remaining service time (blocks still missing × the EWMA inter-block
-    /// gap on that destination). Off by default — the paper's wait-for-`n`
-    /// policy.
+    /// slack (against the NIC's fixed per-block latency budget) drops
+    /// below the batch's estimated remaining service time (blocks still
+    /// missing × the EWMA inter-block gap on that destination). Off by
+    /// default — the paper's wait-for-`n` policy.
     pub deadline_close: bool,
-    /// Per-block latency budget used by deadline-aware close: a batch tries
-    /// to emit its MAC trailer before its oldest block has been queued for
-    /// this long.
-    pub deadline_slack: Duration,
 }
 
 impl Default for BatchingConfig {
@@ -217,7 +192,6 @@ impl Default for BatchingConfig {
             batch_size: 16,
             flush_timeout: Duration::cycles(160),
             deadline_close: false,
-            deadline_slack: Duration::cycles(96),
         }
     }
 }
@@ -235,11 +209,6 @@ impl BatchingConfig {
         if self.batch_size > 255 {
             return Err(ConfigError::new(
                 "batch_size must fit the 1-byte length header (<= 255)",
-            ));
-        }
-        if self.deadline_close && self.deadline_slack == Duration::ZERO {
-            return Err(ConfigError::new(
-                "deadline_slack must be non-zero when deadline_close is enabled",
             ));
         }
         Ok(())
@@ -429,47 +398,18 @@ impl AdversaryConfig {
 /// repartition-interval boundary, and keeps a bounded ring buffer of
 /// protocol events. Collection is strictly passive: enabling it must not
 /// change any simulated timing (pinned by the golden parity tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ObservabilityConfig {
     /// Whether the time-series collector is active. Off by default: the
     /// hot path then carries only a dead `Option` check.
     pub enabled: bool,
-    /// Capacity of the protocol-event ring buffer. When full, the oldest
-    /// record is dropped (and counted) rather than growing without bound.
-    pub trace_capacity: u32,
-}
-
-impl Default for ObservabilityConfig {
-    fn default() -> Self {
-        ObservabilityConfig {
-            enabled: false,
-            trace_capacity: 4096,
-        }
-    }
 }
 
 impl ObservabilityConfig {
-    /// Collection enabled with the default trace capacity.
+    /// Collection enabled.
     #[must_use]
     pub fn enabled() -> Self {
-        ObservabilityConfig {
-            enabled: true,
-            ..ObservabilityConfig::default()
-        }
-    }
-
-    /// Validates the trace capacity (must be ≥ 1 when collection is on).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if enabled with a zero-capacity trace.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.enabled && self.trace_capacity == 0 {
-            return Err(ConfigError::new(
-                "trace_capacity must be >= 1 when observability is enabled",
-            ));
-        }
-        Ok(())
+        ObservabilityConfig { enabled: true }
     }
 }
 
@@ -534,8 +474,6 @@ pub struct SystemConfig {
     pub gpu_count: u16,
     /// Shape of the GPU-to-GPU interconnect fabric.
     pub topology: TopologyKind,
-    /// Compute units per GPU (paper: 64). Only shapes workload issue width.
-    pub cus_per_gpu: u32,
     /// GPU–GPU link bandwidth in bytes per cycle (NVLink2-class: 50 GB/s at
     /// 1 GHz = 50 B/cy).
     pub gpu_link_bytes_per_cycle: u32,
@@ -572,7 +510,6 @@ impl SystemConfig {
         SystemConfig {
             gpu_count: 4,
             topology: TopologyKind::FullyConnected,
-            cus_per_gpu: 64,
             gpu_link_bytes_per_cycle: 50,
             pcie_bytes_per_cycle: 32,
             link_latency: Duration::cycles(100),
@@ -657,7 +594,6 @@ impl SystemConfig {
         self.security.batching.validate()?;
         self.security.defense.validate()?;
         self.adversary.validate()?;
-        self.observability.validate()?;
         self.validate_shaping_envelope()
     }
 
@@ -693,7 +629,6 @@ mod tests {
     fn paper_4gpu_matches_table_iii() {
         let cfg = SystemConfig::paper_4gpu();
         assert_eq!(cfg.gpu_count, 4);
-        assert_eq!(cfg.cus_per_gpu, 64);
         assert_eq!(cfg.gpu_link_bytes_per_cycle, 50);
         assert_eq!(cfg.pcie_bytes_per_cycle, 32);
         assert_eq!(cfg.security.aes_latency, Duration::cycles(40));
@@ -740,21 +675,6 @@ mod tests {
 
         let mut cfg = SystemConfig::paper_4gpu();
         cfg.adversary.rate_permille = 1001;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.security.dynamic.load_triggered = true;
-        cfg.security.dynamic.check_interval = Duration::ZERO;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.security.dynamic.load_triggered = true;
-        cfg.security.dynamic.shift_threshold = 0.0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.security.batching.deadline_close = true;
-        cfg.security.batching.deadline_slack = Duration::ZERO;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::paper_4gpu();
@@ -872,24 +792,12 @@ mod tests {
     }
 
     #[test]
-    fn observability_defaults_and_validation() {
-        let cfg = SystemConfig::paper_4gpu();
+    fn observability_defaults_off_and_constructor_enables() {
+        let mut cfg = SystemConfig::paper_4gpu();
         assert!(!cfg.observability.enabled);
-        assert!(cfg.observability.trace_capacity > 0);
-
-        let obs = ObservabilityConfig::enabled();
-        assert!(obs.enabled);
-        obs.validate().unwrap();
-
-        let mut bad = SystemConfig::paper_4gpu();
-        bad.observability = ObservabilityConfig {
-            enabled: true,
-            trace_capacity: 0,
-        };
-        assert!(bad.validate().is_err());
-        // A zero capacity is fine while collection is off.
-        bad.observability.enabled = false;
-        bad.validate().unwrap();
+        cfg.observability = ObservabilityConfig::enabled();
+        assert!(cfg.observability.enabled);
+        cfg.validate().unwrap();
     }
 
     #[test]
