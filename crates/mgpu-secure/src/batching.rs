@@ -356,6 +356,16 @@ impl SenderBatcher {
         self.open.values().map(|b| b.flush_at).min()
     }
 
+    /// Whether every batch's flush deadline is fixed when the batch opens
+    /// and lies strictly after its opening cycle: the fixed timeout,
+    /// with or without close jitter, at a non-zero `flush_timeout`.
+    /// Deadline-aware close re-estimates a deadline on every added
+    /// block and can pull it to the current cycle.
+    #[must_use]
+    pub fn deadlines_fixed(&self) -> bool {
+        self.deadline.is_none() && self.flush_timeout > Duration::ZERO
+    }
+
     /// Batches closed because they filled up.
     #[must_use]
     pub fn closed_full(&self) -> u64 {
@@ -747,6 +757,20 @@ mod tests {
         b.add_block(Cycle::new(10), dst, [1; 8]);
         // A huge slack budget still falls back to the fixed timeout.
         assert_eq!(b.next_deadline(), Some(Cycle::new(170)));
+    }
+
+    #[test]
+    fn only_fixed_future_deadlines_count_as_fixed() {
+        let timeout = Duration::cycles(160);
+        assert!(SenderBatcher::new(16, timeout).deadlines_fixed());
+        assert!(SenderBatcher::new(16, timeout)
+            .with_close_jitter(Duration::cycles(64), 7)
+            .deadlines_fixed());
+        assert!(!SenderBatcher::new(16, timeout)
+            .with_deadline_close(Duration::cycles(96))
+            .deadlines_fixed());
+        // A zero timeout puts a new batch's deadline on its own cycle.
+        assert!(!SenderBatcher::new(16, Duration::ZERO).deadlines_fixed());
     }
 
     #[test]

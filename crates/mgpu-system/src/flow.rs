@@ -1,5 +1,5 @@
-//! System-level flow control: typed backpressure, the credit window and
-//! wakeup dedup shared by the pacing, NIC, and engine layers.
+//! System-level flow control: typed backpressure and the credit window
+//! shared by the pacing, NIC, and engine layers.
 //!
 //! Every "is this resource ready?" question the engine asks answers with
 //! either a grant or a **typed reject** ([`Reject`]) that says exactly
@@ -12,10 +12,11 @@
 //!   [`crate::node::SecureNic`] owns, where batch trailers may
 //!   transiently overdraw and blocked senders park prepared blocks until
 //!   a credit returns).
-//! * [`WakeupLadder`] — the gap-wakeup dedup (DESIGN.md §10): at most
-//!   one timer wakeup armed per node, none lost.
+//!
+//! The issue-wakeup dedup (DESIGN.md §10) lives with the rest of a
+//! node's issue state, in [`crate::pacing::IssuePacer`].
 
-use mgpu_types::{Cycle, DenseNodeMap, NodeId};
+use mgpu_types::Cycle;
 use std::collections::VecDeque;
 
 /// Typed backpressure: why a request was not granted, and what wakes it.
@@ -106,55 +107,9 @@ impl<D> CreditGate<D> {
     }
 }
 
-/// The PR 5 gap-wakeup dedup, extracted from the engines: per node, at
-/// most one timer wakeup is armed at any moment, and the armed time
-/// never exceeds the node's live ready cycle — so no wakeup is lost and
-/// the duplicate-poll population cannot grow (see DESIGN.md §10).
-#[derive(Debug)]
-pub struct WakeupLadder {
-    armed: DenseNodeMap<Option<Cycle>>,
-}
-
-impl WakeupLadder {
-    /// A ladder with every node in `nodes` unarmed.
-    #[must_use]
-    pub fn new(nodes: impl Iterator<Item = NodeId>) -> Self {
-        WakeupLadder {
-            armed: nodes.map(|n| (n, None)).collect(),
-        }
-    }
-
-    /// Notes that a wakeup for `node` fired at `now`: if it was the
-    /// armed one, the node becomes re-armable. (A wakeup scheduled
-    /// before arming — e.g. the initial kick or a completion poll — does
-    /// not match and leaves the armed timer in place.)
-    pub fn fired(&mut self, node: NodeId, now: Cycle) {
-        if self.armed[node] == Some(now) {
-            self.armed.insert(node, None);
-        }
-    }
-
-    /// Requests a wakeup for `node` at `at`. `true` means the caller
-    /// must schedule it (the ladder armed it); `false` means an earlier-
-    /// or-equal wakeup is already armed and scheduling another would
-    /// recreate the duplicate-poll storm.
-    pub fn arm(&mut self, node: NodeId, at: Cycle) -> bool {
-        if self.armed[node].is_none() {
-            self.armed.insert(node, Some(at));
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn nodes() -> impl Iterator<Item = NodeId> {
-        [NodeId::gpu(1), NodeId::gpu(2)].into_iter()
-    }
 
     #[test]
     fn gate_unparks_in_fifo_order() {
@@ -199,20 +154,5 @@ mod tests {
         gate.release();
         assert!(gate.admit().is_ok());
         assert_eq!(gate.grants(), 4);
-    }
-
-    #[test]
-    fn ladder_arms_once_until_fired() {
-        let g1 = NodeId::gpu(1);
-        let mut ladder = WakeupLadder::new(nodes());
-        assert!(ladder.arm(g1, Cycle::new(10)), "first arm schedules");
-        assert!(!ladder.arm(g1, Cycle::new(10)), "duplicate suppressed");
-        assert!(!ladder.arm(g1, Cycle::new(25)), "later wakeup suppressed");
-        // A stray poll at a non-armed time does not disarm.
-        ladder.fired(g1, Cycle::new(5));
-        assert!(!ladder.arm(g1, Cycle::new(10)));
-        // The armed wakeup firing re-arms the node.
-        ladder.fired(g1, Cycle::new(10));
-        assert!(ladder.arm(g1, Cycle::new(25)));
     }
 }

@@ -38,7 +38,7 @@ pub mod runner;
 pub mod simulation;
 pub mod timeseries;
 
-pub use flow::{CreditGate, Reject, WakeupLadder};
+pub use flow::{CreditGate, Reject};
 pub use harness::WireHarness;
 pub use metrics::{LatencyReport, RunReport};
 pub use observer::{

@@ -53,6 +53,9 @@ pub struct SecureNic {
     batching: bool,
     charge_metadata: bool,
     batcher: SenderBatcher,
+    /// The cycle of the `FlushCheck` this NIC last asked the engine to
+    /// schedule, until a check fires at that cycle.
+    flush_armed: Option<Cycle>,
     /// Replay-table (ACK window) credits. Signed: trailer flushes take a
     /// credit unconditionally and may transiently overdraw. Blocked
     /// sends park their prepared blocks here.
@@ -98,6 +101,7 @@ impl SecureNic {
             batching: b.enabled,
             charge_metadata: config.security.charge_metadata_traffic,
             batcher,
+            flush_armed: None,
             ack_window: CreditGate::new(i64::from(config.security.ack_table_entries)),
         }
     }
@@ -143,10 +147,14 @@ impl SecureNic {
         }
     }
 
-    /// Flushes batches older than the timeout at `now`; returns one
-    /// `(destination, mac_bytes)` entry per flushed batch — the standalone
-    /// MAC message to transmit (an ACK follows from each destination).
+    /// Runs the flush check that fires at `now`: flushes batches older
+    /// than the timeout and returns one `(destination, mac_bytes)` entry
+    /// per flushed batch — the standalone MAC message to transmit (an
+    /// ACK follows from each destination).
     pub fn flush_due(&mut self, now: Cycle) -> Vec<(NodeId, ByteSize)> {
+        if self.flush_armed == Some(now) {
+            self.flush_armed = None;
+        }
         self.batcher
             .flush_due(now)
             .into_iter()
@@ -170,6 +178,23 @@ impl SecureNic {
     #[must_use]
     pub fn next_flush_deadline(&self) -> Option<Cycle> {
         self.batcher.next_deadline()
+    }
+
+    /// The cycle at which the engine must schedule a flush check after
+    /// the batcher changed at `now`: the next open deadline, no earlier
+    /// than `now`. `None` with no open batch, or when the check last
+    /// armed is still pending at exactly that cycle. That skip is exact
+    /// only while deadlines are fixed when a batch opens and lie after
+    /// its opening cycle: the pending check pops first and flushes every
+    /// batch due by then, and any batch opened later is not yet due.
+    /// Under deadline-aware close every request arms a check.
+    pub fn arm_flush_check(&mut self, now: Cycle) -> Option<Cycle> {
+        let at = self.batcher.next_deadline()?.max(now);
+        if self.flush_armed == Some(at) && self.batcher.deadlines_fixed() {
+            return None;
+        }
+        self.flush_armed = Some(at);
+        Some(at)
     }
 
     /// Mean blocks per closed batch.
@@ -294,6 +319,47 @@ mod tests {
         // After a flush, the next block restarts a batch (header again).
         let p = nic.prepare_send(Cycle::new(500), dst);
         assert!(p.parts.iter().any(|(_, c)| c == TrafficClass::BatchHeader));
+    }
+
+    #[test]
+    fn flush_check_arms_once_per_cycle_until_it_fires() {
+        let mut nic = SecureNic::new(NodeId::gpu(1), &config(OtpSchemeKind::Dynamic, true));
+        assert_eq!(nic.arm_flush_check(Cycle::new(100)), None, "no open batch");
+        nic.prepare_send(Cycle::new(100), NodeId::gpu(2));
+        // The 160-cycle timeout puts the deadline at 260.
+        assert_eq!(nic.arm_flush_check(Cycle::new(100)), Some(Cycle::new(260)));
+        nic.prepare_send(Cycle::new(120), NodeId::gpu(2));
+        assert_eq!(nic.arm_flush_check(Cycle::new(120)), None, "already armed");
+        // A batch to another peer leaves the earliest deadline at 260.
+        nic.prepare_send(Cycle::new(130), NodeId::gpu(3));
+        assert_eq!(nic.arm_flush_check(Cycle::new(130)), None);
+        // A check firing at another cycle leaves the armed one pending.
+        assert!(nic.flush_due(Cycle::new(200)).is_empty());
+        assert_eq!(nic.arm_flush_check(Cycle::new(200)), None);
+        // The armed check fires at 260 and flushes the first batch; the
+        // node arms again, at the second batch's deadline.
+        assert_eq!(nic.flush_due(Cycle::new(260)).len(), 1);
+        assert_eq!(nic.arm_flush_check(Cycle::new(260)), Some(Cycle::new(290)));
+        assert_eq!(nic.flush_due(Cycle::new(290)).len(), 1);
+        assert_eq!(nic.arm_flush_check(Cycle::new(290)), None, "all closed");
+        // An overdue deadline arms at `now`, once.
+        nic.prepare_send(Cycle::new(300), NodeId::gpu(2));
+        assert_eq!(nic.arm_flush_check(Cycle::new(500)), Some(Cycle::new(500)));
+        assert_eq!(nic.arm_flush_check(Cycle::new(500)), None);
+        assert_eq!(nic.flush_due(Cycle::new(500)).len(), 1);
+    }
+
+    #[test]
+    fn deadline_close_arms_a_check_on_every_request() {
+        let mut cfg = config(OtpSchemeKind::Dynamic, true);
+        cfg.security.batching.deadline_close = true;
+        let mut nic = SecureNic::new(NodeId::gpu(1), &cfg);
+        nic.prepare_send(Cycle::new(100), NodeId::gpu(2));
+        let first = nic.arm_flush_check(Cycle::new(100));
+        assert!(first.is_some());
+        // Deadlines move with every added block, so a same-cycle
+        // duplicate is not provably idle and is still scheduled.
+        assert_eq!(nic.arm_flush_check(Cycle::new(100)), first);
     }
 
     /// The metadata-free ablation sends no MAC-carrying block and never

@@ -21,6 +21,11 @@
 //! compute-ready cycle (arm one wakeup), `AwaitCredit` says a completion
 //! will re-offer, and `Drained` ends the node's stream — the
 //! flow-substrate contract, with no decision enum of its own.
+//!
+//! The pacer also keeps each node's one armed timer wakeup (the
+//! issue-wakeup dedup, DESIGN.md §10): [`IssuePacer::arm`] arms at most
+//! one per node, and [`IssuePacer::complete`] asks for a completion poll
+//! only when that poll could issue.
 
 use crate::flow::Reject;
 use mgpu_types::{Cycle, DenseNodeMap, NodeId};
@@ -50,6 +55,8 @@ struct NodeIssue {
     prev_available: Cycle,
     /// Free issue slots (the node's memory-level parallelism).
     slots: u32,
+    /// The fire cycle of the node's one pending timer wakeup, if armed.
+    armed: Option<Cycle>,
 }
 
 /// Per-node issue state for one simulation run.
@@ -85,6 +92,7 @@ impl IssuePacer {
                     vt: Cycle::ZERO,
                     prev_available: Cycle::ZERO,
                     slots,
+                    armed: None,
                 };
                 (node, issue)
             })
@@ -100,9 +108,16 @@ impl IssuePacer {
     /// Polls `node` for an issue at `now`. Idempotent: every condition is
     /// re-checked at call time, so stale polls are harmless. `Ok` carries
     /// the issued request (an issue slot was taken); `Err` is the typed
-    /// reject telling the caller exactly what re-offers service.
+    /// reject telling the caller exactly what re-offers service. A poll
+    /// at the armed wakeup's cycle is that wakeup firing, so the node
+    /// becomes re-armable. (A poll at any other cycle — the initial kick,
+    /// a same-cycle re-poll, a completion poll — leaves the armed wakeup
+    /// in place.)
     pub fn poll(&mut self, node: NodeId, now: Cycle) -> Result<Request, Reject> {
         let n = self.nodes.get_mut(node).expect("node has a request queue");
+        if n.armed == Some(now) {
+            n.armed = None;
+        }
         let Some(front) = n.reqs.front() else {
             return Err(Reject::Drained);
         };
@@ -124,12 +139,32 @@ impl IssuePacer {
         Ok(request)
     }
 
-    /// Returns `node`'s issue slot after one of its requests completes.
-    pub fn complete(&mut self, node: NodeId) {
-        self.nodes
-            .get_mut(node)
-            .expect("node has a request queue")
-            .slots += 1;
+    /// Arms `node`'s timer wakeup at `at`, the cycle of a
+    /// [`Reject::NotBefore`]. `true` means the caller must schedule it;
+    /// `false` means a wakeup is already armed and scheduling another
+    /// would recreate the duplicate-poll storm. At most one wakeup is
+    /// armed per node, and none is lost: the ready cycle moves only on
+    /// an issue, and no issue happens before the armed wakeup fires.
+    pub fn arm(&mut self, node: NodeId, at: Cycle) -> bool {
+        let n = self.nodes.get_mut(node).expect("node has a request queue");
+        if n.armed.is_some() {
+            return false;
+        }
+        n.armed = Some(at);
+        true
+    }
+
+    /// Returns `node`'s issue slot after one of its requests completes at
+    /// `now`. `true` means the caller must poll the node at `now`;
+    /// `false` means that poll could not issue: the queue is drained, or
+    /// the node's wakeup is armed for a later cycle. (The ready cycle
+    /// moves only on an issue, and none happens before the armed
+    /// wakeup, so the poll would answer `NotBefore(armed)` and arm
+    /// nothing.)
+    pub fn complete(&mut self, node: NodeId, now: Cycle) -> bool {
+        let n = self.nodes.get_mut(node).expect("node has a request queue");
+        n.slots += 1;
+        !n.reqs.is_empty() && n.armed.is_none_or(|at| at <= now)
     }
 }
 
@@ -177,7 +212,7 @@ mod tests {
         );
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
         assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
-        p.complete(g1);
+        assert!(p.complete(g1, Cycle::ZERO));
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
     }
 
@@ -200,11 +235,11 @@ mod tests {
         assert!(p.poll(g2, Cycle::ZERO).is_ok());
         assert_eq!(p.poll(g2, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
         // A completion returns exactly one slot, to its own node.
-        p.complete(g1);
+        assert!(p.complete(g1, Cycle::ZERO));
         assert_eq!(p.poll(g2, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
         assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
-        p.complete(g1);
+        assert!(p.complete(g1, Cycle::ZERO));
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
     }
 
@@ -237,6 +272,70 @@ mod tests {
         assert!(p.poll(g1, Cycle::new(40)).is_ok());
         assert!(p.poll(g1, Cycle::new(40)).is_ok(), "saturated gap");
         assert_eq!(p.poll(g1, Cycle::new(40)).unwrap_err(), Reject::Drained);
+    }
+
+    #[test]
+    fn wakeup_arms_once_until_fired() {
+        let g1 = NodeId::gpu(1);
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(10), g1, NodeId::gpu(2)),
+                Request::direct(Cycle::new(35), g1, NodeId::gpu(2)),
+            ]),
+            4,
+        );
+        assert_eq!(
+            p.poll(g1, Cycle::ZERO).unwrap_err(),
+            Reject::NotBefore(Cycle::new(10))
+        );
+        assert!(p.arm(g1, Cycle::new(10)), "first arm schedules");
+        assert!(!p.arm(g1, Cycle::new(10)), "duplicate suppressed");
+        assert!(!p.arm(g1, Cycle::new(25)), "later wakeup suppressed");
+        // A stray poll at a non-armed cycle does not disarm.
+        assert!(p.poll(g1, Cycle::new(5)).is_err());
+        assert!(!p.arm(g1, Cycle::new(10)));
+        // The armed wakeup firing issues and re-arms the node.
+        assert!(p.poll(g1, Cycle::new(10)).is_ok());
+        assert_eq!(
+            p.poll(g1, Cycle::new(10)).unwrap_err(),
+            Reject::NotBefore(Cycle::new(35))
+        );
+        assert!(p.arm(g1, Cycle::new(35)));
+    }
+
+    #[test]
+    fn completion_polls_only_when_an_issue_is_possible() {
+        let (g1, g2) = (NodeId::gpu(1), NodeId::gpu(2));
+        let mut p = IssuePacer::new(
+            queues(vec![
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(50), g1, NodeId::gpu(3)),
+                Request::direct(Cycle::new(0), g2, NodeId::gpu(3)),
+            ]),
+            4,
+        );
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+        assert!(p.poll(g1, Cycle::ZERO).is_ok());
+        assert_eq!(
+            p.poll(g1, Cycle::ZERO).unwrap_err(),
+            Reject::NotBefore(Cycle::new(50))
+        );
+        assert!(p.arm(g1, Cycle::new(50)));
+        // Armed for a later cycle: the poll would answer NotBefore(50)
+        // and arm nothing, so none is asked for.
+        assert!(!p.complete(g1, Cycle::new(20)));
+        // Armed for this very cycle: the wakeup has not fired yet, and
+        // the completion poll follows it.
+        assert!(p.complete(g1, Cycle::new(50)));
+        assert!(p.poll(g1, Cycle::new(50)).is_ok());
+        // A drained queue has nothing to issue.
+        assert!(!p.complete(g1, Cycle::new(60)));
+        assert!(p.poll(g2, Cycle::ZERO).is_ok());
+        assert!(!p.complete(g2, Cycle::new(5)));
+        // The slots still came back.
+        assert_eq!(p.nodes[g1].slots, 4);
+        assert_eq!(p.nodes[g2].slots, 4);
     }
 
     #[test]
@@ -285,7 +384,7 @@ mod tests {
         );
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
         assert_eq!(p.poll(g1, Cycle::ZERO).unwrap_err(), Reject::AwaitCredit);
-        p.complete(g1);
+        assert!(p.complete(g1, Cycle::ZERO));
         assert!(p.poll(g1, Cycle::ZERO).is_ok());
     }
 
