@@ -56,12 +56,11 @@ pub fn partition(total: u32, weights: &[f64]) -> Vec<u32> {
     };
     let mut alloc: Vec<u32> = quotas.iter().map(|q| q.floor() as u32).collect();
     let assigned: u32 = alloc.iter().sum();
+    // Each quota's fractional part, computed once rather than in every
+    // comparison: `floor` is a libm call on baseline x86_64.
+    let fractions: Vec<f64> = quotas.iter().map(|q| q - q.floor()).collect();
     let mut remainder_order: Vec<usize> = (0..weights.len()).collect();
-    remainder_order.sort_by(|&a, &b| {
-        let fa = quotas[a] - quotas[a].floor();
-        let fb = quotas[b] - quotas[b].floor();
-        fb.total_cmp(&fa).then(a.cmp(&b))
-    });
+    remainder_order.sort_by(|&a, &b| fractions[b].total_cmp(&fractions[a]).then(a.cmp(&b)));
     let mut leftover = total - assigned;
     for &i in &remainder_order {
         if leftover == 0 {
