@@ -21,12 +21,18 @@
 //!   blocks line against the checked-in floor in
 //!   `crates/bench/engine-floor.txt`: a run that does the same work in
 //!   fewer events is faster, not slower, so the gate counts work done.
+//! * `otp-layer` — the NIC/OTP-scheme layer alone: one 16-GPU node's
+//!   [`SecureNic`] under Private, Cached and Dynamic + Batching, fed a
+//!   sparse send/receive pattern that crosses many repartition-interval
+//!   boundaries. Each scheme prints an `otp-uses-per-sec` line (pad uses
+//!   per host second, best of 5), gated against the same floor file.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgpu_sim::events::{EventQueue, HeapEventQueue};
+use mgpu_system::node::SecureNic;
 use mgpu_system::runner::configs;
 use mgpu_system::Simulation;
-use mgpu_types::{Cycle, SystemConfig, TopologyKind};
+use mgpu_types::{Cycle, Duration, NodeId, SystemConfig, TopologyKind};
 use mgpu_workloads::Benchmark;
 use std::time::Instant;
 
@@ -155,5 +161,75 @@ fn bench_engine_cells(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_engine_cells);
+/// Send/receive steps per timed OTP-layer run (two pad uses each).
+const OTP_STEPS: u64 = 100_000;
+
+/// Gaps between OTP-layer steps, in cycles: back-to-back bursts, link
+/// and DRAM horizons, and idle stretches longer than the 1,000-cycle
+/// repartition interval. The mean gap (about 490 cycles) puts an
+/// interval boundary every two steps, and some boundaries see no use.
+const OTP_GAPS: [u64; 8] = [0, 3, 40, 161, 7, 1200, 2, 2500];
+
+/// The OTP-layer cells: the three schemes fig25 compares at 16 GPUs.
+fn otp_cells() -> [(&'static str, SystemConfig); 3] {
+    let base = SystemConfig::paper_16gpu();
+    [
+        ("16gpu-private", configs::private(&base, 4)),
+        ("16gpu-cached", configs::cached(&base, 4)),
+        ("16gpu-ours", configs::batching(&base, 4)),
+    ]
+}
+
+/// One timed OTP-layer run on GPU1's NIC under `cfg`: each step sends a
+/// block to one peer and receives the next in-order block from another,
+/// with peers drawn from a skewed xorshift sequence (half the steps go to
+/// two hot peers). Returns pad uses per second.
+#[inline(never)]
+fn otp_use_rate(cfg: &SystemConfig) -> f64 {
+    let me = NodeId::gpu(1);
+    let peers: Vec<NodeId> = me.peers(cfg.gpu_count).collect();
+    let mut nic = SecureNic::new(me, cfg);
+    let mut next_ctr = vec![0u64; peers.len()];
+    let mut now = Cycle::ZERO;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let started = Instant::now();
+    for i in 0..OTP_STEPS as usize {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        now += Duration::cycles(OTP_GAPS[i % OTP_GAPS.len()]);
+        let spread = if x & 1 == 0 { 2 } else { peers.len() };
+        let dst = (x >> 8) as usize % spread;
+        let src = (x >> 32) as usize % spread;
+        black_box(nic.prepare_send(now, peers[dst]));
+        black_box(nic.receive(now, peers[src], next_ctr[src]));
+        next_ctr[src] += 1;
+    }
+    let seconds = started.elapsed().as_secs_f64();
+    black_box(nic.pads_issued());
+    (2 * OTP_STEPS) as f64 / seconds.max(f64::EPSILON)
+}
+
+fn bench_otp_layer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("otp-layer");
+    group.sample_size(10);
+    for (label, cfg) in otp_cells() {
+        let best = (0..5).map(|_| otp_use_rate(&cfg)).fold(0.0f64, f64::max);
+        println!(
+            "otp-uses-per-sec {label} {best:.0} ({} pad uses per run, best of 5)",
+            2 * OTP_STEPS
+        );
+        group.bench_function(format!("nic-send-recv-{label}"), |b| {
+            b.iter(|| otp_use_rate(&cfg));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_engine_cells,
+    bench_otp_layer
+);
 criterion_main!(benches);

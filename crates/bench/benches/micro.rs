@@ -88,12 +88,17 @@ fn bench_otp(c: &mut Criterion) {
     group.bench_function("ewma-end-interval", |b| {
         let peers: Vec<NodeId> = NodeId::gpu(1).peers(16).collect();
         let mut mon = EwmaAllocator::new(&peers, 0.9, 0.5).with_floor(2);
-        for (i, &p) in peers.iter().enumerate() {
-            for _ in 0..(i * 3) {
-                mon.observe_send(p);
+        let (mut send, mut recv) = (vec![0; peers.len()], vec![0; peers.len()]);
+        b.iter(|| {
+            // Re-observe the interval's traffic every iteration, so each
+            // iteration times a busy close rather than an idle one.
+            for (i, &p) in peers.iter().enumerate() {
+                for _ in 0..(i * 3) {
+                    mon.observe_send(p);
+                }
             }
-        }
-        b.iter(|| mon.end_interval(black_box(128)));
+            mon.end_interval(black_box(128), &mut send, &mut recv);
+        });
     });
     group.bench_function("batcher-add-block", |b| {
         let mut batcher = SenderBatcher::new(16, Duration::cycles(160));

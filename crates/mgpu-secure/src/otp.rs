@@ -456,6 +456,41 @@ mod tests {
     }
 
     #[test]
+    fn set_target_at_the_current_depth_issues_nothing() {
+        // Every use leaves at least the target depth buffered, so
+        // re-applying an unchanged target (what an idle Dynamic interval
+        // boundary would do) never issues a generation.
+        let mut e = engine();
+        let mut w = PadWindow::new(4, Cycle::ZERO, &mut e);
+        let reapply = |w: &mut PadWindow, e: &mut AesEngine, now: u64| {
+            let before = e.issued();
+            w.set_target(w.depth(), Cycle::new(now), e);
+            assert_eq!(e.issued(), before, "re-target at cycle {now}");
+        };
+        assert_eq!(w.use_pad(Cycle::new(1_000), &mut e).0, PadTiming::Hit);
+        reapply(&mut w, &mut e, 1_000);
+        // Drain the window, then take a pad still in flight: a partial hit.
+        for _ in 0..4 {
+            w.use_pad(Cycle::new(2_000), &mut e);
+        }
+        let (t, _) = w.use_pad(Cycle::new(2_010), &mut e);
+        assert!(matches!(t, PadTiming::Partial { .. }), "got {t:?}");
+        reapply(&mut w, &mut e, 2_010);
+        // An out-of-sync counter resyncs the window.
+        let ctr = w.next_counter() + 5;
+        assert_eq!(
+            w.use_pad_for(ctr, Cycle::new(3_000), &mut e),
+            PadTiming::Miss
+        );
+        reapply(&mut w, &mut e, 3_000);
+        // An over-full window (target lowered) shrinks only by attrition.
+        w.set_target(2, Cycle::new(4_000), &mut e);
+        w.use_pad(Cycle::new(5_000), &mut e);
+        assert_eq!(w.buffered(), 3);
+        reapply(&mut w, &mut e, 5_000);
+    }
+
+    #[test]
     fn stats_accumulation() {
         let mut s = OtpStats::default();
         let lat = Duration::cycles(40);

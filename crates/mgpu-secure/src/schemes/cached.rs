@@ -38,8 +38,13 @@ pub struct CachedScheme {
     /// Pad windows per pair-direction, dense-indexed: `windows[di(dir)]`
     /// holds that direction's per-peer windows.
     windows: [DenseNodeMap<PadWindow>; 2],
-    /// LRU order: front = least recently used.
-    lru: Vec<Key>,
+    /// LRU use stamps, indexed like `windows`: the larger, the more
+    /// recent. Stamps are unique, so sorting by them gives the LRU order.
+    last_use: [DenseNodeMap<u64>; 2],
+    /// The latest stamp handed out.
+    clock: u64,
+    /// Scratch for `evict_for`'s `(stamp, key)` victim order.
+    victims: Vec<(u64, Key)>,
     /// Total pool capacity in buffer entries.
     capacity: u32,
     /// Entries a missing window regrows by.
@@ -68,16 +73,25 @@ impl CachedScheme {
             DenseNodeMap::with_gpu_count(config.gpu_count),
             DenseNodeMap::with_gpu_count(config.gpu_count),
         ];
-        let mut lru = Vec::new();
+        let mut last_use = [
+            DenseNodeMap::with_gpu_count(config.gpu_count),
+            DenseNodeMap::with_gpu_count(config.gpu_count),
+        ];
+        // Construction order is the initial LRU order: the first
+        // pair-direction built is the least recently used.
+        let mut clock = 0;
         for peer in me.peers(config.gpu_count) {
             for dir in mgpu_types::Direction::BOTH {
                 windows[di(dir)].insert(peer, PadWindow::new(depth, Cycle::ZERO, engine));
-                lru.push((peer, dir));
+                clock += 1;
+                last_use[di(dir)].insert(peer, clock);
             }
         }
         CachedScheme {
             windows,
-            lru,
+            last_use,
+            clock,
+            victims: Vec::new(),
             capacity,
             // LRU caching adapts one entry at a time and can barely grow a
             // stream's window beyond its Private share — it reacts to
@@ -92,10 +106,10 @@ impl CachedScheme {
     }
 
     fn touch(&mut self, key: Key) {
-        if let Some(pos) = self.lru.iter().position(|&k| k == key) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(key);
+        self.clock += 1;
+        *self.last_use[di(key.1)]
+            .get_mut(key.0)
+            .expect("window exists") = self.clock;
     }
 
     fn used_entries(&self) -> u32 {
@@ -109,8 +123,19 @@ impl CachedScheme {
     /// Frees at least `needed` entries by shrinking the least-recently-used
     /// windows (never the protected `key` itself).
     fn evict_for(&mut self, key: Key, needed: u32, now: Cycle, engine: &mut AesEngine) {
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        for dir in Direction::BOTH {
+            victims.extend(
+                self.last_use[di(dir)]
+                    .iter()
+                    .map(|(peer, &stamp)| (stamp, (peer, dir))),
+            );
+        }
+        // Oldest stamp first: the least-recently-used order.
+        victims.sort_unstable_by_key(|&(stamp, _)| stamp);
         let mut to_free = needed;
-        for &victim in &self.lru {
+        for &(_, victim) in &victims {
             if to_free == 0 {
                 break;
             }
@@ -128,6 +153,7 @@ impl CachedScheme {
             window.set_depth(depth - take, now, engine);
             to_free -= take;
         }
+        self.victims = victims;
     }
 
     /// Grows `key`'s window toward `target`, evicting LRU entries as
@@ -359,6 +385,38 @@ mod tests {
             now += Duration::cycles(1);
         }
         assert!(s.depth(NodeId::gpu(2), Direction::Send) <= 5);
+    }
+
+    #[test]
+    fn eviction_follows_the_use_order() {
+        let (mut s, mut e) = setup();
+        let now = Cycle::new(10_000);
+        let (cpu, g2, g3, g4) = (NodeId::CPU, NodeId::gpu(2), NodeId::gpu(3), NodeId::gpu(4));
+        // Construction stamps the keys in order (CPU,S) (CPU,R) (g2,S)
+        // (g2,R) (g3,S) (g3,R) (g4,S) (g4,R); these uses move four of
+        // them to the recent end, leaving the LRU order
+        // (g2,R) (g3,S) (g4,S) (g4,R) (CPU,S) (g3,R) (g2,S) (CPU,R).
+        for key in [
+            (cpu, Direction::Send),
+            (g3, Direction::Recv),
+            (g2, Direction::Send),
+            (cpu, Direction::Recv),
+        ] {
+            s.touch(key);
+        }
+        // The pool is full, so growing (g4,S) by one entry takes it
+        // from the least recently used window, (g2,R).
+        s.grow((g4, Direction::Send), 5, now, &mut e);
+        assert_eq!(s.depth(g4, Direction::Send), 5);
+        assert_eq!(s.depth(g2, Direction::Recv), 3);
+        // Freeing five entries for (g2,R) skips that protected key and
+        // empties (g3,S), then takes one entry from (g4,S).
+        s.evict_for((g2, Direction::Recv), 5, now, &mut e);
+        let depths: Vec<u32> = [cpu, g2, g3, g4]
+            .into_iter()
+            .flat_map(|p| Direction::BOTH.map(|d| s.depth(p, d)))
+            .collect();
+        assert_eq!(depths, [4, 4, 4, 3, 0, 4, 4, 4]);
     }
 
     #[test]

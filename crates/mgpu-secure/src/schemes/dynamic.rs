@@ -35,6 +35,10 @@ pub struct DynamicScheme {
     send: DenseNodeMap<PadWindow>,
     recv: DenseNodeMap<PadWindow>,
     monitor: EwmaAllocator,
+    /// Per-peer pads of the last close, in the monitor's registration
+    /// order (ascending `NodeId`, the windows' iteration order).
+    send_alloc: Vec<u32>,
+    recv_alloc: Vec<u32>,
     total_buffers: u32,
     interval: Duration,
     next_boundary: Cycle,
@@ -70,11 +74,14 @@ impl DynamicScheme {
         } else {
             dynamic.interval
         };
+        debug_assert!(send.keys().eq(peers.iter().copied()));
         DynamicScheme {
             send,
             recv,
             monitor: EwmaAllocator::new(&peers, dynamic.alpha, dynamic.beta)
                 .with_floor((depth / 2).max(1)),
+            send_alloc: vec![0; peers.len()],
+            recv_alloc: vec![0; peers.len()],
             total_buffers: config.total_otp_buffers_per_node(),
             interval,
             next_boundary: Cycle::ZERO + interval,
@@ -89,33 +96,38 @@ impl DynamicScheme {
 
     /// Processes any interval boundaries up to `now`: closes the monitoring
     /// interval and applies the new allocation to every window.
+    ///
+    /// A boundary whose monitor saw nothing since the last close is only
+    /// counted: that close would return the allocation already applied,
+    /// and every window already holds at least its target pads, so
+    /// re-applying it would issue nothing.
     fn rebalance_to(&mut self, now: Cycle, engine: &mut AesEngine) {
         while now >= self.next_boundary {
             let boundary = self.next_boundary;
+            self.next_boundary = boundary + self.interval;
             let window = self.window_events;
             self.window_events = 0;
             if !self.should_repartition(window) {
                 // Quiet window: leave the allocation in place and let the
                 // EWMA monitor keep accumulating into a longer interval.
-                self.next_boundary = boundary + self.interval;
                 continue;
             }
             self.rate_at_last = Some(window);
-            let alloc = self.monitor.end_interval(self.total_buffers);
-            for (&peer, &pads) in &alloc.send {
-                self.send
-                    .get_mut(peer)
-                    .expect("peer window exists")
-                    .set_target(pads, boundary, engine);
-            }
-            for (&peer, &pads) in &alloc.recv {
-                self.recv
-                    .get_mut(peer)
-                    .expect("peer window exists")
-                    .set_target(pads, boundary, engine);
-            }
             self.rebalances += 1;
-            self.next_boundary = boundary + self.interval;
+            if self.monitor.is_quiet() {
+                continue;
+            }
+            self.monitor.end_interval(
+                self.total_buffers,
+                &mut self.send_alloc,
+                &mut self.recv_alloc,
+            );
+            for (window, &pads) in self.send.values_mut().zip(&self.send_alloc) {
+                window.set_target(pads, boundary, engine);
+            }
+            for (window, &pads) in self.recv.values_mut().zip(&self.recv_alloc) {
+                window.set_target(pads, boundary, engine);
+            }
         }
     }
 
@@ -389,6 +401,81 @@ mod tests {
         // Later empty windows match the reference rate exactly → skipped.
         s.advance(Cycle::new(10_000), &mut e);
         assert_eq!(s.rebalances(), 1);
+    }
+
+    /// Advances `s` across `n` idle boundaries and checks that they are
+    /// all counted while no pad is issued and no depth moves.
+    fn assert_idle_stretch_is_count_only(s: &mut DynamicScheme, e: &mut AesEngine, n: u64) {
+        let peers: Vec<NodeId> = s.send.keys().collect();
+        let depths = |s: &DynamicScheme| -> Vec<u32> {
+            peers
+                .iter()
+                .flat_map(|&p| Direction::BOTH.map(|d| s.depth(p, d)))
+                .collect()
+        };
+        let (issued, before, rebalances) = (e.issued(), depths(s), s.rebalances());
+        let now = s.next_boundary + Duration::cycles(s.interval.as_u64() * (n - 1));
+        s.advance(now, e);
+        assert_eq!(s.rebalances(), rebalances + n);
+        assert_eq!(e.issued(), issued);
+        assert_eq!(depths(s), before);
+    }
+
+    /// Skewed traffic over the first few intervals, then one boundary
+    /// to close the last busy interval.
+    fn busy_then_closed(s: &mut DynamicScheme, e: &mut AesEngine) {
+        let mut now = Cycle::new(1);
+        for i in 0..60u64 {
+            let peer = if i % 3 == 0 {
+                NodeId::CPU
+            } else {
+                NodeId::gpu(2)
+            };
+            s.on_send(now, peer, e);
+            let ctr = s.recv_next_counter(NodeId::gpu(3));
+            s.on_recv(now, NodeId::gpu(3), ctr, e);
+            now += Duration::cycles(60);
+        }
+        s.advance(s.next_boundary, e);
+        assert!(s.monitor.is_quiet());
+    }
+
+    #[test]
+    fn idle_boundaries_are_counted_without_issuing_pads() {
+        let (mut s, mut e) = setup();
+        busy_then_closed(&mut s, &mut e);
+        assert_idle_stretch_is_count_only(&mut s, &mut e, 100);
+    }
+
+    #[test]
+    fn idle_boundaries_in_load_triggered_mode_issue_no_pads() {
+        // A negative threshold repartitions at every boundary, so every
+        // idle boundary is one the skip must count.
+        let (mut s, mut e) = load_triggered_setup(-1.0);
+        busy_then_closed(&mut s, &mut e);
+        assert_idle_stretch_is_count_only(&mut s, &mut e, 100);
+    }
+
+    #[test]
+    fn load_triggered_close_after_an_empty_window_still_applies_traffic() {
+        // Steady windows are skipped, so their traffic accumulates in the
+        // monitor. When the load stops, the empty window's rate shift
+        // triggers a repartition that must close that accumulated
+        // traffic: the skip tests the monitor, not the window.
+        let (mut s, mut e) = load_triggered_setup(0.5);
+        let mut now = Cycle::new(1);
+        for _ in 0..40 {
+            s.on_send(now, NodeId::gpu(2), &mut e);
+            now += Duration::cycles(50);
+        }
+        assert!(!s.monitor.is_quiet(), "steady windows were skipped");
+        let (weight, rebalances) = (s.monitor.send_weight(), s.rebalances());
+        // Jump to the end of the first window with no traffic.
+        let empty_window_end = s.next_boundary + s.interval;
+        s.advance(empty_window_end, &mut e);
+        assert_eq!(s.rebalances(), rebalances + 1);
+        assert!(s.monitor.is_quiet());
+        assert!(s.monitor.send_weight() > weight, "accumulated sends closed");
     }
 
     #[test]

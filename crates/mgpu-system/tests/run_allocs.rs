@@ -80,13 +80,15 @@ fn run_allocs(cfg: &SystemConfig, per_gpu: usize) -> u64 {
     after - before
 }
 
-fn schemes() -> [(&'static str, SystemConfig); 2] {
+fn schemes() -> [(&'static str, SystemConfig); 4] {
     let base = SystemConfig::paper_4gpu();
     let mut unsecure = base.clone();
     unsecure.security.scheme = OtpSchemeKind::Unsecure;
     [
         ("unsecure", unsecure),
         ("private-4x", configs::private(&base, 4)),
+        ("cached-4x", configs::cached(&base, 4)),
+        ("dynamic-4x", configs::dynamic(&base, 4)),
     ]
 }
 
