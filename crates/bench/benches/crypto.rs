@@ -1,15 +1,15 @@
 //! Crypto backend A/B benchmarks: software T-table/Shoup vs hardware
 //! AES-NI/PCLMULQDQ, for every primitive the secure channel leans on.
 //!
-//! Criterion tracks wall-clock for both backends side by side (single
-//! block encrypt, bulk CTR keystream, GHASH, full GCM seal). Separately,
-//! best-of-5 timed loops print `engine-events-per-sec` lines for the CI
-//! floor gate — absolute hardware throughput in bytes/sec plus the
-//! hw-over-soft speedup ratios, which is how the "≥4× on bulk keystream
-//! and GHASH" acceptance bar stays pinned. The hardware lines only print
-//! when the CPU has the features; the floor file assumes an AES-NI host
-//! (every x86_64 CI runner qualifies).
+//! Criterion tracks single-block encrypt and a full GCM seal on both
+//! backends side by side. [`bench::layer_rate`] times bulk CTR keystream
+//! and GHASH on each backend in bytes/sec, and the hw-over-soft speedup
+//! ratios print as `layer-rate` lines in unit `x`, which is how the "≥4×
+//! on bulk keystream and GHASH" acceptance bar stays pinned. These lines
+//! print only when the CPU has the features; the floor file assumes an
+//! AES-NI host (every x86_64 CI runner qualifies).
 
+use bench::{layer_line, layer_rate};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mgpu_crypto::aes::{Aes128, Block};
 use mgpu_crypto::backend::{cpu_features, Backend};
@@ -17,7 +17,6 @@ use mgpu_crypto::ctr::CtrKeystream;
 use mgpu_crypto::gcm::AesGcm;
 use mgpu_crypto::ghash::{Ghash, GhashKey};
 use mgpu_crypto::pad::PadSeed;
-use std::time::Instant;
 
 /// Bulk payload: 4 KiB = 256 AES blocks, a realistic OTP window refill
 /// and far past the 8-block pipeline / 4-block fold ramp-up.
@@ -34,47 +33,50 @@ fn backends() -> Vec<Backend> {
     v
 }
 
-/// Best-of-N timed throughput in bytes/sec for `f`, which processes
-/// `bytes` per call and is repeated `reps` times per sample.
-fn peak_bps(bytes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..5 {
-        let started = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        let seconds = started.elapsed().as_secs_f64();
-        best = best.max((bytes * reps) as f64 / seconds.max(f64::EPSILON));
-    }
-    best
-}
+/// Bulk calls per timed run of the keystream and GHASH lines.
+const REPS: usize = 2000;
 
-fn keystream_bps(backend: Backend) -> f64 {
-    let ks = CtrKeystream::with_backend(&KEY, backend);
+fn keystream_bps(label: &str, backend: Backend) -> f64 {
     let seed = PadSeed::new(1, 2, 99);
-    let mut out = vec![[0u8; 16]; BULK_BLOCKS];
-    peak_bps(BULK_BYTES, 2000, || {
-        ks.keystream_blocks(seed, 0, black_box(&mut out));
-    })
+    layer_rate(
+        label,
+        "B",
+        (BULK_BYTES * REPS) as u64,
+        || {
+            let ks = CtrKeystream::with_backend(&KEY, backend);
+            (ks, vec![[0u8; 16]; BULK_BLOCKS])
+        },
+        |(ks, out)| {
+            for _ in 0..REPS {
+                ks.keystream_blocks(seed, 0, black_box(out.as_mut_slice()));
+            }
+        },
+    )
 }
 
-fn ghash_bps(backend: Backend) -> f64 {
-    let key = GhashKey::with_backend([0x77; 16], backend);
-    let data = vec![0xA5u8; BULK_BYTES];
-    peak_bps(BULK_BYTES, 2000, || {
-        let mut g = Ghash::with_key(key.clone());
-        g.update(black_box(&data));
-        black_box(g.finalize(0, data.len() as u64));
-    })
+fn ghash_bps(label: &str, backend: Backend) -> f64 {
+    layer_rate(
+        label,
+        "B",
+        (BULK_BYTES * REPS) as u64,
+        || {
+            let key = GhashKey::with_backend([0x77; 16], backend);
+            (key, vec![0xA5u8; BULK_BYTES])
+        },
+        |(key, data)| {
+            for _ in 0..REPS {
+                let mut g = Ghash::with_key(key.clone());
+                g.update(black_box(data));
+                black_box(g.finalize(0, data.len() as u64));
+            }
+        },
+    )
 }
 
 fn bench_crypto_backends(c: &mut Criterion) {
-    let seed = PadSeed::new(1, 2, 99);
     for backend in backends() {
         let name = backend.name();
         let aes = Aes128::with_backend(&KEY, backend);
-        let ks = CtrKeystream::with_backend(&KEY, backend);
-        let ghash_key = GhashKey::with_backend([0x77; 16], backend);
         let gcm = AesGcm::with_backend(&KEY, backend);
 
         let mut group = c.benchmark_group(format!("crypto-{name}"));
@@ -85,20 +87,6 @@ fn bench_crypto_backends(c: &mut Criterion) {
                 block
             });
         });
-        group.bench_function("keystream-4k", |b| {
-            let mut out = vec![[0u8; 16]; BULK_BLOCKS];
-            b.iter(|| {
-                ks.keystream_blocks(seed, 0, black_box(&mut out));
-            });
-        });
-        group.bench_function("ghash-4k", |b| {
-            let data = vec![0xA5u8; BULK_BYTES];
-            b.iter(|| {
-                let mut g = Ghash::with_key(ghash_key.clone());
-                g.update(black_box(&data));
-                g.finalize(0, data.len() as u64)
-            });
-        });
         group.bench_function("seal-4k", |b| {
             let pt = vec![0x3Cu8; BULK_BYTES];
             let mut ct = Vec::with_capacity(BULK_BYTES);
@@ -107,23 +95,18 @@ fn bench_crypto_backends(c: &mut Criterion) {
         group.finish();
     }
 
-    // CI floor-gate lines (parsed by the bench smoke step): absolute
-    // hardware throughput and the hw/soft speedup ratios.
+    // CI floor-gate lines: hardware throughput and the hw/soft ratios.
     if Backend::HwAesClmul.is_available() {
-        let soft_ks = keystream_bps(Backend::Soft);
-        let hw_ks = keystream_bps(Backend::HwAesClmul);
-        let soft_gh = ghash_bps(Backend::Soft);
-        let hw_gh = ghash_bps(Backend::HwAesClmul);
-        println!("engine-events-per-sec aesni_keystream_Bps {hw_ks:.0} (soft {soft_ks:.0} B/s)");
-        println!("engine-events-per-sec clmul_ghash_Bps {hw_gh:.0} (soft {soft_gh:.0} B/s)");
-        println!(
-            "engine-events-per-sec aesni_keystream_speedup {:.2} (hw over soft, 4 KiB)",
-            hw_ks / soft_ks
-        );
-        println!(
-            "engine-events-per-sec clmul_ghash_speedup {:.2} (hw over soft, 4 KiB)",
-            hw_gh / soft_gh
-        );
+        let soft_ks = keystream_bps("soft_keystream_Bps", Backend::Soft);
+        let hw_ks = keystream_bps("aesni_keystream_Bps", Backend::HwAesClmul);
+        let soft_gh = ghash_bps("soft_ghash_Bps", Backend::Soft);
+        let hw_gh = ghash_bps("clmul_ghash_Bps", Backend::HwAesClmul);
+        for (label, hw, soft) in [
+            ("aesni_keystream_speedup", hw_ks, soft_ks),
+            ("clmul_ghash_speedup", hw_gh, soft_gh),
+        ] {
+            println!("{}", layer_line(label, hw / soft, "x"));
+        }
         println!("crypto-backend-features {}", cpu_features().join(","));
     } else {
         println!("crypto-backend hw unavailable: skipping aesni_*/clmul_* floor lines");

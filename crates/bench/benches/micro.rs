@@ -122,7 +122,6 @@ fn bench_simulation(c: &mut Criterion) {
             c
         }),
         ("private-4x", configs::private(&base, 4)),
-        ("batching-4x", configs::batching(&base, 4)),
     ] {
         group.bench_function(format!("mt-200req-{label}"), |b| {
             b.iter(|| {
