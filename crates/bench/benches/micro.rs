@@ -105,7 +105,7 @@ fn bench_otp(c: &mut Criterion) {
         let mut now = Cycle::ZERO;
         b.iter(|| {
             now += Duration::cycles(2);
-            batcher.add_block(now, NodeId::gpu(2), [0; 8])
+            batcher.add_block(now, NodeId::gpu(2))
         });
     });
     group.finish();

@@ -14,9 +14,11 @@
 //! recomputed in order and compared. The storage is bounded (paper §IV-D:
 //! `max(16, 64) × peers × 8 B = 2 KB` per GPU).
 //!
-//! This module owns the batching bookkeeping; the batched MAC itself is a
-//! GCM seal over [`concat_macs`] output, computed in
-//! `crate::channel::Endpoint` by an `AesGcm` instance that dispatches to
+//! This module owns the sender's close policy, which counts blocks and
+//! never sees a MAC, and the receiver's MsgMAC storage. The sender-side
+//! batched-MAC input — the open batch's per-block MACs concatenated in
+//! send order — is built in `crate::channel::Endpoint`, one reused buffer
+//! per peer, and sealed there by an `AesGcm` instance that dispatches to
 //! the runtime-selected crypto backend (hardware AES-NI/PCLMULQDQ when
 //! available) — trailer MACs ride the same fast path as block seals.
 
@@ -41,28 +43,14 @@ pub fn concat_macs(macs: &[MsgMac]) -> Vec<u8> {
 
 /// A batch closed by the sender, ready for its trailer (batched MAC) to be
 /// transmitted.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClosedBatch {
     /// Destination node.
     pub dst: NodeId,
     /// Sequential batch id within this sender→dst stream.
     pub id: BatchId,
-    /// Per-block MACs in send order.
-    pub macs: Vec<MsgMac>,
-}
-
-impl ClosedBatch {
     /// Number of blocks in the batch (the value of the 1 B length field).
-    #[must_use]
-    pub fn len(&self) -> u32 {
-        self.macs.len() as u32
-    }
-
-    /// Whether the batch is empty (never produced by the batcher).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.macs.is_empty()
-    }
+    pub len: u32,
 }
 
 #[derive(Debug)]
@@ -73,7 +61,7 @@ struct OpenBatch {
     /// fixed policy this is `opened_at + flush_timeout`; deadline-aware
     /// close pulls it earlier as the oldest block's slack erodes.
     flush_at: Cycle,
-    macs: Vec<MsgMac>,
+    len: u32,
 }
 
 /// Deadline-aware close policy (serving extension): close a batch as soon
@@ -145,12 +133,12 @@ impl CloseJitter {
 ///
 /// let mut batcher = SenderBatcher::new(4, Duration::cycles(160));
 /// let dst = NodeId::gpu(2);
-/// for i in 0..3u8 {
-///     assert!(batcher.add_block(Cycle::new(10), dst, [i; 8]).is_none());
+/// for _ in 0..3 {
+///     assert!(batcher.add_block(Cycle::new(10), dst).is_none());
 /// }
 /// // The fourth block completes the batch.
-/// let batch = batcher.add_block(Cycle::new(12), dst, [3; 8]).unwrap();
-/// assert_eq!(batch.len(), 4);
+/// let batch = batcher.add_block(Cycle::new(12), dst).unwrap();
+/// assert_eq!(batch.len, 4);
 /// assert_eq!(batch.id, 0);
 /// ```
 #[derive(Debug)]
@@ -244,9 +232,9 @@ impl SenderBatcher {
         }
     }
 
-    /// Adds one outgoing block (already MACed) for `dst`; returns the
-    /// closed batch if this block completed it.
-    pub fn add_block(&mut self, now: Cycle, dst: NodeId, mac: MsgMac) -> Option<ClosedBatch> {
+    /// Adds one outgoing block for `dst`; returns the closed batch if this
+    /// block completed it.
+    pub fn add_block(&mut self, now: Cycle, dst: NodeId) -> Option<ClosedBatch> {
         self.blocks += 1;
         if self.deadline.is_some() {
             // Inter-block gap EWMA feeding the remaining-service estimate.
@@ -266,25 +254,21 @@ impl SenderBatcher {
                     id,
                     opened_at: now,
                     flush_at,
-                    macs: Vec::with_capacity(self.batch_size as usize),
+                    len: 0,
                 },
             );
         }
         let batch = self.open.get_mut(dst).expect("just inserted");
-        batch.macs.push(mac);
-        if batch.macs.len() as u32 >= self.batch_size {
-            let batch = self.open.remove(dst).expect("present");
+        batch.len += 1;
+        let (id, opened_at, len) = (batch.id, batch.opened_at, batch.len);
+        if len >= self.batch_size {
+            self.open.remove(dst);
             self.closed_full += 1;
-            Some(ClosedBatch {
-                dst,
-                id: batch.id,
-                macs: batch.macs,
-            })
+            Some(ClosedBatch { dst, id, len })
         } else {
             if self.deadline.is_some() {
                 // Re-estimate: both the gap EWMA and the missing-block
                 // count moved, so the adaptive deadline moves too.
-                let (id, opened_at, len) = (batch.id, batch.opened_at, batch.macs.len() as u32);
                 let flush_at = self.flush_deadline(dst, id, opened_at, len);
                 self.open.get_mut(dst).expect("present").flush_at = flush_at;
             }
@@ -300,7 +284,7 @@ impl SenderBatcher {
     #[must_use]
     pub fn peek_slot(&self, dst: NodeId) -> (BatchId, u32) {
         match self.open.get(dst) {
-            Some(b) => (b.id, b.macs.len() as u32),
+            Some(b) => (b.id, b.len),
             None => (self.next_id.get(dst).copied().unwrap_or(0), 0),
         }
     }
@@ -313,7 +297,7 @@ impl SenderBatcher {
             ClosedBatch {
                 dst,
                 id: b.id,
-                macs: b.macs,
+                len: b.len,
             }
         })
     }
@@ -324,27 +308,27 @@ impl SenderBatcher {
         self.batch_size
     }
 
-    /// Closes and returns every batch whose flush deadline has passed at
-    /// time `now` (age ≥ `flush_timeout` under the fixed policy; possibly
-    /// earlier under [`DeadlineClose`]).
-    pub fn flush_due(&mut self, now: Cycle) -> Vec<ClosedBatch> {
-        let due: Vec<NodeId> = self
-            .open
-            .iter()
-            .filter(|(_, b)| now >= b.flush_at)
-            .map(|(dst, _)| dst)
-            .collect();
-        due.into_iter()
-            .map(|dst| {
-                let b = self.open.remove(dst).expect("present");
-                self.closed_flush += 1;
-                ClosedBatch {
+    /// Closes every batch whose flush deadline has passed at time `now`
+    /// (age ≥ `flush_timeout` under the fixed policy; possibly earlier
+    /// under [`DeadlineClose`]) and writes them to `closed`, replacing its
+    /// contents, in ascending destination order. Reusing one `closed`
+    /// buffer makes the call allocation-free once it has grown.
+    pub fn flush_due(&mut self, now: Cycle, closed: &mut Vec<ClosedBatch>) {
+        closed.clear();
+        closed.extend(
+            self.open
+                .iter()
+                .filter(|(_, b)| now >= b.flush_at)
+                .map(|(dst, b)| ClosedBatch {
                     dst,
                     id: b.id,
-                    macs: b.macs,
-                }
-            })
-            .collect()
+                    len: b.len,
+                }),
+        );
+        for batch in closed.iter() {
+            self.open.remove(batch.dst);
+        }
+        self.closed_flush += closed.len() as u64;
     }
 
     /// The earliest deadline among open batches, if any — when the system
@@ -385,7 +369,7 @@ impl SenderBatcher {
         if closed == 0 {
             0.0
         } else {
-            let pending: u64 = self.open.values().map(|b| b.macs.len() as u64).sum();
+            let pending: u64 = self.open.values().map(|b| u64::from(b.len)).sum();
             (self.blocks - pending) as f64 / closed as f64
         }
     }
@@ -632,17 +616,21 @@ impl MacStorage {
 mod tests {
     use super::*;
 
+    fn flush(b: &mut SenderBatcher, now: Cycle) -> Vec<ClosedBatch> {
+        let mut closed = Vec::new();
+        b.flush_due(now, &mut closed);
+        closed
+    }
+
     #[test]
     fn batches_close_at_size() {
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
         let dst = NodeId::gpu(2);
         for i in 0..15u8 {
-            assert!(b.add_block(Cycle::new(u64::from(i)), dst, [i; 8]).is_none());
+            assert!(b.add_block(Cycle::new(u64::from(i)), dst).is_none());
         }
-        let closed = b.add_block(Cycle::new(15), dst, [15; 8]).expect("full");
-        assert_eq!(closed.len(), 16);
-        assert!(!closed.is_empty());
-        assert_eq!(closed.macs[3], [3; 8]);
+        let closed = b.add_block(Cycle::new(15), dst).expect("full");
+        assert_eq!(closed.len, 16);
         assert_eq!(b.closed_full(), 1);
     }
 
@@ -651,12 +639,12 @@ mod tests {
         let mut b = SenderBatcher::new(2, Duration::cycles(160));
         let d1 = NodeId::gpu(2);
         let d2 = NodeId::gpu(3);
-        b.add_block(Cycle::ZERO, d1, [0; 8]);
-        let b0 = b.add_block(Cycle::ZERO, d1, [1; 8]).unwrap();
-        b.add_block(Cycle::ZERO, d2, [0; 8]);
-        let c0 = b.add_block(Cycle::ZERO, d2, [1; 8]).unwrap();
-        b.add_block(Cycle::ZERO, d1, [2; 8]);
-        let b1 = b.add_block(Cycle::ZERO, d1, [3; 8]).unwrap();
+        b.add_block(Cycle::ZERO, d1);
+        let b0 = b.add_block(Cycle::ZERO, d1).unwrap();
+        b.add_block(Cycle::ZERO, d2);
+        let c0 = b.add_block(Cycle::ZERO, d2).unwrap();
+        b.add_block(Cycle::ZERO, d1);
+        let b1 = b.add_block(Cycle::ZERO, d1).unwrap();
         assert_eq!(b0.id, 0);
         assert_eq!(b1.id, 1);
         assert_eq!(c0.id, 0); // independent stream
@@ -666,13 +654,13 @@ mod tests {
     fn timeout_flushes_partial_batches() {
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst, [1; 8]);
-        b.add_block(Cycle::new(20), dst, [2; 8]);
-        assert!(b.flush_due(Cycle::new(100)).is_empty());
+        b.add_block(Cycle::new(10), dst);
+        b.add_block(Cycle::new(20), dst);
+        assert!(flush(&mut b, Cycle::new(100)).is_empty());
         assert_eq!(b.next_deadline(), Some(Cycle::new(170)));
-        let flushed = b.flush_due(Cycle::new(170));
+        let flushed = flush(&mut b, Cycle::new(170));
         assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].len(), 2);
+        assert_eq!(flushed[0].len, 2);
         assert_eq!(b.closed_by_flush(), 1);
         assert_eq!(b.next_deadline(), None);
     }
@@ -680,9 +668,9 @@ mod tests {
     #[test]
     fn flush_past_every_deadline_drains_everything() {
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
-        b.add_block(Cycle::ZERO, NodeId::gpu(3), [2; 8]);
-        b.add_block(Cycle::new(5), NodeId::gpu(2), [1; 8]);
-        let drained = b.flush_due(Cycle::MAX);
+        b.add_block(Cycle::ZERO, NodeId::gpu(3));
+        b.add_block(Cycle::new(5), NodeId::gpu(2));
+        let drained = flush(&mut b, Cycle::MAX);
         let dsts: Vec<NodeId> = drained.iter().map(|c| c.dst).collect();
         assert_eq!(dsts, [NodeId::gpu(2), NodeId::gpu(3)], "ascending dst");
         assert_eq!(b.next_deadline(), None);
@@ -692,11 +680,11 @@ mod tests {
     fn mean_occupancy() {
         let mut b = SenderBatcher::new(4, Duration::cycles(160));
         let dst = NodeId::gpu(2);
-        for i in 0..4u8 {
-            b.add_block(Cycle::ZERO, dst, [i; 8]);
+        for _ in 0..4 {
+            b.add_block(Cycle::ZERO, dst);
         }
-        b.add_block(Cycle::ZERO, dst, [9; 8]);
-        b.flush_due(Cycle::MAX);
+        b.add_block(Cycle::ZERO, dst);
+        flush(&mut b, Cycle::MAX);
         // Two closed batches: 4 + 1 blocks.
         assert!((b.mean_occupancy() - 2.5).abs() < 1e-12);
     }
@@ -708,10 +696,10 @@ mod tests {
         let mut b =
             SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst, [1; 8]);
+        b.add_block(Cycle::new(10), dst);
         assert_eq!(b.next_deadline(), Some(Cycle::new(106)));
-        assert!(b.flush_due(Cycle::new(105)).is_empty());
-        let flushed = b.flush_due(Cycle::new(106));
+        assert!(flush(&mut b, Cycle::new(105)).is_empty());
+        let flushed = flush(&mut b, Cycle::new(106));
         assert_eq!(flushed.len(), 1);
         assert_eq!(b.closed_by_flush(), 1);
     }
@@ -724,12 +712,12 @@ mod tests {
         let mut b =
             SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(0), dst, [1; 8]);
-        b.add_block(Cycle::new(80), dst, [2; 8]);
+        b.add_block(Cycle::new(0), dst);
+        b.add_block(Cycle::new(80), dst);
         assert_eq!(b.next_deadline(), Some(Cycle::new(0)));
-        let flushed = b.flush_due(Cycle::new(81));
+        let flushed = flush(&mut b, Cycle::new(81));
         assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].len(), 2);
+        assert_eq!(flushed[0].len, 2);
     }
 
     #[test]
@@ -740,8 +728,8 @@ mod tests {
         let mut b =
             SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(100), dst, [1; 8]);
-        b.add_block(Cycle::new(101), dst, [2; 8]);
+        b.add_block(Cycle::new(100), dst);
+        b.add_block(Cycle::new(101), dst);
         let dl = b.next_deadline().unwrap();
         assert!(
             dl > Cycle::new(150) && dl <= Cycle::new(196),
@@ -754,7 +742,7 @@ mod tests {
         let mut b = SenderBatcher::new(16, Duration::cycles(160))
             .with_deadline_close(Duration::cycles(100_000));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst, [1; 8]);
+        b.add_block(Cycle::new(10), dst);
         // A huge slack budget still falls back to the fixed timeout.
         assert_eq!(b.next_deadline(), Some(Cycle::new(170)));
     }
@@ -779,11 +767,11 @@ mod tests {
         // age >= flush_timeout rule.
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
         let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst, [1; 8]);
-        b.add_block(Cycle::new(90), dst, [2; 8]);
+        b.add_block(Cycle::new(10), dst);
+        b.add_block(Cycle::new(90), dst);
         assert_eq!(b.next_deadline(), Some(Cycle::new(170)));
-        assert!(b.flush_due(Cycle::new(169)).is_empty());
-        assert_eq!(b.flush_due(Cycle::new(170)).len(), 1);
+        assert!(flush(&mut b, Cycle::new(169)).is_empty());
+        assert_eq!(flush(&mut b, Cycle::new(170)).len(), 1);
     }
 
     #[test]
@@ -818,8 +806,8 @@ mod tests {
         let mut plain = SenderBatcher::new(4, Duration::cycles(160));
         let mut jittered =
             SenderBatcher::new(4, Duration::cycles(160)).with_close_jitter(Duration::cycles(64), 7);
-        plain.add_block(Cycle::new(10), dst, [1; 8]);
-        jittered.add_block(Cycle::new(10), dst, [1; 8]);
+        plain.add_block(Cycle::new(10), dst);
+        jittered.add_block(Cycle::new(10), dst);
         let base = plain.next_deadline().unwrap();
         let moved = jittered.next_deadline().unwrap();
         assert!(
@@ -828,7 +816,7 @@ mod tests {
         );
         // Size-triggered closes are untouched by the jitter policy.
         for i in 2..=4u8 {
-            let closed = jittered.add_block(Cycle::new(11), dst, [i; 8]);
+            let closed = jittered.add_block(Cycle::new(11), dst);
             assert_eq!(closed.is_some(), i == 4);
         }
         assert_eq!(jittered.closed_full(), 1);
@@ -894,10 +882,10 @@ mod tests {
         let mut b = SenderBatcher::new(255, Duration::cycles(160));
         let dst = NodeId::gpu(2);
         for _ in 0..254 {
-            assert!(b.add_block(Cycle::ZERO, dst, [0; 8]).is_none());
+            assert!(b.add_block(Cycle::ZERO, dst).is_none());
         }
-        let closed = b.add_block(Cycle::ZERO, dst, [0; 8]).expect("full at 255");
-        assert_eq!(closed.len(), 255);
+        let closed = b.add_block(Cycle::ZERO, dst).expect("full at 255");
+        assert_eq!(closed.len, 255);
     }
 
     #[test]
@@ -917,10 +905,10 @@ mod tests {
         let mut b = SenderBatcher::new(3, Duration::cycles(160));
         let dst = NodeId::gpu(2);
         assert_eq!(b.peek_slot(dst), (0, 0));
-        b.add_block(Cycle::ZERO, dst, [0; 8]);
+        b.add_block(Cycle::ZERO, dst);
         assert_eq!(b.peek_slot(dst), (0, 1));
-        b.add_block(Cycle::ZERO, dst, [1; 8]);
-        assert!(b.add_block(Cycle::ZERO, dst, [2; 8]).is_some());
+        b.add_block(Cycle::ZERO, dst);
+        assert!(b.add_block(Cycle::ZERO, dst).is_some());
         // Batch 0 closed: the next block opens batch 1 at index 0.
         assert_eq!(b.peek_slot(dst), (1, 0));
     }
@@ -928,11 +916,11 @@ mod tests {
     #[test]
     fn flush_dst_closes_only_that_destination() {
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
-        b.add_block(Cycle::ZERO, NodeId::gpu(2), [1; 8]);
-        b.add_block(Cycle::ZERO, NodeId::gpu(3), [2; 8]);
+        b.add_block(Cycle::ZERO, NodeId::gpu(2));
+        b.add_block(Cycle::ZERO, NodeId::gpu(3));
         let closed = b.flush_dst(NodeId::gpu(2)).expect("open batch");
         assert_eq!(closed.dst, NodeId::gpu(2));
-        assert_eq!(closed.len(), 1);
+        assert_eq!(closed.len, 1);
         assert!(b.flush_dst(NodeId::gpu(2)).is_none());
         // GPU 3's batch is untouched.
         assert_eq!(b.peek_slot(NodeId::gpu(3)), (0, 1));
@@ -1023,12 +1011,12 @@ mod tests {
                 let mut b = SenderBatcher::new(batch_size, Duration::cycles(160));
                 let mut closed_blocks = 0u64;
                 for (t, &p) in blocks.iter().enumerate() {
-                    if let Some(batch) = b.add_block(Cycle::new(t as u64), peers[p], [0; 8]) {
-                        closed_blocks += u64::from(batch.len());
+                    if let Some(batch) = b.add_block(Cycle::new(t as u64), peers[p]) {
+                        closed_blocks += u64::from(batch.len);
                     }
                 }
-                for batch in b.flush_due(Cycle::MAX) {
-                    closed_blocks += u64::from(batch.len());
+                for batch in flush(&mut b, Cycle::MAX) {
+                    closed_blocks += u64::from(batch.len);
                 }
                 prop_assert_eq!(closed_blocks, blocks.len() as u64);
                 prop_assert_eq!(b.next_deadline(), None);

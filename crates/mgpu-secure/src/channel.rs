@@ -101,6 +101,10 @@ pub struct Endpoint {
     send_ctr: DenseNodeMap<u64>,
     guard: ReplayGuard,
     batcher: SenderBatcher,
+    /// Per peer, the open batch's per-block MACs concatenated in send
+    /// order: the batched-MAC input (paper Formula 5), cleared and reused
+    /// at every close.
+    open_macs: DenseNodeMap<Vec<u8>>,
     storage: MacStorage,
     /// Trailers that arrived before all of their blocks did, listed per
     /// sender (at most a handful in flight, so linear search by batch id).
@@ -109,8 +113,6 @@ pub struct Endpoint {
     last_batch: DenseNodeMap<BatchId>,
     /// Reusable ciphertext buffer for batched-MAC recomputation.
     scratch_ct: Vec<u8>,
-    /// Reusable buffer for ordered MAC concatenations.
-    scratch_concat: Vec<u8>,
 }
 
 impl Endpoint {
@@ -127,18 +129,25 @@ impl Endpoint {
             gcm,
             send_ctr: DenseNodeMap::with_gpu_count(gpu_count),
             guard: ReplayGuard::new(),
-            batcher: SenderBatcher::new(16, Duration::cycles(160)),
+            batcher: Self::sender_batcher(16),
+            open_macs: DenseNodeMap::with_gpu_count(gpu_count),
             storage: MacStorage::new(64 * gpu_count as usize),
             early_trailers: DenseNodeMap::with_gpu_count(gpu_count),
             last_batch: DenseNodeMap::with_gpu_count(gpu_count),
             scratch_ct: Vec::new(),
-            scratch_concat: Vec::new(),
         }
     }
 
-    /// Rebuilds the endpoint's sender batcher with explicit parameters,
-    /// so the functional channel can mirror a [`BatchingConfig`]'s batch
-    /// size and flush timeout instead of the defaults.
+    /// The functional channel adds blocks at `Cycle::ZERO` and closes
+    /// partial batches only through [`Endpoint::flush_batch`], so its
+    /// batcher's clock never runs and the flush timeout never fires.
+    fn sender_batcher(batch_size: u32) -> SenderBatcher {
+        SenderBatcher::new(batch_size, Duration::cycles(160))
+    }
+
+    /// Rebuilds the endpoint's sender batcher with `batch_size` blocks
+    /// per batch, so the functional channel can mirror a
+    /// [`BatchingConfig`]'s batch size instead of the default 16.
     ///
     /// Call before any traffic is sealed; an open batch would be lost.
     ///
@@ -149,8 +158,8 @@ impl Endpoint {
     /// Panics if `batch_size` is outside `1..=255` (the 1 B wire length
     /// field), per [`SenderBatcher::new`].
     #[must_use]
-    pub fn with_batch_params(mut self, batch_size: u32, flush_timeout: Duration) -> Self {
-        self.batcher = SenderBatcher::new(batch_size, flush_timeout);
+    pub fn with_batch_size(mut self, batch_size: u32) -> Self {
+        self.batcher = Self::sender_batcher(batch_size);
         self
     }
 
@@ -274,8 +283,8 @@ impl Endpoint {
     }
 
     /// Seals one block for `peer` into the currently open batch: the
-    /// per-block MAC is withheld from the wire and accumulated by the
-    /// batcher. When this block fills the batch, the closing
+    /// per-block MAC is withheld from the wire and appended to the peer's
+    /// batched-MAC input. When this block fills the batch, the closing
     /// [`BatchTrailer`] is returned alongside it.
     ///
     /// This is the streaming form of [`Endpoint::seal_batch`]: blocks go
@@ -315,14 +324,16 @@ impl Endpoint {
         let aad = Self::aad(self.id, peer, counter);
         let gcm = self.gcm.get(peer).expect("peer within system");
         let tag = gcm.seal_detached_into(&nonce, &aad, block, &mut wire.ciphertext);
-        let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
+        self.open_macs
+            .get_or_insert_with(peer, Vec::new)
+            .extend_from_slice(&tag[..8]);
         // Functional path: timing is modelled elsewhere, so batches close
         // on size here and on explicit `flush_batch` calls, never on the
         // batcher's own clock.
         let trailer = self
             .batcher
-            .add_block(Cycle::ZERO, peer, mac)
-            .map(|closed| self.close_batch(peer, &closed));
+            .add_block(Cycle::ZERO, peer)
+            .map(|closed| self.close_batch(closed));
         wire.sender = self.id;
         wire.receiver = peer;
         wire.counter = counter;
@@ -337,31 +348,27 @@ impl Endpoint {
     pub fn flush_batch(&mut self, peer: NodeId) -> Option<BatchTrailer> {
         self.batcher
             .flush_dst(peer)
-            .map(|closed| self.close_batch(peer, &closed))
+            .map(|closed| self.close_batch(closed))
     }
 
-    /// Registers a closed batch as outstanding and builds its trailer.
-    fn close_batch(&mut self, peer: NodeId, closed: &ClosedBatch) -> BatchTrailer {
-        self.scratch_concat.clear();
-        for mac in &closed.macs {
-            self.scratch_concat.extend_from_slice(mac);
-        }
+    /// MACs the peer's batched-MAC input, clears it for the next batch,
+    /// registers the batch as outstanding and builds its trailer.
+    fn close_batch(&mut self, closed: ClosedBatch) -> BatchTrailer {
+        let peer = closed.dst;
+        let concat = self
+            .open_macs
+            .get_mut(peer)
+            .expect("a closed batch has MACs");
         let gcm = self.gcm.get(peer).expect("peer within system");
-        let mac = Self::batched_mac_with(
-            gcm,
-            self.id,
-            peer,
-            closed.id,
-            &self.scratch_concat,
-            &mut self.scratch_ct,
-        );
+        let mac = Self::batched_mac(gcm, self.id, peer, closed.id, concat, &mut self.scratch_ct);
+        concat.clear();
         self.guard
             .register_outstanding(peer, closed.id | BATCH_NONCE_BIT, mac);
         BatchTrailer {
             sender: self.id,
             receiver: peer,
             id: closed.id,
-            len: closed.len(),
+            len: closed.len,
             mac,
         }
     }
@@ -407,19 +414,20 @@ impl Endpoint {
         (wires, trailer)
     }
 
-    /// Computes the batched MAC over the ordered MAC concatenation, in the
-    /// dedicated batch nonce space of the `me → peer` stream. Static over
-    /// explicit borrows so callers can hold other `self` fields mutably.
-    fn batched_mac_with(
+    /// The batched MAC of batch `id` on the `sender → receiver` stream: a
+    /// GCM tag over the ordered MAC concatenation in the dedicated batch
+    /// nonce space. Both ends compute it here; static over explicit
+    /// borrows so callers can hold other `self` fields mutably.
+    fn batched_mac(
         gcm: &AesGcm,
-        me: NodeId,
-        peer: NodeId,
+        sender: NodeId,
+        receiver: NodeId,
         id: BatchId,
         concat: &[u8],
         ct_scratch: &mut Vec<u8>,
     ) -> MsgMac {
-        let nonce = PadSeed::new(me.raw(), peer.raw(), id | BATCH_NONCE_BIT).to_nonce();
-        let aad = Self::aad(me, peer, id | BATCH_NONCE_BIT);
+        let nonce = PadSeed::new(sender.raw(), receiver.raw(), id | BATCH_NONCE_BIT).to_nonce();
+        let aad = Self::aad(sender, receiver, id | BATCH_NONCE_BIT);
         let tag = gcm.seal_detached_into(&nonce, &aad, concat, ct_scratch);
         tag[..8].try_into().expect("8-byte prefix")
     }
@@ -566,10 +574,7 @@ impl Endpoint {
         let scratch = &mut self.scratch_ct;
         let trailer_mac = trailer.mac;
         let ok = self.storage.complete(sender, id, trailer.len, |concat| {
-            let nonce = PadSeed::new(sender.raw(), me.raw(), id | BATCH_NONCE_BIT).to_nonce();
-            let aad = Self::aad(sender, me, id | BATCH_NONCE_BIT);
-            let tag = gcm.seal_detached_into(&nonce, &aad, concat, scratch);
-            tag[..8] == trailer_mac
+            Self::batched_mac(gcm, sender, me, id, concat, scratch) == trailer_mac
         })?;
         if !ok {
             return Err(MgpuError::AuthenticationFailed {
@@ -806,7 +811,7 @@ mod tests {
     fn small_batch_pair() -> (Endpoint, Endpoint) {
         let kx = KeyExchange::boot([42; 16]);
         (
-            Endpoint::new(NodeId::gpu(1), 4, &kx).with_batch_params(4, Duration::cycles(100)),
+            Endpoint::new(NodeId::gpu(1), 4, &kx).with_batch_size(4),
             Endpoint::new(NodeId::gpu(2), 4, &kx),
         )
     }
@@ -849,6 +854,42 @@ mod tests {
         let ack = b.accept_trailer(&trailer).unwrap().expect("verified");
         a.accept_ack(&ack).unwrap();
         assert!(!a.ack_outstanding(b.id(), trailer.id | BATCH_NONCE_BIT));
+    }
+
+    #[test]
+    fn interleaved_peers_keep_separate_batched_mac_inputs() {
+        let kx = KeyExchange::boot([42; 16]);
+        let mut a = Endpoint::new(NodeId::gpu(1), 4, &kx).with_batch_size(4);
+        let mut b = Endpoint::new(NodeId::gpu(2), 4, &kx);
+        let mut c = Endpoint::new(NodeId::gpu(3), 4, &kx);
+        // Blocks alternate b, c, b, c, ...: b's batch closes on size at
+        // its fourth block (the seventh sent), while c's, three blocks in,
+        // stays open until `flush_batch`. Each trailer verifies only if
+        // its batched-MAC input held that peer's MACs alone.
+        let mut b_trailer = None;
+        for i in 0..7u8 {
+            let (peer, rx) = if i % 2 == 0 {
+                (b.id(), &mut b)
+            } else {
+                (c.id(), &mut c)
+            };
+            let (wire, trailer) = a.seal_batched_block(peer, &[i; 64]);
+            let (plain, _) = rx.open_batched_block(&wire).unwrap();
+            assert_eq!(plain, [i; 64]);
+            if let Some(t) = trailer {
+                assert_eq!((i, t.receiver, t.len), (6, b.id(), 4), "only b fills");
+                b_trailer = Some(t);
+            }
+        }
+        let c_trailer = a.flush_batch(c.id()).expect("c's batch is open");
+        assert_eq!(c_trailer.len, 3);
+        let b_ack = b.accept_trailer(&b_trailer.expect("b closed on size"));
+        let c_ack = c.accept_trailer(&c_trailer);
+        a.accept_ack(&b_ack.unwrap().expect("b's batch verifies"))
+            .unwrap();
+        a.accept_ack(&c_ack.unwrap().expect("c's batch verifies"))
+            .unwrap();
+        assert_eq!(a.outstanding_acks(), 0);
     }
 
     #[test]

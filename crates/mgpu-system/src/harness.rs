@@ -65,7 +65,7 @@ pub struct WireHarness {
 
 impl WireHarness {
     /// Builds the harness for `config`: one functional endpoint per node,
-    /// mirroring the configured batch parameters, and the seeded fault
+    /// mirroring the configured batch size, and the seeded fault
     /// schedule from `config.adversary`.
     #[must_use]
     pub fn new(config: &SystemConfig) -> Self {
@@ -75,10 +75,7 @@ impl WireHarness {
             .map(|n| {
                 let ep = Endpoint::new(n, config.gpu_count, &kx);
                 let ep = if batching {
-                    ep.with_batch_params(
-                        config.security.batching.batch_size,
-                        config.security.batching.flush_timeout,
-                    )
+                    ep.with_batch_size(config.security.batching.batch_size)
                 } else {
                     ep
                 };

@@ -300,7 +300,9 @@ mod tests {
             gpu1.prepare_send(Cycle::new(10_000 + i), NodeId::gpu(3));
         }
         gpu2.prepare_send(Cycle::new(10_000), NodeId::gpu(3));
-        assert_eq!(gpu2.flush_due(Cycle::MAX).len(), 1);
+        let mut flushed = Vec::new();
+        gpu2.flush_due(Cycle::MAX, &mut flushed);
+        assert_eq!(flushed.len(), 1);
         // 33 blocks over 3 batches, not the mean of the per-NIC means
         // (16 and 1).
         let (_, _, occupancy) = otp_summary([&gpu1, &gpu2]);

@@ -15,11 +15,11 @@
 
 use crate::flow::CreditGate;
 use mgpu_crypto::AesEngine;
-use mgpu_secure::batching::SenderBatcher;
+use mgpu_secure::batching::{ClosedBatch, SenderBatcher};
 use mgpu_secure::protocol::WireFormat;
 use mgpu_secure::schemes::{build_scheme, OtpScheme, SchemeTelemetry};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_types::{ByteSize, Cycle, Duration, NodeId, SystemConfig};
+use mgpu_types::{Cycle, Duration, NodeId, SystemConfig};
 
 /// Per-block latency budget of deadline-aware batch close
 /// (`BatchingConfig::deadline_close`): a batch tries to emit its MAC
@@ -129,7 +129,7 @@ impl SecureNic {
             if self.batcher.peek_slot(dst).1 == 0 {
                 parts.push(self.wire.batch_len, TrafficClass::BatchHeader);
             }
-            acks = self.batcher.add_block(now, dst, [0; 8]).is_some();
+            acks = self.batcher.add_block(now, dst).is_some();
             if acks {
                 parts.push(self.wire.msg_mac, TrafficClass::Mac);
             }
@@ -147,19 +147,15 @@ impl SecureNic {
         }
     }
 
-    /// Runs the flush check that fires at `now`: flushes batches older
-    /// than the timeout and returns one `(destination, mac_bytes)` entry
-    /// per flushed batch — the standalone MAC message to transmit (an
-    /// ACK follows from each destination).
-    pub fn flush_due(&mut self, now: Cycle) -> Vec<(NodeId, ByteSize)> {
+    /// Runs the flush check that fires at `now`: closes the batches past
+    /// their flush deadline and writes them to `flushed`, replacing its
+    /// contents. Each one owes its destination a standalone
+    /// `WireFormat::msg_mac` trailer, and an ACK follows from each.
+    pub fn flush_due(&mut self, now: Cycle, flushed: &mut Vec<ClosedBatch>) {
         if self.flush_armed == Some(now) {
             self.flush_armed = None;
         }
-        self.batcher
-            .flush_due(now)
-            .into_iter()
-            .map(|b| (b.dst, self.wire.msg_mac))
-            .collect()
+        self.batcher.flush_due(now, flushed);
     }
 
     /// Pays the receive-side pad latency for a block from `src` carrying
@@ -312,10 +308,12 @@ mod tests {
         let dst = NodeId::gpu(2);
         nic.prepare_send(Cycle::new(100), dst);
         nic.prepare_send(Cycle::new(110), dst);
-        assert!(nic.flush_due(Cycle::new(150)).is_empty());
-        let flushed = nic.flush_due(Cycle::new(400));
+        let mut flushed = Vec::new();
+        nic.flush_due(Cycle::new(150), &mut flushed);
+        assert!(flushed.is_empty());
+        nic.flush_due(Cycle::new(400), &mut flushed);
         assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].0, dst);
+        assert_eq!(flushed[0].dst, dst);
         // After a flush, the next block restarts a batch (header again).
         let p = nic.prepare_send(Cycle::new(500), dst);
         assert!(p.parts.iter().any(|(_, c)| c == TrafficClass::BatchHeader));
@@ -324,6 +322,11 @@ mod tests {
     #[test]
     fn flush_check_arms_once_per_cycle_until_it_fires() {
         let mut nic = SecureNic::new(NodeId::gpu(1), &config(OtpSchemeKind::Dynamic, true));
+        let mut flushed = Vec::new();
+        let mut flush = |nic: &mut SecureNic, now| {
+            nic.flush_due(Cycle::new(now), &mut flushed);
+            flushed.len()
+        };
         assert_eq!(nic.arm_flush_check(Cycle::new(100)), None, "no open batch");
         nic.prepare_send(Cycle::new(100), NodeId::gpu(2));
         // The 160-cycle timeout puts the deadline at 260.
@@ -334,19 +337,19 @@ mod tests {
         nic.prepare_send(Cycle::new(130), NodeId::gpu(3));
         assert_eq!(nic.arm_flush_check(Cycle::new(130)), None);
         // A check firing at another cycle leaves the armed one pending.
-        assert!(nic.flush_due(Cycle::new(200)).is_empty());
+        assert_eq!(flush(&mut nic, 200), 0);
         assert_eq!(nic.arm_flush_check(Cycle::new(200)), None);
         // The armed check fires at 260 and flushes the first batch; the
         // node arms again, at the second batch's deadline.
-        assert_eq!(nic.flush_due(Cycle::new(260)).len(), 1);
+        assert_eq!(flush(&mut nic, 260), 1);
         assert_eq!(nic.arm_flush_check(Cycle::new(260)), Some(Cycle::new(290)));
-        assert_eq!(nic.flush_due(Cycle::new(290)).len(), 1);
+        assert_eq!(flush(&mut nic, 290), 1);
         assert_eq!(nic.arm_flush_check(Cycle::new(290)), None, "all closed");
         // An overdue deadline arms at `now`, once.
         nic.prepare_send(Cycle::new(300), NodeId::gpu(2));
         assert_eq!(nic.arm_flush_check(Cycle::new(500)), Some(Cycle::new(500)));
         assert_eq!(nic.arm_flush_check(Cycle::new(500)), None);
-        assert_eq!(nic.flush_due(Cycle::new(500)).len(), 1);
+        assert_eq!(flush(&mut nic, 500), 1);
     }
 
     #[test]

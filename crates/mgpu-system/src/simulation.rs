@@ -297,6 +297,8 @@ impl Simulation {
         let mut blocks_done = 0u64;
         let mut acks_sent = 0u64;
         let mut events_processed = 0u64;
+        // The batches one `FlushCheck` closes; reused across checks.
+        let mut flushed = Vec::new();
 
         while let Some((now, ev)) = events.pop() {
             events_processed += 1;
@@ -480,8 +482,8 @@ impl Simulation {
                 Ev::FlushCheck(owner) => {
                     // Only a NIC with an open batch arms a flush check.
                     let nic = nics.get_mut(owner).expect("owner nic");
-                    let flushed = nic.flush_due(now);
-                    for (dst, mac_bytes) in flushed {
+                    nic.flush_due(now, &mut flushed);
+                    for dst in flushed.iter().map(|b| b.dst) {
                         if let Some(col) = collector.as_mut() {
                             col.record_batch_close(now, owner, false);
                         }
@@ -497,7 +499,7 @@ impl Simulation {
                         let arrive = fabric.transmit_ctrl(
                             PairId::new(owner, dst),
                             now,
-                            mac_bytes,
+                            wire.msg_mac,
                             TrafficClass::Mac,
                         );
                         events.schedule(

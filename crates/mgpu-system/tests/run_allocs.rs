@@ -80,7 +80,7 @@ fn run_allocs(cfg: &SystemConfig, per_gpu: usize) -> u64 {
     after - before
 }
 
-fn schemes() -> [(&'static str, SystemConfig); 4] {
+fn schemes() -> [(&'static str, SystemConfig); 5] {
     let base = SystemConfig::paper_4gpu();
     let mut unsecure = base.clone();
     unsecure.security.scheme = OtpSchemeKind::Unsecure;
@@ -89,6 +89,7 @@ fn schemes() -> [(&'static str, SystemConfig); 4] {
         ("private-4x", configs::private(&base, 4)),
         ("cached-4x", configs::cached(&base, 4)),
         ("dynamic-4x", configs::dynamic(&base, 4)),
+        ("batching-4x", configs::batching(&base, 4)),
     ]
 }
 
