@@ -3,18 +3,23 @@
 //! `crates/bench/engine-floor.txt`. The layers are the calendar event
 //! queue (with the [`HeapEventQueue`] oracle as an ungated line beside
 //! it), whole simulation cells, one node's NIC/OTP-scheme layer, the
-//! fabric's [`TimedServer`], [`Hbm`] and [`IssuePacer`].
+//! fabric's [`TimedServer`], [`Hbm`], [`IssuePacer`] and the
+//! observability layer's [`TimeSeriesCollector`].
 
 use bench::layer_rate;
 use mgpu_sim::dram::Hbm;
 use mgpu_sim::events::{EventQueue, HeapEventQueue};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_sim::TimedServer;
+use mgpu_sim::topology::Transit;
+use mgpu_sim::{TimedServer, Topology};
 use mgpu_system::node::SecureNic;
 use mgpu_system::pacing::IssuePacer;
 use mgpu_system::runner::configs;
-use mgpu_system::{Reject, Simulation};
-use mgpu_types::{ByteSize, Cycle, Duration, NodeId, SystemConfig, TopologyKind};
+use mgpu_system::{Reject, Simulation, TimeSeriesCollector};
+use mgpu_types::{
+    ByteSize, Cycle, DenseNodeMap, Duration, NodeId, ObservabilityConfig, PairId, SystemConfig,
+    TopologyKind,
+};
 use mgpu_workloads::{Benchmark, Request};
 use std::collections::{BTreeMap, VecDeque};
 use std::hint::black_box;
@@ -49,6 +54,7 @@ fn main() {
     timed_server_churn();
     hbm_churn();
     pacer_churn();
+    timeseries_sample();
 }
 
 /// [`CHURN_OPS`] pop+schedule pairs on a queue holding [`BACKLOG`]
@@ -154,8 +160,9 @@ fn otp_layer() {
 }
 
 /// Messages of 64-112 B arrive every 2-4 cycles at a 50 B/cy port with
-/// 100 cycles of propagation, so about 35 stay in service at once and
-/// every booking also prunes the occupancy ledger.
+/// 100 cycles of propagation, so about 35 stay in service at once. The
+/// server keeps no occupancy ledger, as every port of an unobserved run:
+/// this times the byte-tick booking and the per-class accounting alone.
 fn timed_server_churn() {
     layer_rate(
         "timed-server-churn",
@@ -230,6 +237,51 @@ fn pacer_churn() {
                     }
                     Err(Reject::Drained) => break,
                 }
+            }
+        },
+    );
+}
+
+/// Boundary samples per timed collector run.
+const SAMPLES: u64 = 2_000;
+
+/// Blocks each node has in flight to each peer while it is sampled.
+const SAMPLED_BURST: usize = 8;
+
+/// [`TimeSeriesCollector::sample`] on the paper's 4-GPU system under
+/// Dynamic + Batching, observed: the one path that reads the egress
+/// ports' occupancy ledgers. Every node has a burst of cachelines in
+/// flight to each peer, so each sample counts 32 in-service messages on
+/// every node's egress ledger besides reading its 5 NICs and 5 ports.
+fn timeseries_sample() {
+    let mut cfg = configs::batching(&SystemConfig::paper_4gpu(), 4);
+    cfg.observability = ObservabilityConfig::enabled();
+    let line = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
+    layer_rate(
+        "4gpu-timeseries-sample",
+        "samples",
+        SAMPLES,
+        || {
+            let mut topo = Topology::new(&cfg);
+            for src in NodeId::all(cfg.gpu_count) {
+                for dst in src.peers(cfg.gpu_count) {
+                    for _ in 0..SAMPLED_BURST {
+                        let mut transit = Transit::new(PairId::new(src, dst));
+                        topo.begin(&mut transit, Cycle::ZERO, &line);
+                    }
+                }
+            }
+            let nics: DenseNodeMap<SecureNic> = NodeId::all(cfg.gpu_count)
+                .map(|n| (n, SecureNic::new(n, &cfg)))
+                .collect();
+            let collector = TimeSeriesCollector::new(cfg.security.dynamic.interval);
+            (collector, nics, topo)
+        },
+        |(collector, nics, topo)| {
+            // Boundaries inside the bursts' service time: every booked
+            // message is still in service.
+            for i in 0..SAMPLES {
+                collector.sample(Cycle::new(i % 64), nics, topo);
             }
         },
     );

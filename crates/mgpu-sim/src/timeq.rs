@@ -1,4 +1,5 @@
-//! Timed-server substrate: one serialized port with an occupancy ledger.
+//! Timed-server substrate: one serialized port, with an occupancy ledger
+//! only where an observer reads one.
 //!
 //! Every bandwidth resource in the fabric — node egress/ingress ports,
 //! switch ports, per-pair control VCs — is a [`TimedServer`]. It models
@@ -14,12 +15,17 @@
 //!
 //! The server keeps per-class byte counters so experiments can split
 //! traffic into data vs. security metadata (paper Figs. 12 and 23), and
-//! the counters a co-located observer reads off a port: messages still
-//! in service ([`TimedServer::occupancy`]), grants issued and bytes
-//! served. Service never rejects: a request returns the cycle its last
-//! byte clears the server. The ledger of in-service completions is
-//! pruned lazily by time — every booking first drops the entries that
-//! completed by `now` — so no completion callback wiring is needed.
+//! the counters a co-located observer reads off a port: grants issued
+//! and bytes served. Service never rejects: a request returns the cycle
+//! its last byte clears the server.
+//!
+//! Messages still in service ([`TimedServer::occupancy`]) need a ledger
+//! of in-service completions, which only an observed run reads (the
+//! timeline's per-port `queue_depth`). A server keeps one only when
+//! built with [`TimedServer::with_occupancy_ledger`]; every other
+//! server books without touching the heap. The ledger is pruned lazily
+//! by time — every booking first drops the entries that completed by
+//! `now` — so no completion callback wiring is needed.
 //!
 //! # Examples
 //!
@@ -28,15 +34,19 @@
 //! use mgpu_sim::link::{TrafficClass, WireParts};
 //! use mgpu_types::{ByteSize, Cycle, Duration};
 //!
-//! // 50 B/cy, 100 cy propagation.
-//! let mut srv = TimedServer::new(50, Duration::cycles(100));
+//! // 50 B/cy, 100 cy propagation, with an occupancy ledger.
+//! let mut srv = TimedServer::new(50, Duration::cycles(100)).with_occupancy_ledger();
 //! let line = WireParts::of(ByteSize::CACHELINE, TrafficClass::Data);
 //! // 64 B serialize in ceil(64/50) = 2 cycles, then 100 cycles of flight.
 //! assert_eq!(srv.serve_parts(Cycle::ZERO, &line), Cycle::new(2 + 100));
 //! // A second line queues behind the first: byte-ticks 64..128 end in
 //! // cycle 3.
 //! assert_eq!(srv.serve_parts(Cycle::ZERO, &line), Cycle::new(3 + 100));
-//! assert_eq!(srv.occupancy(Cycle::new(102)), 1);
+//! assert_eq!(srv.occupancy(Cycle::new(102)), Some(1));
+//! // A server built without a ledger books the same but cannot count.
+//! let mut bare = TimedServer::new(50, Duration::cycles(100));
+//! assert_eq!(bare.serve_parts(Cycle::ZERO, &line), Cycle::new(2 + 100));
+//! assert_eq!(bare.occupancy(Cycle::ZERO), None);
 //! ```
 
 use std::collections::VecDeque;
@@ -59,8 +69,9 @@ pub struct TimedServer {
     tampered_messages: u64,
     /// Completion cycles of booked messages, nondecreasing (bookings
     /// are FIFO, so completions are monotone). Entries at or before the
-    /// last booking's `now` have been pruned.
-    in_flight: VecDeque<Cycle>,
+    /// last booking's `now` have been pruned. `None` unless built
+    /// [`with_occupancy_ledger`](Self::with_occupancy_ledger).
+    in_flight: Option<VecDeque<Cycle>>,
     /// Messages booked so far (served or occupancy-only).
     grants: u64,
     /// Bytes served (`occupy` accounts no bytes, and background charges
@@ -71,7 +82,7 @@ pub struct TimedServer {
 
 impl TimedServer {
     /// A server over a `bytes_per_cycle`-wide port with `latency`
-    /// propagation.
+    /// propagation, keeping no occupancy ledger.
     ///
     /// # Panics
     ///
@@ -85,10 +96,19 @@ impl TimedServer {
             next_free_bt: 0,
             totals: TrafficTotals::default(),
             tampered_messages: 0,
-            in_flight: VecDeque::new(),
+            in_flight: None,
             grants: 0,
             served_bytes: 0,
         }
+    }
+
+    /// This server, keeping a ledger of in-service completions so that
+    /// [`occupancy`](Self::occupancy) can count them. Every booking then
+    /// also prunes and pushes the ledger.
+    #[must_use]
+    pub fn with_occupancy_ledger(mut self) -> Self {
+        self.in_flight = Some(VecDeque::new());
+        self
     }
 
     /// Occupancy-only service: books `bytes` onto the transmitter
@@ -96,14 +116,16 @@ impl TimedServer {
     /// left and propagated. Accounts no bytes — ingress ports use this,
     /// their bytes were counted at the egress they left.
     pub fn occupy(&mut self, now: Cycle, bytes: ByteSize) -> Cycle {
-        while self.in_flight.front().is_some_and(|&done| done <= now) {
-            self.in_flight.pop_front();
-        }
         let bw = u128::from(self.bytes_per_cycle);
         let begin = (u128::from(now.as_u64()) * bw).max(self.next_free_bt);
         self.next_free_bt = begin + u128::from(bytes.as_u64());
         let done = Cycle::new(self.next_free_bt.div_ceil(bw) as u64) + self.latency;
-        self.in_flight.push_back(done);
+        if let Some(in_flight) = &mut self.in_flight {
+            while in_flight.front().is_some_and(|&d| d <= now) {
+                in_flight.pop_front();
+            }
+            in_flight.push_back(done);
+        }
         self.grants += 1;
         done
     }
@@ -138,10 +160,12 @@ impl TimedServer {
         self.totals.add(class, bytes);
     }
 
-    /// Booked messages still in service at `now` (non-mutating).
+    /// Booked messages still in service at `now` (non-mutating), or
+    /// `None` for a server built without an occupancy ledger.
     #[must_use]
-    pub fn occupancy(&self, now: Cycle) -> u32 {
-        self.in_flight.iter().filter(|&&done| done > now).count() as u32
+    pub fn occupancy(&self, now: Cycle) -> Option<u32> {
+        let in_flight = self.in_flight.as_ref()?;
+        Some(in_flight.iter().filter(|&&done| done > now).count() as u32)
     }
 
     /// Messages booked so far.
@@ -283,16 +307,34 @@ mod tests {
 
     #[test]
     fn occupancy_counts_messages_still_in_service() {
-        let mut srv = TimedServer::new(50, Duration::cycles(100));
+        let mut srv = TimedServer::new(50, Duration::cycles(100)).with_occupancy_ledger();
         srv.serve_parts(Cycle::ZERO, &parts(64)); // done 102
         srv.serve_parts(Cycle::ZERO, &parts(64)); // done 103
-        assert_eq!(srv.occupancy(Cycle::ZERO), 2);
-        assert_eq!(srv.occupancy(Cycle::new(102)), 1);
-        assert_eq!(srv.occupancy(Cycle::new(103)), 0);
+        assert_eq!(srv.occupancy(Cycle::ZERO), Some(2));
+        assert_eq!(srv.occupancy(Cycle::new(102)), Some(1));
+        assert_eq!(srv.occupancy(Cycle::new(103)), Some(0));
         // A later booking prunes the completed entries.
         srv.serve_parts(Cycle::new(200), &parts(64));
-        assert_eq!(srv.occupancy(Cycle::new(200)), 1);
+        assert_eq!(srv.occupancy(Cycle::new(200)), Some(1));
         assert_eq!(srv.grants(), 3);
+    }
+
+    #[test]
+    fn the_ledger_changes_no_timing_or_counter() {
+        let (mut bare, mut kept) = (port(), port().with_occupancy_ledger());
+        for i in 0..1_000u64 {
+            let now = Cycle::new(i * 3 / 2);
+            let msg = parts(1 + i % 97);
+            assert_eq!(bare.serve_parts(now, &msg), kept.serve_parts(now, &msg));
+            let bytes = ByteSize::new(i % 5);
+            assert_eq!(bare.occupy(now, bytes), kept.occupy(now, bytes));
+        }
+        assert_eq!(bare.next_free(), kept.next_free());
+        assert_eq!(bare.grants(), kept.grants());
+        assert_eq!(bare.served_bytes(), kept.served_bytes());
+        assert_eq!(bare.totals(), kept.totals());
+        assert_eq!(bare.occupancy(Cycle::new(1_500)), None);
+        assert!(kept.occupancy(Cycle::new(1_500)).is_some());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! request/response VC split real interconnects use for protocol deadlock
 //! freedom, and keeping tiny control messages from head-of-line blocking
 //! behind bulk data in the FIFO occupancy model. Every port and VC is a
-//! [`TimedServer`].
+//! [`TimedServer`]; only the egress ports of an observed run
+//! (`config.observability.enabled`) keep an occupancy ledger.
 //!
 //! The fabric shape is configurable ([`TopologyKind`]): fully connected
 //! (the paper's evaluated system, every GPU pair one direct hop), a ring
@@ -133,6 +134,17 @@ impl Topology {
     #[must_use]
     pub fn new(config: &SystemConfig) -> Self {
         let routes = RoutingTable::new(config.topology, config.gpu_count);
+        // Only an observed run reads occupancy, and only off egress
+        // ports (the timeline's `queue_depth`); every other port books
+        // without a ledger.
+        let egress = |bw: u32| {
+            let port = TimedServer::new(bw, config.link_latency);
+            if config.observability.enabled {
+                port.with_occupancy_ledger()
+            } else {
+                port
+            }
+        };
         let mut node_egress = DenseNodeMap::with_gpu_count(config.gpu_count);
         let mut node_ingress = DenseNodeMap::with_gpu_count(config.gpu_count);
         let mut ctrl = PairTable::new();
@@ -142,7 +154,7 @@ impl Topology {
             } else {
                 config.gpu_link_bytes_per_cycle
             };
-            node_egress.insert(node, TimedServer::new(port_bw, config.link_latency));
+            node_egress.insert(node, egress(port_bw));
             node_ingress.insert(node, TimedServer::new(port_bw, Duration::ZERO));
             for dst in node.peers(config.gpu_count) {
                 let pair = PairId::new(node, dst);
@@ -158,7 +170,7 @@ impl Topology {
         }
         // Switch ports run at fabric (NVLink) speed.
         let switch_egress = (0..routes.switch_count())
-            .map(|_| TimedServer::new(config.gpu_link_bytes_per_cycle, config.link_latency))
+            .map(|_| egress(config.gpu_link_bytes_per_cycle))
             .collect();
         let switch_ingress = (0..routes.switch_count())
             .map(|_| TimedServer::new(config.gpu_link_bytes_per_cycle, Duration::ZERO))
@@ -403,6 +415,43 @@ mod tests {
             match topo.advance(&mut transit, at, parts) {
                 HopOutcome::Forwarded { at: next } => at = next,
                 HopOutcome::Delivered { at } => return at,
+            }
+        }
+    }
+
+    #[test]
+    fn only_observed_egress_ports_keep_an_occupancy_ledger() {
+        for kind in [
+            TopologyKind::FullyConnected,
+            TopologyKind::Switch { radix: 4 },
+        ] {
+            let mut cfg = SystemConfig::paper_4gpu();
+            cfg.gpu_count = 8;
+            cfg.topology = kind;
+            for observed in [false, true] {
+                cfg.observability.enabled = observed;
+                let topo = Topology::new(&cfg);
+                let egress: Vec<&TimedServer> = topo
+                    .iter_egress()
+                    .map(|(_, p)| p)
+                    .chain(topo.iter_switch_egress().map(|(_, p)| p))
+                    .collect();
+                assert_eq!(
+                    egress.len(),
+                    9 + usize::from(topo.routes.switch_count()),
+                    "{kind:?}"
+                );
+                for port in egress {
+                    assert_eq!(port.occupancy(Cycle::ZERO).is_some(), observed);
+                }
+                let others = topo
+                    .node_ingress
+                    .values()
+                    .chain(&topo.switch_ingress)
+                    .chain(topo.ctrl.values());
+                for port in others {
+                    assert_eq!(port.occupancy(Cycle::ZERO), None);
+                }
             }
         }
     }

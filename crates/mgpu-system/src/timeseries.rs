@@ -442,6 +442,13 @@ impl TimeSeriesCollector {
     /// Takes one sample of every node and fabric port at boundary `now`.
     /// The caller is responsible for having advanced the schemes to the
     /// boundary first (see the module docs on timing neutrality).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an egress port of `topo` keeps no occupancy ledger,
+    /// which a `Topology` built from an observed config never does: the
+    /// engine builds its collector only when
+    /// `config.observability.enabled`.
     pub fn sample(&mut self, now: Cycle, nics: &DenseNodeMap<SecureNic>, topo: &Topology) {
         for (node, nic) in nics.iter() {
             let stats = nic.otp_stats();
@@ -503,7 +510,13 @@ impl TimeSeriesCollector {
                 bytes: server.totals().total().as_u64(),
                 // Pending completions, not time: the busy-time-until-free
                 // value this field used to (mis)report is busy_horizon.
-                queue_depth: u64::from(server.occupancy(now)),
+                // The collector exists only in an observed run, whose
+                // `Topology` gives every egress port a ledger.
+                queue_depth: u64::from(
+                    server
+                        .occupancy(now)
+                        .expect("an observed run's egress ports keep an occupancy ledger"),
+                ),
                 busy_horizon: server.next_free().saturating_since(now).as_u64(),
                 grants: server.grants(),
                 ctrl_bytes,

@@ -1,7 +1,9 @@
 //! Bound on the heap traffic of one simulation run: the engine sizes its
 //! per-run tables once, so a run allocates a fixed set of structures
 //! whose count does not grow with the request count, and the event queue
-//! recycles its slots instead of allocating per event.
+//! recycles its slots instead of allocating per event. A fabric port
+//! books without allocating: only an observed run's egress ports keep an
+//! occupancy ledger.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! both allocations and reallocations (a growing `Vec` reallocates), per
@@ -12,9 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mgpu_sim::events::EventQueue;
+use mgpu_sim::link::{TrafficClass, WireParts};
+use mgpu_sim::TimedServer;
 use mgpu_system::runner::configs;
 use mgpu_system::Simulation;
-use mgpu_types::{Cycle, NodeId, OtpSchemeKind, SystemConfig};
+use mgpu_types::{ByteSize, Cycle, Duration, NodeId, OtpSchemeKind, SystemConfig};
 use mgpu_workloads::{Benchmark, Request, TrafficModel};
 
 struct CountingAlloc;
@@ -134,5 +138,26 @@ fn queue_churn_at_a_steady_backlog_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "100,000 pop+schedule pairs allocated {allocs} times"
+    );
+}
+
+#[test]
+fn fabric_bookings_without_a_ledger_allocate_nothing() {
+    // About 35 messages stay in service at once, as in the engine
+    // bench's timed-server churn.
+    let mut srv = TimedServer::new(50, Duration::cycles(100));
+    let mut now = Cycle::ZERO;
+    let before = alloc_count();
+    for i in 0..50_000u64 {
+        now += Duration::cycles(2 + i % 3);
+        let parts = WireParts::of(ByteSize::new(64 + (i % 7) * 8), TrafficClass::Data);
+        srv.serve_parts(now, &parts);
+        srv.occupy(now, ByteSize::new(16));
+    }
+    let allocs = alloc_count() - before;
+    assert_eq!(srv.grants(), 100_000);
+    assert_eq!(
+        allocs, 0,
+        "100,000 serve_parts/occupy bookings allocated {allocs} times"
     );
 }

@@ -7,7 +7,9 @@
 //! the validation bound), batch-close jitter, observability and the
 //! wire adversary. Configs that fail validation are skipped; the rest
 //! run 20–40 requests per GPU and must finish within a wall-clock budget
-//! and a generous simulated-cycle ceiling. A shaping envelope its ctrl VC
+//! and a generous simulated-cycle ceiling. An observed run also samples
+//! its fabric, so the sampler's occupancy reads (which need a ledger on
+//! every egress port) meet every validated fabric shape. A shaping envelope its ctrl VC
 //! cannot carry breaks both: its chaff backlog outgrows simulated time.
 //! In the debug profile every run also checks at drain that each ACK
 //! window is whole again and no block is left parked.
@@ -120,6 +122,8 @@ proptest! {
         let seed = u64::from(d.below(u32::MAX));
         let secure = cfg.security.scheme != OtpSchemeKind::Unsecure;
         let adversary = cfg.adversary.enabled;
+        let observed = cfg.observability.enabled;
+        let interval = cfg.security.dynamic.interval.as_u64();
         let gpus = u64::from(cfg.gpu_count);
         // As if every request ran alone, one after another, each taking
         // 16 one-way trips along the longest route. Valid draws peak
@@ -150,6 +154,15 @@ proptest! {
             .map(|&c| report.traffic.get(c).as_u64())
             .sum();
         prop_assert!(by_class == report.traffic.total().as_u64(), "traffic classes: {label}");
+        // An observed run that outlives one interval samples every
+        // egress port's occupancy ledger at least once.
+        if secure && observed && report.total_cycles.as_u64() > interval {
+            let timeline = report.timeline.as_ref();
+            prop_assert!(
+                timeline.is_some_and(|t| !t.fabric.is_empty()),
+                "observed run sampled no fabric port: {label}"
+            );
+        }
         if !adversary {
             prop_assert!(report.security.is_clean(), "security events without an adversary: {label}");
         }
