@@ -1,9 +1,8 @@
 //! Benchmarks for the secure multi-GPU workspace, and the one timing
 //! helper behind every gated throughput line.
 //!
-//! Four bench targets live under `benches/`: `figures` (one Criterion
-//! benchmark per paper table/figure at `Mode::Bench` size), `micro`
-//! (Criterion microbenchmarks of the core primitives), `crypto` (the
+//! Three bench targets live under `benches/`: `micro` (Criterion
+//! microbenchmarks of the core primitives), `crypto` (the
 //! software-vs-hardware crypto A/B) and `engine` (one rate per simulator
 //! layer). Every gated line is timed by [`layer_rate`] and printed as a
 //! [`layer_line`]; CI's bench-smoke step reads only those lines and fails

@@ -6,7 +6,7 @@
 //! both are asserted by this module's tests and rendered as tables by the
 //! `repro attack_campaign` experiment.
 
-use crate::common::{self, Mode};
+use crate::common::{self, Cell, Mode};
 use crate::report::{percent, ratio, Table};
 use mgpu_secure::adversary::{FaultKind, SecurityEventLog};
 use mgpu_system::runner::configs;
@@ -48,15 +48,31 @@ fn with_adversary(cfg: &SystemConfig, rate_permille: u32) -> SystemConfig {
     c
 }
 
-/// Merged security log for one scheme at one rate across the mode's
-/// attack benchmarks.
-fn campaign_log(cfg: &SystemConfig, rate: u32, mode: Mode) -> SecurityEventLog {
-    let armed = with_adversary(cfg, rate);
-    let mut log = SecurityEventLog::new();
-    for &bench in benches(mode) {
-        log.merge(&common::run(&armed, bench, mode).security);
-    }
-    log
+/// The security logs of the whole sweep, from one [`common::run_many`]
+/// call: one log per `(scheme, rate)`, scheme-major in [`rates`] order,
+/// each merged across the mode's attack benchmarks.
+fn campaign_logs(schemes: &[(String, SystemConfig)], mode: Mode) -> Vec<SecurityEventLog> {
+    let cells: Vec<Cell> = schemes
+        .iter()
+        .flat_map(|(_, cfg)| {
+            rates(mode).iter().flat_map(move |&rate| {
+                let armed = with_adversary(cfg, rate);
+                benches(mode)
+                    .iter()
+                    .map(move |&bench| Cell::new(armed.clone(), bench, mode))
+            })
+        })
+        .collect();
+    common::run_many(&cells)
+        .chunks(benches(mode).len())
+        .map(|runs| {
+            let mut log = SecurityEventLog::new();
+            for r in runs {
+                log.merge(&r.security);
+            }
+            log
+        })
+        .collect()
 }
 
 /// The `attack_campaign` experiment: a detection summary over the
@@ -67,15 +83,7 @@ pub fn attack_campaign(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_4gpu();
     let schemes = scheme_set(&base);
     let rate_sweep = rates(mode);
-    let mut cells: Vec<common::Cell> = Vec::new();
-    for &rate in rate_sweep {
-        for (_, cfg) in &schemes {
-            for &bench in benches(mode) {
-                cells.push(common::Cell::new(with_adversary(cfg, rate), bench, mode));
-            }
-        }
-    }
-    common::prefetch(&cells);
+    let logs = campaign_logs(&schemes, mode);
 
     let mut summary = Table::new(
         "Attack campaign: detection summary",
@@ -90,9 +98,8 @@ pub fn attack_campaign(mode: Mode) -> Vec<Table> {
             "mean-ttd",
         ],
     );
-    for (label, cfg) in &schemes {
-        for &rate in rate_sweep {
-            let log = campaign_log(cfg, rate, mode);
+    for ((label, _), scheme_logs) in schemes.iter().zip(logs.chunks(rate_sweep.len())) {
+        for (&rate, log) in rate_sweep.iter().zip(scheme_logs) {
             summary.add_row(vec![
                 label.clone(),
                 rate.to_string(),
@@ -111,8 +118,8 @@ pub fn attack_campaign(mode: Mode) -> Vec<Table> {
         format!("Attack campaign: per-fault breakdown at {top_rate} permille"),
         &["scheme", "fault", "injected", "detected", "missed"],
     );
-    for (label, cfg) in &schemes {
-        let log = campaign_log(cfg, top_rate, mode);
+    for ((label, _), scheme_logs) in schemes.iter().zip(logs.chunks(rate_sweep.len())) {
+        let log = scheme_logs.last().expect("rate sweep is non-empty");
         for kind in FaultKind::ALL {
             breakdown.add_row(vec![
                 label.clone(),
@@ -135,10 +142,11 @@ mod tests {
 
     #[test]
     fn every_injection_is_detected_and_clean_runs_stay_clean() {
-        let base = SystemConfig::paper_4gpu();
-        for (label, cfg) in scheme_set(&base) {
-            for &rate in rates(Mode::Bench) {
-                let log = campaign_log(&cfg, rate, Mode::Bench);
+        let schemes = scheme_set(&SystemConfig::paper_4gpu());
+        let logs = campaign_logs(&schemes, Mode::Bench);
+        let n_rates = rates(Mode::Bench).len();
+        for ((label, _), scheme_logs) in schemes.iter().zip(logs.chunks(n_rates)) {
+            for (&rate, log) in rates(Mode::Bench).iter().zip(scheme_logs) {
                 assert_eq!(log.total_missed(), 0, "{label} rate {rate}: missed");
                 assert_eq!(
                     log.false_positives(),
@@ -163,7 +171,8 @@ mod tests {
         // A hot enough rate on the batched scheme hits all seven kinds,
         // including the trailer-only ones.
         let cfg = with_adversary(&configs::batching(&SystemConfig::paper_4gpu(), 4), 300);
-        let report = common::run(&cfg, Benchmark::MatrixTranspose, Mode::Quick);
+        let reports = common::run_many(&[Cell::new(cfg, Benchmark::MatrixTranspose, Mode::Quick)]);
+        let report = &reports[0];
         for kind in FaultKind::ALL {
             assert!(
                 report.security.injected_of(kind) > 0,

@@ -4,14 +4,15 @@
 //! Every experiment decomposes into *cells* — one `(config, benchmark,
 //! seed, request count)` simulation each. Cells are pure functions of
 //! their key (the simulation is seeded), so the harness memoizes them in
-//! a process-wide cache and fans uncached cells across worker threads.
-//! Experiments share many cells (every figure re-runs the unsecure
-//! baselines, and the Private/Cached/Ours triple appears in five figures),
-//! so the cache removes most of `repro all`'s work; the fan-out uses
-//! whatever cores remain. Both layers are observable and defeatable:
-//!
-//! - `MGPU_WORKERS=<n>` caps the worker threads (default: all cores).
-//! - `MGPU_CELL_CACHE=0` disables memoization (honest single-run timing).
+//! a process-wide cache. An experiment builds its cell list once and
+//! reads [`run_many`]'s reports by position; `run_many` serves cached and
+//! repeated keys and fans the rest across worker threads. Experiments
+//! share many cells (every figure re-runs the unsecure baselines, and the
+//! Private/Cached/Ours triple appears in five figures), so the cache
+//! removes most of `repro all`'s work; the fan-out uses whatever cores
+//! remain. `MGPU_WORKERS=<n>` caps the worker threads (default: all
+//! cores); cold timing of one experiment is `repro <id>` in a fresh
+//! process.
 //!
 //! Results are bit-identical whichever path computes them — the cache
 //! stores exactly what a direct run returns, and workers never share
@@ -19,7 +20,7 @@
 //! `MGPU_WORKERS` (a non-integer, or zero) warns once and falls back to
 //! the default, so typos like `MGPU_WORKERS=all` do not pass silently.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -117,14 +118,9 @@ fn cell_cache() -> &'static Mutex<HashMap<String, RunReport>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn cache_enabled() -> bool {
-    std::env::var("MGPU_CELL_CACHE").map_or(true, |v| v != "0")
-}
-
 /// Cells served from the cache since process start.
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-/// Cells actually simulated since process start (including runs with the
-/// cache disabled).
+/// Cells simulated since process start.
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide `(cache_hits, cache_misses)` of the cell cache. The
@@ -159,86 +155,52 @@ pub fn workers() -> usize {
     parsed.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs one cell, consulting the cell cache.
-fn run_cell(cell: &Cell) -> RunReport {
-    if !cache_enabled() {
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        return cell.simulate();
-    }
-    let key = cell.key();
-    if let Some(hit) = cell_cache().lock().expect("cell cache poisoned").get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return hit.clone();
-    }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let report = cell.simulate();
-    cell_cache()
-        .lock()
-        .expect("cell cache poisoned")
-        .insert(key, report.clone());
-    report
-}
-
-/// Runs one configuration on one benchmark at `mode`'s size, consulting
-/// the cell cache.
-#[must_use]
-pub fn run(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    run_cell(&Cell::new(cfg.clone(), bench, mode))
-}
-
-/// Runs every cell, fanning uncached work across [`workers`] threads, and
-/// returns the reports in input order.
+/// Runs every cell and returns the reports in input order — the one way
+/// an experiment gets a report.
 ///
-/// Each cell is an independent deterministic simulation, so the output is
-/// bit-identical to running the cells sequentially — parallelism only
-/// changes wall-clock time.
+/// Each cell's key is computed once. Keys already in the process cache,
+/// and repeats of a key earlier in the same call, are served without a
+/// simulation (`cache_hits`); only the unique unseen keys are simulated
+/// (`cache_misses`), fanned across [`workers`] threads. Hits plus misses
+/// equal `cells.len()`. Each cell is an independent deterministic
+/// simulation, so the output is bit-identical to running the cells one by
+/// one — parallelism only changes wall-clock time.
 #[must_use]
 pub fn run_many(cells: &[Cell]) -> Vec<RunReport> {
-    let n = cells.len();
-    let worker_count = workers().min(n);
-    if worker_count <= 1 {
-        return cells.iter().map(run_cell).collect();
-    }
+    let keys: Vec<String> = cells.iter().map(Cell::key).collect();
+    let unseen: Vec<usize> = {
+        let cache = cell_cache().lock().expect("cell cache poisoned");
+        let mut queued = HashSet::new();
+        (0..cells.len())
+            .filter(|&i| !cache.contains_key(&keys[i]) && queued.insert(keys[i].as_str()))
+            .collect()
+    };
+    CACHE_HITS.fetch_add((cells.len() - unseen.len()) as u64, Ordering::Relaxed);
+    CACHE_MISSES.fetch_add(unseen.len() as u64, Ordering::Relaxed);
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let report = run_cell(&cells[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(report);
-            });
+    let work = || {
+        while let Some(&i) = unseen.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let report = cells[i].simulate();
+            cell_cache()
+                .lock()
+                .expect("cell cache poisoned")
+                .insert(keys[i].clone(), report);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers().min(unseen.len()) {
+            scope.spawn(work);
+        }
+        work();
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell index is visited")
-        })
-        .collect()
+    let cache = cell_cache().lock().expect("cell cache poisoned");
+    keys.iter().map(|key| cache[key].clone()).collect()
 }
 
-/// Warms the cell cache for `cells` in parallel; later `run` calls for the
-/// same cells are lookups. A no-op when the cache is disabled.
-pub fn prefetch(cells: &[Cell]) {
-    if cache_enabled() && !cells.is_empty() {
-        let _ = run_many(cells);
-    }
-}
-
-/// Runs the unsecure twin of `cfg` on `bench`.
-#[must_use]
-pub fn run_baseline(cfg: &SystemConfig, bench: Benchmark, mode: Mode) -> RunReport {
-    run(&configs::unsecure(cfg), bench, mode)
-}
-
-/// Builds the prefetch cell list for a normalized-table experiment: per
-/// benchmark, the baseline of `base` plus every listed configuration.
+/// Builds the cell list for a normalized-table experiment, bench-major:
+/// per benchmark, the unsecure twin of `base` and then every listed
+/// configuration, so [`run_many`]'s reports split into rows of
+/// `cfgs.len() + 1`.
 #[must_use]
 pub fn table_cells(base: &SystemConfig, cfgs: &[(String, SystemConfig)], mode: Mode) -> Vec<Cell> {
     let baseline = configs::unsecure(base);
@@ -296,9 +258,11 @@ mod tests {
     #[test]
     fn baseline_is_unsecure() {
         let cfg = configs::private(&SystemConfig::paper_4gpu(), 4);
-        let base = run_baseline(&cfg, Benchmark::Fir, Mode::Quick);
-        assert_eq!(base.scheme, OtpSchemeKind::Unsecure);
-        assert_eq!(base.traffic.metadata().as_u64(), 0);
+        // With no configurations listed, every row is just its baseline.
+        for base in run_many(&table_cells(&cfg, &[], Mode::Bench)) {
+            assert_eq!(base.scheme, OtpSchemeKind::Unsecure);
+            assert_eq!(base.traffic.metadata().as_u64(), 0);
+        }
     }
 
     #[test]
@@ -344,6 +308,15 @@ mod tests {
             requests: 60,
             ..Cell::new(configs::dynamic(&base, 4), Benchmark::Spmv, Mode::Bench)
         });
+        // One cell already cached by an earlier call, and one repeated
+        // within the call: both are served without a simulation.
+        let cached = Cell {
+            seed: 8,
+            ..Cell::new(configs::cached(&base, 4), Benchmark::Fir, Mode::Bench)
+        };
+        let _ = run_many(std::slice::from_ref(&cached));
+        cells.push(cached);
+        cells.push(cells[1].clone());
         // Ground truth: fresh sequential simulations, no cache involved.
         let sequential: Vec<String> = cells
             .iter()
@@ -355,15 +328,16 @@ mod tests {
 
     #[test]
     fn cached_rerun_matches_first_run() {
-        let cfg = configs::cached(&SystemConfig::paper_4gpu(), 4);
-        let first = run(&cfg, Benchmark::Spmv, Mode::Bench);
-        let second = run(&cfg, Benchmark::Spmv, Mode::Bench);
-        assert_eq!(fingerprint(&first), fingerprint(&second));
-        // And both equal an uncached simulation.
-        assert_eq!(
-            fingerprint(&first),
-            fingerprint(&Cell::new(cfg, Benchmark::Spmv, Mode::Bench).simulate())
+        let cell = Cell::new(
+            configs::cached(&SystemConfig::paper_4gpu(), 4),
+            Benchmark::Spmv,
+            Mode::Bench,
         );
+        let first = run_many(std::slice::from_ref(&cell));
+        let second = run_many(std::slice::from_ref(&cell));
+        assert_eq!(fingerprint(&first[0]), fingerprint(&second[0]));
+        // And both equal an uncached simulation.
+        assert_eq!(fingerprint(&first[0]), fingerprint(&cell.simulate()));
     }
 
     #[test]
@@ -416,16 +390,21 @@ mod tests {
 
     #[test]
     fn cache_counters_advance_on_hit_and_miss() {
-        let cfg = configs::dynamic(&SystemConfig::paper_4gpu(), 4);
         // A distinctive benchmark keeps this cell out of other tests' way.
+        // Tests share the process-wide counters, so only lower bounds hold
+        // here; `tests/cell_runner.rs` pins exact counts.
+        let cell = Cell::new(
+            configs::dynamic(&SystemConfig::paper_4gpu(), 4),
+            Benchmark::Mvt,
+            Mode::Bench,
+        );
         let (h0, m0) = cache_counters();
-        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench);
+        let _ = run_many(&[cell.clone(), cell.clone()]);
         let (h1, m1) = cache_counters();
-        assert!(h1 + m1 > h0 + m0, "first run must count a hit or a miss");
-        let _ = run(&cfg, Benchmark::Mvt, Mode::Bench);
+        assert!(h1 + m1 >= h0 + m0 + 2, "every cell counts a hit or a miss");
+        assert!(h1 > h0, "the in-call repeat must be a hit");
+        let _ = run_many(&[cell]);
         let (h2, _) = cache_counters();
-        if cache_enabled() {
-            assert!(h2 > h1, "second identical run must be a cache hit");
-        }
+        assert!(h2 > h1, "a cached cell must be a hit");
     }
 }

@@ -24,9 +24,9 @@ pub fn fig21(mode: Mode) -> Vec<Table> {
 /// Shared scaffolding: one column per configuration, one row per
 /// benchmark plus the geomean. Each cell is `metric(run, baseline)`
 /// against the unsecure twin of `base` (normalized time or traffic
-/// ratio; 1.0 when the baseline is degenerate). All cells are computed
-/// up front in parallel; the assembly loop below then reads the warm
-/// cache.
+/// ratio; 1.0 when the baseline is degenerate). All cells run in one
+/// [`common::run_many`] call; each benchmark's row of reports is its
+/// baseline followed by one report per configuration.
 pub(crate) fn normalized_table(
     title: &str,
     base: &SystemConfig,
@@ -34,18 +34,17 @@ pub(crate) fn normalized_table(
     mode: Mode,
     metric: fn(&RunReport, &RunReport) -> Option<f64>,
 ) -> Table {
-    common::prefetch(&common::table_cells(base, cfgs, mode));
+    let reports = common::run_many(&common::table_cells(base, cfgs, mode));
     let mut headers: Vec<&str> = vec!["bench"];
     headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
     let mut t = Table::new(title, &headers);
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for &bench in mode.suite() {
-        let baseline = common::run_baseline(base, bench, mode);
+    for (&bench, runs) in mode.suite().iter().zip(reports.chunks(cfgs.len() + 1)) {
+        let (baseline, runs) = runs.split_first().expect("every row has a baseline");
         let mut row = vec![bench.abbrev().to_string()];
-        for (i, (_, cfg)) in cfgs.iter().enumerate() {
-            let r = common::run(cfg, bench, mode);
-            let n = metric(&r, &baseline).unwrap_or(1.0);
-            columns[i].push(n);
+        for (column, r) in columns.iter_mut().zip(runs) {
+            let n = metric(r, baseline).unwrap_or(1.0);
+            column.push(n);
             row.push(ratio(n));
         }
         t.add_row(row);
@@ -111,31 +110,55 @@ pub fn fig26(mode: Mode) -> Vec<Table> {
         "Fig. 26: AES-GCM latency sensitivity (4 GPUs)",
         &["aes-latency", "private-4x", "cached-4x", "ours"],
     );
-    for cycles in [10u64, 20, 30, 40] {
-        let mut base = SystemConfig::paper_4gpu();
-        base.security.aes_latency = Duration::cycles(cycles);
-        let cfgs = common::ours_triple(&base);
-        let mut cells: Vec<common::Cell> = Vec::new();
-        for (_, cfg) in &cfgs {
-            for &bench in mode.suite() {
-                cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
-                cells.push(common::Cell::new(cfg.clone(), bench, mode));
-            }
-        }
-        common::prefetch(&cells);
+    let latencies = [10u64, 20, 30, 40];
+    let sweep: Vec<SystemConfig> = latencies
+        .iter()
+        .flat_map(|&cycles| {
+            let mut base = SystemConfig::paper_4gpu();
+            base.security.aes_latency = Duration::cycles(cycles);
+            common::ours_triple(&base).into_iter().map(|(_, cfg)| cfg)
+        })
+        .collect();
+    let geomeans: Vec<f64> = common::run_many(&twin_cells(&sweep, mode))
+        .chunks(2 * mode.suite().len())
+        .map(|runs| common::geomean(&normalized_times(runs)))
+        .collect();
+    for (cycles, row_values) in latencies
+        .iter()
+        .zip(geomeans.chunks(sweep.len() / latencies.len()))
+    {
         let mut row = vec![format!("{cycles}cy")];
-        for (_, cfg) in &cfgs {
-            let mut values = Vec::new();
-            for &bench in mode.suite() {
-                let baseline = common::run_baseline(cfg, bench, mode);
-                let r = common::run(cfg, bench, mode);
-                values.push(r.normalized_time(&baseline).unwrap_or(1.0));
-            }
-            row.push(ratio(common::geomean(&values)));
-        }
+        row.extend(row_values.iter().map(|&g| ratio(g)));
         t.add_row(row);
     }
     vec![t]
+}
+
+/// The cells of a per-configuration sweep, config-major: for every
+/// benchmark of the mode, the unsecure twin of the configuration and then
+/// the configuration itself. [`common::run_many`]'s reports split into
+/// chunks of `2 * mode.suite().len()` per configuration, and each chunk
+/// into `[baseline, run]` pairs.
+fn twin_cells(cfgs: &[SystemConfig], mode: Mode) -> Vec<common::Cell> {
+    cfgs.iter()
+        .flat_map(|cfg| {
+            mode.suite().iter().flat_map(move |&bench| {
+                [
+                    common::Cell::new(configs::unsecure(cfg), bench, mode),
+                    common::Cell::new(cfg.clone(), bench, mode),
+                ]
+            })
+        })
+        .collect()
+}
+
+/// Each `[baseline, run]` pair's normalized time, 1.0 when the baseline
+/// is degenerate.
+fn normalized_times(pairs: &[RunReport]) -> Vec<f64> {
+    pairs
+        .chunks(2)
+        .map(|pair| pair[1].normalized_time(&pair[0]).unwrap_or(1.0))
+        .collect()
 }
 
 /// Compute units per GPU (paper Table III). Printed for completeness:
@@ -227,7 +250,8 @@ pub fn ablation_batch_size(mode: Mode) -> Vec<Table> {
             "mean-occupancy",
         ],
     );
-    let sweep: Vec<SystemConfig> = [4u32, 8, 16, 32, 64]
+    let sizes = [4u32, 8, 16, 32, 64];
+    let sweep: Vec<SystemConfig> = sizes
         .iter()
         .map(|&n| {
             let mut cfg = configs::batching(&base, 4);
@@ -235,32 +259,24 @@ pub fn ablation_batch_size(mode: Mode) -> Vec<Table> {
             cfg
         })
         .collect();
-    let mut cells: Vec<common::Cell> = Vec::new();
-    for cfg in &sweep {
-        for &bench in mode.suite() {
-            cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
-            cells.push(common::Cell::new(cfg.clone(), bench, mode));
-        }
-    }
-    common::prefetch(&cells);
-    for (n, cfg) in [4u32, 8, 16, 32, 64].into_iter().zip(&sweep) {
-        let mut times = Vec::new();
-        let mut traffics = Vec::new();
-        let mut occupancy = 0.0;
-        let mut count = 0.0;
-        for &bench in mode.suite() {
-            let baseline = common::run_baseline(cfg, bench, mode);
-            let r = common::run(cfg, bench, mode);
-            times.push(r.normalized_time(&baseline).unwrap_or(1.0));
-            traffics.push(r.traffic_ratio(&baseline).unwrap_or(1.0));
-            occupancy += r.mean_batch_occupancy;
-            count += 1.0;
-        }
+    let reports = common::run_many(&twin_cells(&sweep, mode));
+    for (n, runs) in sizes
+        .into_iter()
+        .zip(reports.chunks(2 * mode.suite().len()))
+    {
+        let traffics: Vec<f64> = runs
+            .chunks(2)
+            .map(|pair| pair[1].traffic_ratio(&pair[0]).unwrap_or(1.0))
+            .collect();
+        let occupancy: f64 = runs
+            .chunks(2)
+            .map(|pair| pair[1].mean_batch_occupancy)
+            .sum();
         t.add_row(vec![
             n.to_string(),
-            ratio(common::geomean(&times)),
+            ratio(common::geomean(&normalized_times(runs))),
             ratio(common::geomean(&traffics)),
-            format!("{:.1}", occupancy / count),
+            format!("{:.1}", occupancy / mode.suite().len() as f64),
         ]);
     }
     vec![t]
@@ -274,33 +290,24 @@ pub fn ablation_interval(mode: Mode) -> Vec<Table> {
         "Ablation: Dynamic re-allocation interval T (4 GPUs)",
         &["interval", "normalized-time"],
     );
-    let sweep: Vec<(u64, SystemConfig)> = [250u64, 500, 1_000, 2_000, 8_000]
+    let intervals = [250u64, 500, 1_000, 2_000, 8_000];
+    let sweep: Vec<SystemConfig> = intervals
         .iter()
         .map(|&interval| {
             let mut cfg = configs::dynamic(&base, 4);
             cfg.security.dynamic.interval = Duration::cycles(interval);
-            (interval, cfg)
+            cfg
         })
         .collect();
-    let mut cells: Vec<common::Cell> = Vec::new();
-    for (_, cfg) in &sweep {
-        for &bench in mode.suite() {
-            cells.push(common::Cell::new(configs::unsecure(cfg), bench, mode));
-            cells.push(common::Cell::new(cfg.clone(), bench, mode));
-        }
-    }
-    common::prefetch(&cells);
-    for (interval, cfg) in &sweep {
-        let mut times = Vec::new();
-        for &bench in mode.suite() {
-            let baseline = common::run_baseline(cfg, bench, mode);
-            times.push(
-                common::run(cfg, bench, mode)
-                    .normalized_time(&baseline)
-                    .unwrap_or(1.0),
-            );
-        }
-        t.add_row(vec![interval.to_string(), ratio(common::geomean(&times))]);
+    let reports = common::run_many(&twin_cells(&sweep, mode));
+    for (interval, runs) in intervals
+        .into_iter()
+        .zip(reports.chunks(2 * mode.suite().len()))
+    {
+        t.add_row(vec![
+            interval.to_string(),
+            ratio(common::geomean(&normalized_times(runs))),
+        ]);
     }
     vec![t]
 }

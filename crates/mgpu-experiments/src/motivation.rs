@@ -116,11 +116,11 @@ pub(crate) fn otp_distribution_table(
                 .map(|&bench| common::Cell::new(cfg.clone(), bench, mode))
         })
         .collect();
-    common::prefetch(&cells);
-    for (label, cfg) in cfgs {
+    let reports = common::run_many(&cells);
+    for ((label, _), runs) in cfgs.iter().zip(reports.chunks(mode.suite().len())) {
         let mut otp = mgpu_secure::OtpStats::default();
-        for &bench in mode.suite() {
-            otp.merge(&common::run(cfg, bench, mode).otp);
+        for r in runs {
+            otp.merge(&r.otp);
         }
         t.add_row(vec![
             label.clone(),
@@ -168,16 +168,15 @@ pub fn fig12(mode: Mode) -> Vec<Table> {
         "Fig. 12: communication traffic with security metadata (Private 4x)",
         &["bench", "traffic-ratio", "metadata-share"],
     );
-    common::prefetch(&common::table_cells(
+    let reports = common::run_many(&common::table_cells(
         &cfg,
         &[("private-4x".into(), cfg.clone())],
         mode,
     ));
     let mut ratios = Vec::new();
-    for &bench in mode.suite() {
-        let baseline = common::run_baseline(&cfg, bench, mode);
-        let r = common::run(&cfg, bench, mode);
-        let tr = r.traffic_ratio(&baseline).unwrap_or(1.0);
+    for (&bench, pair) in mode.suite().iter().zip(reports.chunks(2)) {
+        let (baseline, r) = (&pair[0], &pair[1]);
+        let tr = r.traffic_ratio(baseline).unwrap_or(1.0);
         ratios.push(tr);
         t.add_row(vec![
             bench.abbrev().to_string(),

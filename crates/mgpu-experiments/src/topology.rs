@@ -203,21 +203,25 @@ pub fn topology_scaling(mode: Mode) -> Vec<Table> {
 pub fn ring8_smoke(mode: Mode) -> Vec<Table> {
     let base = SystemConfig::paper_8gpu().with_topology(TopologyKind::Ring);
     let bench = Benchmark::MatrixTranspose;
-    let baseline = common::run_baseline(&base, bench, mode);
+    let cells: Vec<Cell> = std::iter::once(configs::unsecure(&base))
+        .chain(SCHEMES.iter().map(|(_, scheme)| scheme(&base, 4)))
+        .map(|cfg| Cell::new(cfg, bench, mode))
+        .collect();
+    let reports = common::run_many(&cells);
+    let (baseline, runs) = reports.split_first().expect("the baseline cell is first");
     let mut table = Table::new(
         "8-GPU ring smoke: scheme comparison",
         &["scheme", "norm-time", "traffic-ratio", "metadata-bytes"],
     );
-    for (label, scheme) in SCHEMES {
-        let report = common::run(&scheme(&base, 4), bench, mode);
+    for ((label, _), report) in SCHEMES.iter().zip(runs) {
         assert!(
             report.traffic.metadata().as_u64() > 0,
             "{label}: secure scheme produced no metadata on the ring"
         );
         table.add_row(vec![
             label.to_string(),
-            ratio(report.normalized_time(&baseline).unwrap_or(1.0)),
-            ratio(report.traffic_ratio(&baseline).unwrap_or(1.0)),
+            ratio(report.normalized_time(baseline).unwrap_or(1.0)),
+            ratio(report.traffic_ratio(baseline).unwrap_or(1.0)),
             report.traffic.metadata().to_string(),
         ]);
     }
@@ -278,8 +282,8 @@ mod tests {
         let (hits_before, misses_before) = common::cache_counters();
         let tables = topology_scaling(Mode::Bench);
         let (hits_after, misses_after) = common::cache_counters();
-        // Every sweep cell goes through the cell runner, so each counts
-        // as a cache hit or a miss (other tests may add more).
+        // `run_many` counts each sweep cell once, as a hit or a miss;
+        // tests share the process-wide counters, so others may add more.
         let cells = points().len() * SCHEMES.len() * benches(Mode::Bench).len();
         let counted = (hits_after - hits_before) + (misses_after - misses_before);
         assert!(
@@ -333,7 +337,8 @@ mod tests {
         let (hits_before, misses_before) = common::cache_counters();
         let tables = ring8_smoke(Mode::Bench);
         let (hits_after, misses_after) = common::cache_counters();
-        // Three scheme cells plus the unsecure baseline.
+        // Three scheme cells plus the unsecure baseline, each counted
+        // once as a hit or a miss (other tests may add more).
         assert!((hits_after - hits_before) + (misses_after - misses_before) >= 4);
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 3);

@@ -7,8 +7,7 @@
 //! be *pre-generated* if the communicating pair's message counter is
 //! predictable. This crate implements:
 //!
-//! * the **wire protocol** and its security-metadata cost model
-//!   ([`protocol`]),
+//! * the **wire protocol**'s message and metadata sizes ([`protocol`]),
 //! * the **OTP buffer machinery** — pad windows, hit/partial/miss
 //!   classification and statistics ([`otp`]),
 //! * the three **prior schemes** revisited from CPU multiprocessors —

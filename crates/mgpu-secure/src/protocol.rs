@@ -1,4 +1,4 @@
-//! Wire protocol and security-metadata size model.
+//! Wire protocol message sizes.
 //!
 //! Every protected 64 B block transfer carries security metadata in
 //! addition to the ciphertext: the message counter (`MsgCTR`), the message
@@ -8,9 +8,12 @@
 //! traffic by ~36.5 % on average (Fig. 12); the batching scheme amortizes
 //! the MAC and ACK over a whole batch (§IV-C).
 //!
-//! This module centralizes all wire sizes so the traffic accounting in the
-//! simulator and the analytic results in the experiments agree by
-//! construction.
+//! [`WireFormat`] is the one table of those sizes. The simulator's
+//! `SecureNic::prepare_send` (crate `mgpu-system`) alone composes each
+//! block's metadata parts from it, and the event loop sizes requests,
+//! responses, batch trailers and ACKs from it, so every byte the fabric
+//! charges traces back to a field here. The measured metadata share is
+//! Fig. 12 of the reproduction.
 
 use mgpu_types::ByteSize;
 
@@ -24,7 +27,7 @@ use mgpu_types::ByteSize;
 /// let w = WireFormat::default();
 /// // Unbatched: every 64 B block pays counter + MAC + sender ID forward
 /// // and one ACK backward.
-/// assert_eq!(w.unbatched_forward_metadata().as_u64(), 17);
+/// assert_eq!((w.msg_ctr + w.msg_mac + w.sender_id).as_u64(), 17);
 /// assert_eq!(w.ack_message().as_u64(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,71 +69,11 @@ impl Default for WireFormat {
 }
 
 impl WireFormat {
-    /// Forward-direction security metadata accompanying one *unbatched*
-    /// block: `MsgCTR + MsgMAC + senderID`.
-    #[must_use]
-    pub fn unbatched_forward_metadata(&self) -> ByteSize {
-        self.msg_ctr + self.msg_mac + self.sender_id
-    }
-
     /// The ACK message flowing back per unbatched block (or per batch when
     /// batching is enabled).
     #[must_use]
     pub fn ack_message(&self) -> ByteSize {
         self.ack
-    }
-
-    /// Forward metadata for block `index` (0-based) of a batch of `n`
-    /// blocks: decryption metadata (`MsgCTR + senderID`) travels with every
-    /// block; the batched MAC travels once (modeled on the last block); the
-    /// 1 B length field travels on the first block.
-    #[must_use]
-    pub fn batched_forward_metadata(&self, index: u32, n: u32) -> ByteSize {
-        assert!(n > 0 && index < n, "index {index} out of batch of {n}");
-        let mut meta = self.msg_ctr + self.sender_id;
-        if index == 0 {
-            meta += self.batch_len;
-        }
-        if index == n - 1 {
-            meta += self.msg_mac;
-        }
-        meta
-    }
-
-    /// Total bytes moved by one unbatched protected block transfer
-    /// (both directions, including the ACK).
-    #[must_use]
-    pub fn unbatched_total(&self) -> ByteSize {
-        self.header + self.block + self.unbatched_forward_metadata() + self.ack_message()
-    }
-
-    /// Total bytes moved by a batch of `n` protected blocks
-    /// (both directions, one ACK).
-    #[must_use]
-    pub fn batched_total(&self, n: u32) -> ByteSize {
-        assert!(n > 0, "batch must contain at least one block");
-        let per_block = self.header + self.block + self.msg_ctr + self.sender_id;
-        per_block * u64::from(n) + self.batch_len + self.msg_mac + self.ack_message()
-    }
-
-    /// Bytes moved by `n` blocks in an unsecure system (no metadata, no
-    /// ACK).
-    #[must_use]
-    pub fn unsecure_total(&self, n: u32) -> ByteSize {
-        (self.header + self.block) * u64::from(n)
-    }
-
-    /// Metadata overhead ratio of the unbatched protocol relative to the
-    /// unsecure transfer of the same payload: `secure / unsecure`.
-    #[must_use]
-    pub fn unbatched_overhead_ratio(&self) -> f64 {
-        self.unbatched_total().as_u64() as f64 / self.unsecure_total(1).as_u64() as f64
-    }
-
-    /// Metadata overhead ratio of a batch of `n` blocks.
-    #[must_use]
-    pub fn batched_overhead_ratio(&self, n: u32) -> f64 {
-        self.batched_total(n).as_u64() as f64 / self.unsecure_total(n).as_u64() as f64
     }
 }
 
@@ -146,86 +89,5 @@ mod tests {
         assert_eq!(w.msg_mac.as_u64(), 8); // paper §IV-D: 8 B MsgMAC
         assert_eq!(w.sender_id.as_u64(), 1);
         assert_eq!(w.batch_len.as_u64(), 1); // paper §IV-C: 1 B length
-    }
-
-    #[test]
-    fn unbatched_overhead_lands_near_paper_average() {
-        // Paper Fig. 12: security metadata adds ~36.5 % traffic on average.
-        // Our default format: (72 + 17 + 16) / 72 = 1.458 per fully-ACKed
-        // block; mixed with page-migration traffic in the system model the
-        // average lands in the mid-30s. The per-block ceiling must be in a
-        // plausible band.
-        let w = WireFormat::default();
-        let ratio = w.unbatched_overhead_ratio();
-        assert!(ratio > 1.30 && ratio < 1.50, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn batching_amortizes_mac_and_ack() {
-        let w = WireFormat::default();
-        let unbatched_16 = w.unbatched_total().as_u64() * 16;
-        let batched_16 = w.batched_total(16).as_u64();
-        // Batching saves 15 MACs and 15 ACKs, costs 1 B length field.
-        assert_eq!(
-            unbatched_16 - batched_16,
-            15 * (w.msg_mac.as_u64() + w.ack.as_u64()) - w.batch_len.as_u64()
-        );
-        assert!(w.batched_overhead_ratio(16) < w.unbatched_overhead_ratio());
-    }
-
-    #[test]
-    fn batched_metadata_per_block_positions() {
-        let w = WireFormat::default();
-        // First block: ctr + id + length.
-        assert_eq!(w.batched_forward_metadata(0, 16).as_u64(), 8 + 1 + 1);
-        // Middle block: ctr + id.
-        assert_eq!(w.batched_forward_metadata(7, 16).as_u64(), 9);
-        // Last block: ctr + id + MAC.
-        assert_eq!(w.batched_forward_metadata(15, 16).as_u64(), 9 + 8);
-        // Batch of one pays everything at once.
-        assert_eq!(w.batched_forward_metadata(0, 1).as_u64(), 9 + 1 + 8);
-    }
-
-    #[test]
-    fn batched_total_equals_sum_of_parts() {
-        let w = WireFormat::default();
-        for n in [1u32, 2, 16, 64] {
-            let sum: u64 = (0..n)
-                .map(|i| (w.header + w.block + w.batched_forward_metadata(i, n)).as_u64())
-                .sum::<u64>()
-                + w.ack_message().as_u64();
-            assert_eq!(sum, w.batched_total(n).as_u64(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn page_migration_example_from_paper() {
-        // Paper §IV-C: a 4 KB page is 64 blocks; conventional sends 64 sets
-        // of metadata + 64 ACKs, batched sends one MAC + one ACK.
-        let w = WireFormat::default();
-        let conventional = w.unbatched_total().as_u64() * 64;
-        let batched = w.batched_total(64).as_u64();
-        let saved = conventional - batched;
-        assert_eq!(saved, 63 * (8 + 16) - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of batch")]
-    fn out_of_range_index_panics() {
-        let w = WireFormat::default();
-        let _ = w.batched_forward_metadata(16, 16);
-    }
-
-    #[test]
-    fn overhead_ratio_monotonically_improves_with_batch_size() {
-        let w = WireFormat::default();
-        let mut prev = w.batched_overhead_ratio(1);
-        for n in [2u32, 4, 8, 16, 32, 64] {
-            let r = w.batched_overhead_ratio(n);
-            assert!(r < prev, "n = {n}: {r} >= {prev}");
-            prev = r;
-        }
-        // Asymptote: per-block decryption metadata only (9 B / 72 B).
-        assert!(prev > 1.0 + 9.0 / 72.0 - 1e-9);
     }
 }

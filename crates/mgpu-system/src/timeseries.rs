@@ -363,16 +363,21 @@ pub struct TimeSeriesCollector {
     events_dropped: u64,
     scope_counts: BTreeMap<&'static str, u64>,
     /// Cumulative (hits, partials, misses) per node at the last sample.
-    prev_otp: BTreeMap<NodeId, (u64, u64, u64)>,
+    prev_otp: DenseNodeMap<(u64, u64, u64)>,
     /// Cumulative (closed full, closed by flush) per node at the last
     /// sample.
-    prev_batches: BTreeMap<NodeId, (u64, u64)>,
+    prev_batches: DenseNodeMap<(u64, u64)>,
     /// Rebalance count per node at the last sample (repartition trace).
-    prev_rebalances: BTreeMap<NodeId, u64>,
-    /// Cumulative bytes per port label at the last sample.
-    prev_port_bytes: BTreeMap<String, u64>,
-    /// Cumulative control-VC bytes per port label at the last sample.
-    prev_port_ctrl_bytes: BTreeMap<String, u64>,
+    prev_rebalances: DenseNodeMap<u64>,
+    /// Egress port labels, built at the first sample. Every per-port
+    /// table is indexed in the topology's fixed port order: node egress
+    /// ports (`iter_egress`), then switch egress ports
+    /// (`iter_switch_egress`).
+    port_labels: Vec<String>,
+    /// Cumulative bytes per port at the last sample.
+    prev_port_bytes: Vec<u64>,
+    /// Cumulative control-VC bytes per port at the last sample.
+    prev_port_ctrl_bytes: Vec<u64>,
 }
 
 impl TimeSeriesCollector {
@@ -388,11 +393,12 @@ impl TimeSeriesCollector {
             trace: VecDeque::new(),
             events_dropped: 0,
             scope_counts: BTreeMap::new(),
-            prev_otp: BTreeMap::new(),
-            prev_batches: BTreeMap::new(),
-            prev_rebalances: BTreeMap::new(),
-            prev_port_bytes: BTreeMap::new(),
-            prev_port_ctrl_bytes: BTreeMap::new(),
+            prev_otp: DenseNodeMap::new(),
+            prev_batches: DenseNodeMap::new(),
+            prev_rebalances: DenseNodeMap::new(),
+            port_labels: Vec::new(),
+            prev_port_bytes: Vec::new(),
+            prev_port_ctrl_bytes: Vec::new(),
         }
     }
 
@@ -469,8 +475,15 @@ impl TimeSeriesCollector {
                 .insert(node, (full, flush))
                 .unwrap_or((0, 0));
 
-            let telemetry = nic.scheme_telemetry();
-            let rebalances = telemetry.as_ref().map_or(0, |t| t.rebalances);
+            let (send_weight, rebalances, send_alloc, recv_alloc) = match nic.scheme_telemetry() {
+                Some(t) => (
+                    Some(t.send_weight),
+                    t.rebalances,
+                    t.send_depths,
+                    t.recv_depths,
+                ),
+                None => (None, 0, BTreeMap::new(), BTreeMap::new()),
+            };
             let prev_reb = self.prev_rebalances.insert(node, rebalances).unwrap_or(0);
             if rebalances > prev_reb {
                 self.record_trace(now, TraceEvent::Repartition { node, rebalances });
@@ -479,13 +492,10 @@ impl TimeSeriesCollector {
             self.samples.push(IntervalSample {
                 cycle: now,
                 node,
-                send_weight: telemetry.as_ref().map(|t| t.send_weight),
+                send_weight,
                 rebalances,
-                send_alloc: telemetry
-                    .as_ref()
-                    .map(|t| t.send_depths.clone())
-                    .unwrap_or_default(),
-                recv_alloc: telemetry.map(|t| t.recv_depths).unwrap_or_default(),
+                send_alloc,
+                recv_alloc,
                 otp_hits: hits - ph,
                 otp_partials: partials - pp,
                 otp_misses: misses - pm,
@@ -497,17 +507,36 @@ impl TimeSeriesCollector {
             });
         }
 
-        struct PortStats {
-            bytes: u64,
-            queue_depth: u64,
-            busy_horizon: u64,
-            grants: u64,
-            ctrl_bytes: u64,
-            ctrl_grants: u64,
+        if self.port_labels.is_empty() {
+            self.port_labels = topo
+                .iter_egress()
+                .map(|(node, _)| node_label(node))
+                .chain(
+                    topo.iter_switch_egress()
+                        .map(|(id, _)| format!("switch{id}")),
+                )
+                .collect();
+            self.prev_port_bytes = vec![0; self.port_labels.len()];
+            self.prev_port_ctrl_bytes = vec![0; self.port_labels.len()];
         }
-        let port_stats = |server: &mgpu_sim::TimedServer, ctrl_bytes: u64, ctrl_grants: u64| {
-            PortStats {
-                bytes: server.totals().total().as_u64(),
+        let ports = topo
+            .iter_egress()
+            .map(|(node, server)| {
+                (
+                    server,
+                    topo.ctrl_bytes_from(node),
+                    topo.ctrl_grants_from(node),
+                )
+            })
+            .chain(topo.iter_switch_egress().map(|(_, server)| (server, 0, 0)));
+        for (i, (server, ctrl_bytes, ctrl_grants)) in ports.enumerate() {
+            let bytes = server.totals().total().as_u64();
+            let prev = std::mem::replace(&mut self.prev_port_bytes[i], bytes);
+            let prev_ctrl = std::mem::replace(&mut self.prev_port_ctrl_bytes[i], ctrl_bytes);
+            self.fabric.push(FabricSample {
+                cycle: now,
+                port: self.port_labels[i].clone(),
+                bytes_delta: bytes - prev,
                 // Pending completions, not time: the busy-time-until-free
                 // value this field used to (mis)report is busy_horizon.
                 // The collector exists only in an observed run, whose
@@ -519,43 +548,8 @@ impl TimeSeriesCollector {
                 ),
                 busy_horizon: server.next_free().saturating_since(now).as_u64(),
                 grants: server.grants(),
-                ctrl_bytes,
+                ctrl_bytes_delta: ctrl_bytes - prev_ctrl,
                 ctrl_grants,
-            }
-        };
-        let mut ports: Vec<(String, PortStats)> = topo
-            .iter_egress()
-            .map(|(node, server)| {
-                let stats = port_stats(
-                    server,
-                    topo.ctrl_bytes_from(node),
-                    topo.ctrl_grants_from(node),
-                );
-                (node_label(node), stats)
-            })
-            .collect();
-        ports.extend(
-            topo.iter_switch_egress()
-                .map(|(id, server)| (format!("switch{id}"), port_stats(server, 0, 0))),
-        );
-        for (port, stats) in ports {
-            let prev = self
-                .prev_port_bytes
-                .insert(port.clone(), stats.bytes)
-                .unwrap_or(0);
-            let prev_ctrl = self
-                .prev_port_ctrl_bytes
-                .insert(port.clone(), stats.ctrl_bytes)
-                .unwrap_or(0);
-            self.fabric.push(FabricSample {
-                cycle: now,
-                port,
-                bytes_delta: stats.bytes - prev,
-                queue_depth: stats.queue_depth,
-                busy_horizon: stats.busy_horizon,
-                grants: stats.grants,
-                ctrl_bytes_delta: stats.ctrl_bytes - prev_ctrl,
-                ctrl_grants: stats.ctrl_grants,
             });
         }
     }

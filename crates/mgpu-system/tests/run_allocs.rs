@@ -3,7 +3,8 @@
 //! whose count does not grow with the request count, and the event queue
 //! recycles its slots instead of allocating per event. A fabric port
 //! books without allocating: only an observed run's egress ports keep an
-//! occupancy ledger.
+//! occupancy ledger. An observed run's boundary sample allocates only the
+//! rows it records.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! both allocations and reallocations (a growing `Vec` reallocates), per
@@ -15,10 +16,14 @@ use std::cell::Cell;
 
 use mgpu_sim::events::EventQueue;
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_sim::TimedServer;
+use mgpu_sim::{TimedServer, Topology};
+use mgpu_system::node::SecureNic;
 use mgpu_system::runner::configs;
-use mgpu_system::Simulation;
-use mgpu_types::{ByteSize, Cycle, Duration, NodeId, OtpSchemeKind, SystemConfig};
+use mgpu_system::{Simulation, TimeSeriesCollector};
+use mgpu_types::{
+    ByteSize, Cycle, DenseNodeMap, Duration, NodeId, ObservabilityConfig, OtpSchemeKind,
+    SystemConfig,
+};
 use mgpu_workloads::{Benchmark, Request, TrafficModel};
 
 struct CountingAlloc;
@@ -159,5 +164,31 @@ fn fabric_bookings_without_a_ledger_allocate_nothing() {
     assert_eq!(
         allocs, 0,
         "100,000 serve_parts/occupy bookings allocated {allocs} times"
+    );
+}
+
+#[test]
+fn a_timeseries_sample_allocates_only_its_rows() {
+    let mut cfg = configs::batching(&SystemConfig::paper_4gpu(), 4);
+    cfg.observability = ObservabilityConfig::enabled();
+    let topo = Topology::new(&cfg);
+    let nics: DenseNodeMap<SecureNic> = NodeId::all(cfg.gpu_count)
+        .map(|n| (n, SecureNic::new(n, &cfg)))
+        .collect();
+    let mut collector = TimeSeriesCollector::new(cfg.security.dynamic.interval);
+    // The first sample sizes the collector's per-node and per-port tables.
+    collector.sample(Cycle::ZERO, &nics, &topo);
+    let before = alloc_count();
+    for i in 1..=1_000u64 {
+        collector.sample(Cycle::new(i * 1_000), &nics, &topo);
+    }
+    let per_sample = (alloc_count() - before) as f64 / 1_000.0;
+    // Per boundary on 5 nodes and 5 ports: each node row's two
+    // window-depth maps (the scheme's telemetry collects each through a
+    // `Vec`, so 2 allocations per map) and each port row's label — 25 —
+    // plus the amortized growth of the sample vectors.
+    assert!(
+        per_sample <= 26.0,
+        "one sample allocated {per_sample} times on average"
     );
 }
