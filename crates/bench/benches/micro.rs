@@ -3,10 +3,9 @@
 //! bookkeeping, and a short end-to-end simulation run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mgpu_crypto::ctr::CtrKeystream;
 use mgpu_crypto::engine::AesEngine;
 use mgpu_crypto::ghash::{Gf128, Ghash, GhashKey};
-use mgpu_crypto::{Aes128, AesGcm, OtpPad, PadSeed};
+use mgpu_crypto::{Aes128, AesGcm};
 use mgpu_secure::batching::SenderBatcher;
 use mgpu_secure::ewma::EwmaAllocator;
 use mgpu_secure::otp::PadWindow;
@@ -22,32 +21,18 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| aes.encrypt_block(black_box([0x5Au8; 16])));
     });
     let gcm = AesGcm::new(&[7u8; 16]);
-    let cacheline = [0xC3u8; 64];
+    let mut cacheline = [0xC3u8; 64];
     group.bench_function("gcm-seal-64B", |b| {
-        b.iter(|| gcm.seal(black_box(&[1u8; 12]), b"hdr", black_box(&cacheline)));
+        b.iter(|| gcm.seal_in_place(black_box(&[1u8; 12]), b"hdr", black_box(&mut cacheline)));
     });
-    let sealed = gcm.seal(&[1u8; 12], b"hdr", &cacheline);
+    let mut sealed = [0xC3u8; 64];
+    let tag = gcm.seal_in_place(&[1u8; 12], b"hdr", &mut sealed);
     group.bench_function("gcm-open-64B", |b| {
         b.iter(|| {
-            gcm.open(black_box(&[1u8; 12]), b"hdr", black_box(&sealed))
-                .unwrap()
-        });
-    });
-    // Pad generation is the hot path of the OTP schemes: one cacheline pad
-    // (4 AES blocks) per remote write, generated ahead of the data.
-    let ks = CtrKeystream::new(&[7u8; 16]);
-    group.bench_function("pad-generate-64B", |b| {
-        let mut ctr = 0u64;
-        b.iter(|| {
-            ctr += 1;
-            OtpPad::generate(&ks, PadSeed::new(1, 2, black_box(ctr)))
-        });
-    });
-    let mut blocks = [[0u8; 16]; 64];
-    group.bench_function("pad-keystream-1KiB-bulk", |b| {
-        b.iter(|| {
-            ks.keystream_blocks(PadSeed::new(1, 2, black_box(9)), 0, &mut blocks);
-            blocks[63]
+            let mut buf = black_box(sealed);
+            gcm.open_in_place(black_box(&[1u8; 12]), b"hdr", &mut buf, &tag)
+                .unwrap();
+            buf
         });
     });
     // GHASH throughput: table-driven multiply alone, and absorbing 1 KiB

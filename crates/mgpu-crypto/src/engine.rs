@@ -99,18 +99,6 @@ impl AesEngine {
         start + self.latency
     }
 
-    /// Issues `count` back-to-back pad generations and returns when the
-    /// *last* one completes, or `now` when `count` is zero (an empty refill
-    /// finishes immediately — it must not charge the pipeline latency).
-    /// Used for bulk refills after re-allocation.
-    pub fn issue_many(&mut self, now: Cycle, count: u64) -> Cycle {
-        let mut last = now;
-        for _ in 0..count {
-            last = self.issue(now);
-        }
-        last
-    }
-
     /// Classifies a message that needs a pad which was issued to be ready at
     /// `ready_at` (or `None` if never issued), given the data is available
     /// at `now`.
@@ -159,19 +147,6 @@ mod tests {
         assert_eq!(e.issue(Cycle::new(0)), Cycle::new(40));
         assert_eq!(e.issue(Cycle::new(1)), Cycle::new(41));
         assert_eq!(e.issue(Cycle::new(500)), Cycle::new(540));
-    }
-
-    #[test]
-    fn issue_many_returns_last_completion() {
-        let mut e = AesEngine::new(Duration::cycles(10));
-        // 4 issues starting at t=0: ready at 10, 11, 12, 13.
-        assert_eq!(e.issue_many(Cycle::ZERO, 4), Cycle::new(13));
-        assert_eq!(e.issued(), 4);
-        // Zero issues: nothing happens and nothing completes later than
-        // `now` — an empty refill is free.
-        let before = e.issued();
-        assert_eq!(e.issue_many(Cycle::new(100), 0), Cycle::new(100));
-        assert_eq!(e.issued(), before);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! AES-GCM authenticated encryption (NIST SP 800-38D), composed from the
-//! in-repo AES-128, CTR and GHASH primitives.
+//! in-repo AES-128 and GHASH primitives. Every operation works in place on
+//! the caller's buffer.
 //!
 //! The secure channel in `mgpu-secure` uses this for end-to-end functional
 //! validation: real ciphertexts, real tags, real tamper detection.
@@ -19,9 +20,11 @@ pub const TAG_LEN: usize = 16;
 /// use mgpu_crypto::gcm::AesGcm;
 ///
 /// let gcm = AesGcm::new(&[1u8; 16]);
-/// let sealed = gcm.seal(&[2u8; 12], b"aad", b"hello");
-/// assert_eq!(gcm.open(&[2u8; 12], b"aad", &sealed).unwrap(), b"hello");
-/// assert!(gcm.open(&[2u8; 12], b"tampered-aad", &sealed).is_err());
+/// let mut buf = *b"hello";
+/// let tag = gcm.seal_in_place(&[2u8; 12], b"aad", &mut buf);
+/// assert!(gcm.open_in_place(&[2u8; 12], b"tampered-aad", &mut buf, &tag).is_err());
+/// gcm.open_in_place(&[2u8; 12], b"aad", &mut buf, &tag).unwrap();
+/// assert_eq!(&buf, b"hello");
 /// ```
 #[derive(Debug, Clone)]
 pub struct AesGcm {
@@ -32,7 +35,7 @@ pub struct AesGcm {
     h: GhashKey,
 }
 
-/// Authentication failure returned by [`AesGcm::open`].
+/// Authentication failure returned by [`AesGcm::open_in_place`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagMismatch;
 
@@ -86,41 +89,29 @@ impl AesGcm {
         block[12..16].copy_from_slice(&ctr.wrapping_add(1).to_be_bytes());
     }
 
-    /// Counter blocks encrypted per bulk call in [`AesGcm::ctr_xor_into`];
+    /// Counter blocks encrypted per bulk call in [`AesGcm::ctr_xor`];
     /// 16 blocks (256 B) comfortably covers the protocol's 64 B cachelines
     /// in one call while keeping the scratch on the stack.
     const CTR_CHUNK: usize = 16;
 
-    /// CTR-mode encrypt/decrypt starting from counter block `icb`, writing
-    /// the output into `out` (cleared first). Keystream blocks live in a
-    /// stack scratch, so the call performs no heap allocation once `out`
-    /// has capacity.
-    fn ctr_xor_into(&self, icb: [u8; 16], data: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(data.len());
-        let mut cb = icb;
+    /// CTR-mode encrypt/decrypt of `data` in place, starting from the
+    /// counter block after J0. Keystream blocks live in a stack scratch,
+    /// so the call performs no heap allocation.
+    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
+        let mut cb = Self::j0(nonce);
+        Self::inc32(&mut cb);
         let mut chunk = [[0u8; 16]; Self::CTR_CHUNK];
-        for piece in data.chunks(16 * Self::CTR_CHUNK) {
+        for piece in data.chunks_mut(16 * Self::CTR_CHUNK) {
             let nblocks = piece.len().div_ceil(16);
             for counter in chunk.iter_mut().take(nblocks) {
                 *counter = cb;
                 Self::inc32(&mut cb);
             }
             self.aes.encrypt_blocks(&mut chunk[..nblocks]);
-            out.extend(
-                piece
-                    .iter()
-                    .zip(chunk[..nblocks].iter().flatten())
-                    .map(|(d, k)| d ^ k),
-            );
+            for (d, k) in piece.iter_mut().zip(chunk[..nblocks].iter().flatten()) {
+                *d ^= k;
+            }
         }
-    }
-
-    /// CTR-mode encrypt/decrypt starting from counter block `icb`.
-    fn ctr_xor(&self, icb: [u8; 16], data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len());
-        self.ctr_xor_into(icb, data, &mut out);
-        out
     }
 
     /// Computes the GCM tag over `aad` and `ciphertext`.
@@ -138,93 +129,39 @@ impl AesGcm {
         tag
     }
 
-    /// Encrypts `plaintext` and appends the 16-byte tag.
+    /// Encrypts `buf` in place and returns the 16-byte tag.
     ///
     /// `aad` is authenticated but not encrypted — the protocol uses it for
     /// message headers (sender ID, counter) that must travel in the clear.
+    /// The protocol layer truncates the tag to its 8 B `MsgMAC`; GCM
+    /// explicitly supports 64-bit tags (SP 800-38D §5.2.1.2).
     #[must_use]
-    pub fn seal(&self, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        let mut out = self.ctr_xor(icb, plaintext);
-        let tag = self.tag(nonce, aad, &out);
-        out.extend_from_slice(&tag);
-        out
+    pub fn seal_in_place(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut [u8]) -> [u8; 16] {
+        self.ctr_xor(nonce, buf);
+        self.tag(nonce, aad, buf)
     }
 
-    /// Encrypts `plaintext` returning ciphertext and the 16-byte tag
-    /// separately. The protocol layer truncates the tag to its 8 B
-    /// `MsgMAC`; GCM explicitly supports 64-bit tags (SP 800-38D §5.2.1.2).
-    #[must_use]
-    pub fn seal_detached(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> (Vec<u8>, [u8; 16]) {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        let ciphertext = self.ctr_xor(icb, plaintext);
-        let tag = self.tag(nonce, aad, &ciphertext);
-        (ciphertext, tag)
-    }
-
-    /// Buffer-reusing form of [`AesGcm::seal_detached`]: encrypts
-    /// `plaintext` into `ciphertext_out` (cleared first) and returns the
-    /// 16-byte tag. Performs no heap allocation once `ciphertext_out` has
-    /// capacity — the secure channel's steady-state send path.
-    pub fn seal_detached_into(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-        ciphertext_out: &mut Vec<u8>,
-    ) -> [u8; 16] {
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, plaintext, ciphertext_out);
-        self.tag(nonce, aad, ciphertext_out)
-    }
-
-    /// Buffer-reusing form of [`AesGcm::decrypt_and_tag`]: decrypts
-    /// `ciphertext` into `plaintext_out` (cleared first) *unconditionally*
-    /// and returns the computed tag. Same lazy-verification contract as
-    /// [`AesGcm::decrypt_and_tag`]: callers MUST eventually compare the
-    /// tag against an authentic one.
-    pub fn decrypt_and_tag_into(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        ciphertext: &[u8],
-        plaintext_out: &mut Vec<u8>,
-    ) -> [u8; 16] {
-        let tag = self.tag(nonce, aad, ciphertext);
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, ciphertext, plaintext_out);
-        tag
-    }
-
-    /// Buffer-reusing form of [`AesGcm::open_detached`]: verifies the
-    /// detached (possibly truncated) tag, then decrypts into
-    /// `plaintext_out` (cleared first; untouched on verification failure).
+    /// Verifies a detached (possibly truncated) tag over the ciphertext in
+    /// `buf`, then decrypts it in place. On failure `buf` still holds the
+    /// ciphertext.
     ///
     /// # Errors
     ///
-    /// Returns [`TagMismatch`] under the same conditions as
-    /// [`AesGcm::open_detached`].
-    pub fn open_detached_into(
+    /// Returns [`TagMismatch`] if `tag` is shorter than 8 bytes, longer
+    /// than 16, or does not match the computed tag's prefix (tamper, wrong
+    /// nonce, wrong AAD).
+    pub fn open_in_place(
         &self,
         nonce: &[u8; 12],
         aad: &[u8],
-        ciphertext: &[u8],
+        buf: &mut [u8],
         tag: &[u8],
-        plaintext_out: &mut Vec<u8>,
     ) -> Result<(), TagMismatch> {
         if tag.len() < 8 || tag.len() > TAG_LEN {
             return Err(TagMismatch);
         }
-        let expected = self.tag(nonce, aad, ciphertext);
+        let expected = self.tag(nonce, aad, buf);
+        // Avoid the obvious early-exit comparison.
         let mut diff = 0u8;
         for (a, b) in expected.iter().zip(tag.iter()) {
             diff |= a ^ b;
@@ -232,79 +169,27 @@ impl AesGcm {
         if diff != 0 {
             return Err(TagMismatch);
         }
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        self.ctr_xor_into(icb, ciphertext, plaintext_out);
+        self.ctr_xor(nonce, buf);
         Ok(())
     }
 
-    /// Decrypts `ciphertext` *unconditionally* and returns the plaintext
-    /// together with the computed tag, without verifying anything.
+    /// Decrypts `buf` in place *unconditionally* and returns the tag
+    /// computed over its ciphertext, without verifying anything.
     ///
     /// This is the primitive behind the paper's *lazy verification*: the
     /// receiver forwards decrypted data immediately and checks the
     /// (batched) MAC when the whole batch has arrived. Callers MUST
     /// eventually compare the returned tag against an authentic one.
     #[must_use]
-    pub fn decrypt_and_tag(
+    pub fn decrypt_and_tag_in_place(
         &self,
         nonce: &[u8; 12],
         aad: &[u8],
-        ciphertext: &[u8],
-    ) -> (Vec<u8>, [u8; 16]) {
-        let tag = self.tag(nonce, aad, ciphertext);
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        (self.ctr_xor(icb, ciphertext), tag)
-    }
-
-    /// Verifies a detached (possibly truncated) tag and decrypts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TagMismatch`] if `tag` is shorter than 8 bytes, longer
-    /// than 16, or does not match the computed tag's prefix.
-    pub fn open_detached(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        ciphertext: &[u8],
-        tag: &[u8],
-    ) -> Result<Vec<u8>, TagMismatch> {
-        let mut out = Vec::with_capacity(ciphertext.len());
-        self.open_detached_into(nonce, aad, ciphertext, tag, &mut out)?;
-        Ok(out)
-    }
-
-    /// Verifies and decrypts a sealed message.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TagMismatch`] if the ciphertext is too short to contain a
-    /// tag, or if the tag does not verify (tamper, wrong nonce, wrong AAD).
-    pub fn open(
-        &self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        sealed: &[u8],
-    ) -> Result<Vec<u8>, TagMismatch> {
-        if sealed.len() < TAG_LEN {
-            return Err(TagMismatch);
-        }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = self.tag(nonce, aad, ciphertext);
-        // Constant-time-ish comparison (not a production concern here, but
-        // avoid the obvious early-exit pattern).
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
-            return Err(TagMismatch);
-        }
-        let mut icb = Self::j0(nonce);
-        Self::inc32(&mut icb);
-        Ok(self.ctr_xor(icb, ciphertext))
+        buf: &mut [u8],
+    ) -> [u8; 16] {
+        let tag = self.tag(nonce, aad, buf);
+        self.ctr_xor(nonce, buf);
+        tag
     }
 }
 
@@ -319,39 +204,43 @@ mod tests {
             .collect()
     }
 
+    /// Seals a copy of `pt`, returning `(ciphertext, tag)`.
+    fn seal(gcm: &AesGcm, nonce: &[u8; 12], aad: &[u8], pt: &[u8]) -> (Vec<u8>, [u8; 16]) {
+        let mut buf = pt.to_vec();
+        let tag = gcm.seal_in_place(nonce, aad, &mut buf);
+        (buf, tag)
+    }
+
+    /// Opens a copy of `ct` against `tag`, returning the plaintext.
+    fn open(
+        gcm: &AesGcm,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        ct: &[u8],
+        tag: &[u8],
+    ) -> Result<Vec<u8>, TagMismatch> {
+        let mut buf = ct.to_vec();
+        gcm.open_in_place(nonce, aad, &mut buf, tag).map(|()| buf)
+    }
+
     /// NIST GCM spec test case 1: empty everything.
     #[test]
     fn nist_case_1() {
         let gcm = AesGcm::new(&[0u8; 16]);
-        let sealed = gcm.seal(&[0u8; 12], b"", b"");
-        assert_eq!(sealed, hex("58e2fccefa7e3061367f1d57a4e7455a"));
-        // The decrypt direction verifies the same vector: the sealed message
-        // is tag-only, and opening yields the empty plaintext.
-        assert_eq!(gcm.open(&[0u8; 12], b"", &sealed).unwrap(), b"");
-        let (ct, tag) = gcm.seal_detached(&[0u8; 12], b"", b"");
+        let (ct, tag) = seal(&gcm, &[0u8; 12], b"", b"");
         assert!(ct.is_empty());
         assert_eq!(tag.to_vec(), hex("58e2fccefa7e3061367f1d57a4e7455a"));
-        assert_eq!(gcm.open_detached(&[0u8; 12], b"", &ct, &tag).unwrap(), b"");
+        assert_eq!(open(&gcm, &[0u8; 12], b"", &ct, &tag).unwrap(), b"");
     }
 
     /// NIST GCM spec test case 2: 16 zero bytes of plaintext.
     #[test]
     fn nist_case_2() {
         let gcm = AesGcm::new(&[0u8; 16]);
-        let sealed = gcm.seal(&[0u8; 12], b"", &[0u8; 16]);
-        assert_eq!(
-            sealed,
-            hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
-        assert_eq!(gcm.open(&[0u8; 12], b"", &sealed).unwrap(), [0u8; 16]);
-        // Detached MAC on the vector's ciphertext.
-        let (ct, tag) = gcm.seal_detached(&[0u8; 12], b"", &[0u8; 16]);
+        let (ct, tag) = seal(&gcm, &[0u8; 12], b"", &[0u8; 16]);
         assert_eq!(ct, hex("0388dace60b6a392f328c2b971b2fe78"));
         assert_eq!(tag.to_vec(), hex("ab6e47d42cec13bdf53a67b21257bddf"));
-        assert_eq!(
-            gcm.open_detached(&[0u8; 12], b"", &ct, &tag).unwrap(),
-            [0u8; 16]
-        );
+        assert_eq!(open(&gcm, &[0u8; 12], b"", &ct, &tag).unwrap(), [0u8; 16]);
     }
 
     /// NIST GCM spec test case 3: full key/IV/plaintext.
@@ -364,25 +253,22 @@ mod tests {
              1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
         );
         let gcm = AesGcm::new(&key);
-        let sealed = gcm.seal(&nonce, b"", &pt);
         let expected_ct = hex(
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
              21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
         );
         let expected_tag = hex("4d5c2af327cd64a62cf35abd2ba6fab4");
-        assert_eq!(&sealed[..pt.len()], &expected_ct[..]);
-        assert_eq!(&sealed[pt.len()..], &expected_tag[..]);
-        // Decrypt direction from the published ciphertext, both attached and
-        // with a detached tag truncated to the protocol's 8-byte MsgMAC.
-        assert_eq!(gcm.open(&nonce, b"", &sealed).unwrap(), pt);
+        let (ct, tag) = seal(&gcm, &nonce, b"", &pt);
+        assert_eq!(ct, expected_ct);
+        assert_eq!(tag.to_vec(), expected_tag);
+        // Decrypt direction from the published ciphertext, with the full tag
+        // and with it truncated to the protocol's 8-byte MsgMAC.
         assert_eq!(
-            gcm.open_detached(&nonce, b"", &expected_ct, &expected_tag)
-                .unwrap(),
+            open(&gcm, &nonce, b"", &expected_ct, &expected_tag).unwrap(),
             pt
         );
         assert_eq!(
-            gcm.open_detached(&nonce, b"", &expected_ct, &expected_tag[..8])
-                .unwrap(),
+            open(&gcm, &nonce, b"", &expected_ct, &expected_tag[..8]).unwrap(),
             pt
         );
     }
@@ -398,124 +284,76 @@ mod tests {
         );
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let gcm = AesGcm::new(&key);
-        let sealed = gcm.seal(&nonce, &aad, &pt);
-        let expected_tag = hex("5bc94fbc3221a5db94fae95ae7121a47");
-        assert_eq!(&sealed[pt.len()..], &expected_tag[..]);
-        assert_eq!(gcm.open(&nonce, &aad, &sealed).unwrap(), pt);
-    }
-
-    #[test]
-    fn detached_matches_attached() {
-        let gcm = AesGcm::new(&[7u8; 16]);
-        let (ct, tag) = gcm.seal_detached(&[1u8; 12], b"aad", b"some payload");
-        let mut sealed = ct.clone();
-        sealed.extend_from_slice(&tag);
-        assert_eq!(sealed, gcm.seal(&[1u8; 12], b"aad", b"some payload"));
-        assert_eq!(
-            gcm.open_detached(&[1u8; 12], b"aad", &ct, &tag).unwrap(),
-            b"some payload"
-        );
+        let (ct, tag) = seal(&gcm, &nonce, &aad, &pt);
+        assert_eq!(tag.to_vec(), hex("5bc94fbc3221a5db94fae95ae7121a47"));
+        assert_eq!(open(&gcm, &nonce, &aad, &ct, &tag).unwrap(), pt);
     }
 
     #[test]
     fn truncated_tag_verifies_and_detects_tamper() {
         let gcm = AesGcm::new(&[7u8; 16]);
-        let (ct, tag) = gcm.seal_detached(&[1u8; 12], b"", b"block");
-        assert!(gcm.open_detached(&[1u8; 12], b"", &ct, &tag[..8]).is_ok());
+        let (ct, tag) = seal(&gcm, &[1u8; 12], b"", b"block");
+        assert!(open(&gcm, &[1u8; 12], b"", &ct, &tag[..8]).is_ok());
         let mut bad = ct.clone();
         bad[0] ^= 1;
         assert_eq!(
-            gcm.open_detached(&[1u8; 12], b"", &bad, &tag[..8]),
+            open(&gcm, &[1u8; 12], b"", &bad, &tag[..8]),
             Err(TagMismatch)
         );
         // Tags shorter than 64 bits are refused outright.
         assert_eq!(
-            gcm.open_detached(&[1u8; 12], b"", &ct, &tag[..4]),
+            open(&gcm, &[1u8; 12], b"", &ct, &tag[..4]),
             Err(TagMismatch)
         );
         // Overlong tags are refused.
         let mut long = tag.to_vec();
         long.push(0);
+        assert_eq!(open(&gcm, &[1u8; 12], b"", &ct, &long), Err(TagMismatch));
+    }
+
+    #[test]
+    fn failed_open_leaves_the_ciphertext() {
+        let gcm = AesGcm::new(&[7u8; 16]);
+        let (mut buf, tag) = seal(&gcm, &[1u8; 12], b"", b"payload");
+        buf[0] ^= 1;
+        let tampered = buf.clone();
         assert_eq!(
-            gcm.open_detached(&[1u8; 12], b"", &ct, &long),
+            gcm.open_in_place(&[1u8; 12], b"", &mut buf, &tag),
             Err(TagMismatch)
         );
+        assert_eq!(buf, tampered);
     }
 
     #[test]
     fn decrypt_and_tag_is_lazy() {
         let gcm = AesGcm::new(&[7u8; 16]);
-        let (ct, tag) = gcm.seal_detached(&[1u8; 12], b"", b"lazy block");
+        let (ct, tag) = seal(&gcm, &[1u8; 12], b"", b"lazy block");
         // Decryption succeeds even with no tag at hand...
-        let (pt, computed) = gcm.decrypt_and_tag(&[1u8; 12], b"", &ct);
-        assert_eq!(pt, b"lazy block");
+        let mut buf = ct.clone();
+        let computed = gcm.decrypt_and_tag_in_place(&[1u8; 12], b"", &mut buf);
+        assert_eq!(buf, b"lazy block");
         // ...and the computed tag equals the genuine one for untampered
         // data, but differs once the ciphertext is corrupted.
         assert_eq!(computed, tag);
         let mut bad = ct;
         bad[3] ^= 0x10;
-        let (_, computed_bad) = gcm.decrypt_and_tag(&[1u8; 12], b"", &bad);
-        assert_ne!(computed_bad, tag);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_forms() {
-        let gcm = AesGcm::new(&[7u8; 16]);
-        let mut ct = Vec::new();
-        let mut pt = Vec::new();
-        // Reuse the same buffers across messages of different lengths.
-        for msg in [&b"short"[..], &[0xAB; 64][..], &[0x11; 200][..]] {
-            let tag = gcm.seal_detached_into(&[1u8; 12], b"aad", msg, &mut ct);
-            let (expect_ct, expect_tag) = gcm.seal_detached(&[1u8; 12], b"aad", msg);
-            assert_eq!(ct, expect_ct);
-            assert_eq!(tag, expect_tag);
-            let lazy_tag = gcm.decrypt_and_tag_into(&[1u8; 12], b"aad", &ct, &mut pt);
-            assert_eq!(pt, msg);
-            assert_eq!(lazy_tag, tag);
-            gcm.open_detached_into(&[1u8; 12], b"aad", &ct, &tag[..8], &mut pt)
-                .unwrap();
-            assert_eq!(pt, msg);
-        }
-        // Verification failure leaves the output untouched.
-        let tag = gcm.seal_detached_into(&[1u8; 12], b"", b"payload", &mut ct);
-        ct[0] ^= 1;
-        pt.clear();
-        pt.extend_from_slice(b"sentinel");
-        assert_eq!(
-            gcm.open_detached_into(&[1u8; 12], b"", &ct, &tag, &mut pt),
-            Err(TagMismatch)
-        );
-        assert_eq!(pt, b"sentinel");
-    }
-
-    #[test]
-    fn tamper_detection_ciphertext() {
-        let gcm = AesGcm::new(&[3u8; 16]);
-        let mut sealed = gcm.seal(&[1u8; 12], b"hdr", b"payload bytes");
-        sealed[0] ^= 1;
-        assert_eq!(gcm.open(&[1u8; 12], b"hdr", &sealed), Err(TagMismatch));
+        assert_ne!(gcm.decrypt_and_tag_in_place(&[1u8; 12], b"", &mut bad), tag);
     }
 
     #[test]
     fn tamper_detection_tag() {
         let gcm = AesGcm::new(&[3u8; 16]);
-        let mut sealed = gcm.seal(&[1u8; 12], b"hdr", b"payload bytes");
-        let last = sealed.len() - 1;
-        sealed[last] ^= 0x80;
-        assert_eq!(gcm.open(&[1u8; 12], b"hdr", &sealed), Err(TagMismatch));
+        let (ct, mut tag) = seal(&gcm, &[1u8; 12], b"hdr", b"payload bytes");
+        tag[15] ^= 0x80;
+        assert_eq!(open(&gcm, &[1u8; 12], b"hdr", &ct, &tag), Err(TagMismatch));
     }
 
     #[test]
-    fn wrong_nonce_rejected() {
+    fn wrong_nonce_or_aad_rejected() {
         let gcm = AesGcm::new(&[3u8; 16]);
-        let sealed = gcm.seal(&[1u8; 12], b"", b"data");
-        assert_eq!(gcm.open(&[2u8; 12], b"", &sealed), Err(TagMismatch));
-    }
-
-    #[test]
-    fn truncated_input_rejected() {
-        let gcm = AesGcm::new(&[3u8; 16]);
-        assert_eq!(gcm.open(&[1u8; 12], b"", &[1, 2, 3]), Err(TagMismatch));
+        let (ct, tag) = seal(&gcm, &[1u8; 12], b"hdr", b"data");
+        assert_eq!(open(&gcm, &[2u8; 12], b"hdr", &ct, &tag), Err(TagMismatch));
+        assert_eq!(open(&gcm, &[1u8; 12], b"hdx", &ct, &tag), Err(TagMismatch));
     }
 
     #[test]
@@ -534,8 +372,8 @@ mod tests {
                          aad in proptest::collection::vec(any::<u8>(), 0..48),
                          pt in proptest::collection::vec(any::<u8>(), 0..200)) {
                 let gcm = AesGcm::new(&key);
-                let sealed = gcm.seal(&nonce, &aad, &pt);
-                prop_assert_eq!(gcm.open(&nonce, &aad, &sealed).unwrap(), pt);
+                let (ct, tag) = seal(&gcm, &nonce, &aad, &pt);
+                prop_assert_eq!(open(&gcm, &nonce, &aad, &ct, &tag).unwrap(), pt);
             }
 
             #[test]
@@ -546,10 +384,14 @@ mod tests {
                 flip_byte in any::<proptest::sample::Index>(),
                 flip_bit in 0u8..8) {
                 let gcm = AesGcm::new(&key);
-                let mut sealed = gcm.seal(&nonce, b"", &pt);
-                let idx = flip_byte.index(sealed.len());
-                sealed[idx] ^= 1 << flip_bit;
-                prop_assert_eq!(gcm.open(&nonce, b"", &sealed), Err(TagMismatch));
+                let (mut ct, mut tag) = seal(&gcm, &nonce, b"", &pt);
+                // Flip a bit anywhere in ciphertext ‖ tag.
+                let idx = flip_byte.index(ct.len() + TAG_LEN);
+                match idx.checked_sub(ct.len()) {
+                    Some(t) => tag[t] ^= 1 << flip_bit,
+                    None => ct[idx] ^= 1 << flip_bit,
+                }
+                prop_assert_eq!(open(&gcm, &nonce, b"", &ct, &tag), Err(TagMismatch));
             }
         }
     }

@@ -6,11 +6,12 @@
 //! with a 40-cycle latency. This crate provides both halves of that model:
 //!
 //! * **Functional crypto** — a complete software implementation of AES-128
-//!   ([`aes`]), counter-mode keystream generation ([`ctr`] — this *is* the
-//!   one-time pad of the paper), GHASH over GF(2^128) ([`ghash`]), and the
-//!   AES-GCM authenticated-encryption composition ([`gcm`]). This is used by
-//!   the functional secure channel in `mgpu-secure` so the protocol is
-//!   exercised with real bits, not placeholders.
+//!   encryption ([`aes`]), GHASH over GF(2^128) ([`ghash`]), and the
+//!   in-place AES-GCM authenticated-encryption composition ([`gcm`]), whose
+//!   CTR keystream under a [`pad::PadSeed`] nonce *is* the one-time pad of
+//!   the paper. This is used by the functional secure channel in
+//!   `mgpu-secure` so the protocol is exercised with real bits, not
+//!   placeholders.
 //! * **Timing model** — [`engine::AesEngine`], a pipelined engine that
 //!   tracks *when* a requested pad becomes ready (1 issue/cycle, fixed
 //!   latency), which is what the discrete-event simulation consumes.
@@ -38,11 +39,13 @@
 //! let key = [0x42u8; 16];
 //! let gcm = AesGcm::new(&key);
 //! let nonce = [7u8; 12];
-//! let plaintext = b"secret cacheline contents".to_vec();
+//! let plaintext = *b"secret cacheline contents";
 //!
-//! let sealed = gcm.seal(&nonce, b"header", &plaintext);
-//! let opened = gcm.open(&nonce, b"header", &sealed).expect("authentic");
-//! assert_eq!(opened, plaintext);
+//! let mut buf = plaintext;
+//! let tag = gcm.seal_in_place(&nonce, b"header", &mut buf);
+//! assert_ne!(buf, plaintext);
+//! gcm.open_in_place(&nonce, b"header", &mut buf, &tag).expect("authentic");
+//! assert_eq!(buf, plaintext);
 //! ```
 
 // `unsafe` is denied crate-wide and re-allowed only inside the two
@@ -59,7 +62,6 @@ pub mod backend;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub mod clmul;
-pub mod ctr;
 pub mod engine;
 pub mod gcm;
 pub mod ghash;
@@ -69,4 +71,4 @@ pub use aes::Aes128;
 pub use backend::Backend;
 pub use engine::AesEngine;
 pub use gcm::AesGcm;
-pub use pad::{OtpPad, PadSeed};
+pub use pad::PadSeed;

@@ -1,12 +1,10 @@
-//! Pad seeds and pre-generated one-time pads.
+//! Pad seeds and the OTP buffer entry size.
 //!
 //! The paper (Fig. 4) derives every pad from a unique seed combining the
 //! message counter, sender ID and receiver ID. A [`PadSeed`] captures that
-//! triple; an [`OtpPad`] is the materialized pair of pads an OTP buffer
-//! entry stores: a 512-bit encryption pad and a 128-bit authentication pad
-//! (§IV-D gives the entry layout).
-
-use crate::ctr::CtrKeystream;
+//! triple; the functional channel turns it into the AES-GCM nonce, so the
+//! GCM keystream is the pad. [`ENTRY_BITS`] is the storage cost of one OTP
+//! buffer entry (§IV-D), which Table I multiplies out.
 
 /// The (sender, receiver, counter) triple that uniquely identifies a pad.
 ///
@@ -15,8 +13,8 @@ use crate::ctr::CtrKeystream;
 /// ```
 /// use mgpu_crypto::pad::PadSeed;
 ///
-/// let seed = PadSeed::new(1, 2, 99);
-/// assert_eq!(seed.next(), PadSeed::new(1, 2, 100));
+/// let nonce = PadSeed::new(1, 2, 99).to_nonce();
+/// assert_eq!(nonce, [0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 99]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PadSeed {
@@ -39,28 +37,6 @@ impl PadSeed {
         }
     }
 
-    /// The seed for the next message on the same path.
-    #[must_use]
-    pub const fn next(self) -> Self {
-        PadSeed {
-            counter: self.counter + 1,
-            ..self
-        }
-    }
-
-    /// Encodes the seed into an AES counter block. The layout mirrors the
-    /// paper's Fig. 4 seed construction: sender ID, receiver ID, MsgCTR,
-    /// and a per-message block index in the low 32 bits (CTR-mode position).
-    #[must_use]
-    pub fn to_counter_block(self, block_idx: u32) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[0..2].copy_from_slice(&self.sender.to_be_bytes());
-        block[2..4].copy_from_slice(&self.receiver.to_be_bytes());
-        block[4..12].copy_from_slice(&self.counter.to_be_bytes());
-        block[12..16].copy_from_slice(&block_idx.to_be_bytes());
-        block
-    }
-
     /// The GCM-style 12-byte nonce form of this seed (sender ‖ receiver ‖
     /// counter), used by the functional secure channel.
     #[must_use]
@@ -73,97 +49,30 @@ impl PadSeed {
     }
 }
 
-/// A fully materialized OTP buffer entry payload: the encryption pad for a
-/// 64 B cacheline plus the 128-bit authentication pad.
-///
-/// Paper §IV-D: "an OTP buffer entry consists of a valid bit (1 bit), an
-/// encryption pad (512 bits), an authentication pad (128 bits), and a
-/// counter (64 bits)". The valid bit and counter live in the scheme tables
-/// (`mgpu-secure`); this type holds the cryptographic material.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OtpPad {
-    /// Seed this pad was generated from.
-    pub seed: PadSeed,
-    /// 512-bit pad XORed with the cacheline data.
-    pub encryption: [u8; 64],
-    /// 128-bit pad used to mask the GHASH output into the final MAC.
-    pub authentication: [u8; 16],
-}
-
-impl OtpPad {
-    /// Generates the pad pair for `seed` under `keystream`'s session key.
-    ///
-    /// The authentication pad uses a disjoint block index (`u32::MAX`) so it
-    /// never overlaps the four encryption-pad blocks (indices 0..4).
-    #[must_use]
-    pub fn generate(keystream: &CtrKeystream, seed: PadSeed) -> Self {
-        OtpPad {
-            seed,
-            encryption: keystream.pad_64(seed),
-            authentication: keystream.block(seed, u32::MAX),
-        }
-    }
-
-    /// The storage cost of one entry in bits, including the valid bit and
-    /// counter held by the table (paper §IV-D: 705 bits).
-    pub const ENTRY_BITS: u64 = 1 + 512 + 128 + 64;
-}
+/// The storage cost of one OTP buffer entry in bits (paper §IV-D: "an OTP
+/// buffer entry consists of a valid bit (1 bit), an encryption pad (512
+/// bits), an authentication pad (128 bits), and a counter (64 bits)").
+pub const ENTRY_BITS: u64 = 1 + 512 + 128 + 64;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_block_layout() {
-        let seed = PadSeed::new(0x0102, 0x0304, 0x05060708090a0b0c);
-        let block = seed.to_counter_block(0x0d0e0f10);
-        assert_eq!(&block[0..2], &[0x01, 0x02]);
-        assert_eq!(&block[2..4], &[0x03, 0x04]);
+    fn nonce_layout() {
+        let nonce = PadSeed::new(0x0102, 0x0304, 0x05060708090a0b0c).to_nonce();
+        assert_eq!(&nonce[0..2], &[0x01, 0x02]);
+        assert_eq!(&nonce[2..4], &[0x03, 0x04]);
         assert_eq!(
-            &block[4..12],
+            &nonce[4..12],
             &[0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c]
         );
-        assert_eq!(&block[12..16], &[0x0d, 0x0e, 0x0f, 0x10]);
-    }
-
-    #[test]
-    fn nonce_is_counter_block_prefix() {
-        let seed = PadSeed::new(7, 9, 1234);
-        let nonce = seed.to_nonce();
-        let block = seed.to_counter_block(0);
-        assert_eq!(&nonce[..], &block[..12]);
-    }
-
-    #[test]
-    fn next_increments_only_counter() {
-        let seed = PadSeed::new(3, 4, 10);
-        let n = seed.next();
-        assert_eq!(n.sender, 3);
-        assert_eq!(n.receiver, 4);
-        assert_eq!(n.counter, 11);
-    }
-
-    #[test]
-    fn generated_pads_differ_between_enc_and_auth() {
-        let ks = CtrKeystream::new(&[5; 16]);
-        let pad = OtpPad::generate(&ks, PadSeed::new(1, 2, 3));
-        // The auth pad must not equal any encryption-pad block.
-        for chunk in pad.encryption.chunks_exact(16) {
-            assert_ne!(chunk, pad.authentication);
-        }
     }
 
     #[test]
     fn entry_bits_match_paper_table_i() {
-        assert_eq!(OtpPad::ENTRY_BITS, 705);
+        assert_eq!(ENTRY_BITS, 705);
         // 32 entries -> 2820 bytes -> "2.75 KB" in Table I.
-        assert_eq!((OtpPad::ENTRY_BITS * 32).div_ceil(8), 2820);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let ks = CtrKeystream::new(&[5; 16]);
-        let seed = PadSeed::new(1, 2, 3);
-        assert_eq!(OtpPad::generate(&ks, seed), OtpPad::generate(&ks, seed));
+        assert_eq!((ENTRY_BITS * 32).div_ceil(8), 2820);
     }
 }

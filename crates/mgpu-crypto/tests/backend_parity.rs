@@ -8,10 +8,8 @@
 
 use mgpu_crypto::aes::Aes128;
 use mgpu_crypto::backend::Backend;
-use mgpu_crypto::ctr::CtrKeystream;
 use mgpu_crypto::gcm::AesGcm;
 use mgpu_crypto::ghash::{Gf128, Ghash, GhashKey};
-use mgpu_crypto::pad::PadSeed;
 use proptest::prelude::*;
 
 fn hw() -> Option<Backend> {
@@ -34,20 +32,43 @@ fn hex(s: &str) -> Vec<u8> {
         .collect()
 }
 
+/// Seals a copy of `pt`, returning `(ciphertext, tag)`.
+fn seal(gcm: &AesGcm, nonce: &[u8; 12], aad: &[u8], pt: &[u8]) -> (Vec<u8>, [u8; 16]) {
+    let mut buf = pt.to_vec();
+    let tag = gcm.seal_in_place(nonce, aad, &mut buf);
+    (buf, tag)
+}
+
+/// Opens a copy of `ct` against `tag`, returning the plaintext.
+fn open(gcm: &AesGcm, nonce: &[u8; 12], aad: &[u8], ct: &[u8], tag: &[u8]) -> Vec<u8> {
+    let mut buf = ct.to_vec();
+    gcm.open_in_place(nonce, aad, &mut buf, tag)
+        .expect("authentic");
+    buf
+}
+
 #[test]
-fn bulk_ctr_keystream_matches_at_every_length() {
-    // Every window length 0..=64 blocks: the hw path crosses its 8-block
-    // pipeline boundary eight times and ends at every remainder size.
+fn gcm_matches_at_every_length() {
+    // Every message length 0..=600 B: the CTR keystream crosses GCM's
+    // 16-block (256 B) chunk twice and the hw AES path's 8-block pipeline
+    // boundary many times, ending at every remainder size.
     let Some(hw) = hw() else { return };
-    let soft = CtrKeystream::with_backend(&[0x5Au8; 16], Backend::Soft);
-    let fast = CtrKeystream::with_backend(&[0x5Au8; 16], hw);
-    let seed = PadSeed::new(3, 7, 1234);
-    for nblocks in 0..=64usize {
-        let mut a = vec![[0u8; 16]; nblocks];
-        let mut b = vec![[0u8; 16]; nblocks];
-        soft.keystream_blocks(seed, 5, &mut a);
-        fast.keystream_blocks(seed, 5, &mut b);
-        assert_eq!(a, b, "keystream diverges at {nblocks} blocks");
+    let soft = AesGcm::with_backend(&[0x5Au8; 16], Backend::Soft);
+    let fast = AesGcm::with_backend(&[0x5Au8; 16], hw);
+    let nonce = [0x3Cu8; 12];
+    for len in 0..=600usize {
+        let pt: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+        let sealed = seal(&soft, &nonce, b"hdr", &pt);
+        assert_eq!(
+            sealed,
+            seal(&fast, &nonce, b"hdr", &pt),
+            "seal diverges at {len} B"
+        );
+        assert_eq!(
+            open(&fast, &nonce, b"hdr", &sealed.0, &sealed.1),
+            pt,
+            "open at {len} B"
+        );
     }
 }
 
@@ -107,7 +128,7 @@ fn nist_gcm_vectors_pass_on_every_backend() {
             let aad = hex(case.aad);
             let pt = hex(case.pt.replace(char::is_whitespace, "").as_str());
             let gcm = AesGcm::with_backend(&key, backend);
-            let (ct, tag) = gcm.seal_detached(&nonce, &aad, &pt);
+            let (ct, tag) = seal(&gcm, &nonce, &aad, &pt);
             assert_eq!(
                 ct,
                 hex(case.ct.replace(char::is_whitespace, "").as_str()),
@@ -115,7 +136,7 @@ fn nist_gcm_vectors_pass_on_every_backend() {
             );
             assert_eq!(tag.to_vec(), hex(case.tag), "case {i} tag on {backend}");
             assert_eq!(
-                gcm.open_detached(&nonce, &aad, &ct, &tag).unwrap(),
+                open(&gcm, &nonce, &aad, &ct, &tag),
                 pt,
                 "case {i} open on {backend}"
             );
@@ -182,11 +203,12 @@ proptest! {
         let Some(hw) = hw() else { return Ok(()) };
         let soft = AesGcm::with_backend(&key, Backend::Soft);
         let fast = AesGcm::with_backend(&key, hw);
-        let sealed_soft = soft.seal(&nonce, &aad, &pt);
-        let sealed_fast = fast.seal(&nonce, &aad, &pt);
-        prop_assert_eq!(&sealed_soft, &sealed_fast);
+        let (ct_soft, tag_soft) = seal(&soft, &nonce, &aad, &pt);
+        let (ct_fast, tag_fast) = seal(&fast, &nonce, &aad, &pt);
+        prop_assert_eq!(&ct_soft, &ct_fast);
+        prop_assert_eq!(tag_soft, tag_fast);
         // Cross-open: each backend verifies and decrypts the other's seal.
-        prop_assert_eq!(soft.open(&nonce, &aad, &sealed_fast).unwrap(), pt.clone());
-        prop_assert_eq!(fast.open(&nonce, &aad, &sealed_soft).unwrap(), pt);
+        prop_assert_eq!(open(&soft, &nonce, &aad, &ct_fast, &tag_fast), pt.clone());
+        prop_assert_eq!(open(&fast, &nonce, &aad, &ct_soft, &tag_soft), pt);
     }
 }

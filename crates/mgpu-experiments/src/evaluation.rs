@@ -25,8 +25,7 @@ pub fn fig21(mode: Mode) -> Vec<Table> {
 /// benchmark plus the geomean. Each cell is `metric(run, baseline)`
 /// against the unsecure twin of `base` (normalized time or traffic
 /// ratio; 1.0 when the baseline is degenerate). All cells run in one
-/// [`common::run_many`] call; each benchmark's row of reports is its
-/// baseline followed by one report per configuration.
+/// [`common::run_many`] call over [`common::table_cells`].
 pub(crate) fn normalized_table(
     title: &str,
     base: &SystemConfig,
@@ -35,18 +34,13 @@ pub(crate) fn normalized_table(
     metric: fn(&RunReport, &RunReport) -> Option<f64>,
 ) -> Table {
     let reports = common::run_many(&common::table_cells(base, cfgs, mode));
+    let columns = metric_columns(&reports, cfgs.len(), metric);
     let mut headers: Vec<&str> = vec!["bench"];
     headers.extend(cfgs.iter().map(|(l, _)| l.as_str()));
     let mut t = Table::new(title, &headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for (&bench, runs) in mode.suite().iter().zip(reports.chunks(cfgs.len() + 1)) {
-        let (baseline, runs) = runs.split_first().expect("every row has a baseline");
+    for (i, &bench) in mode.suite().iter().enumerate() {
         let mut row = vec![bench.abbrev().to_string()];
-        for (column, r) in columns.iter_mut().zip(runs) {
-            let n = metric(r, baseline).unwrap_or(1.0);
-            column.push(n);
-            row.push(ratio(n));
-        }
+        row.extend(columns.iter().map(|column| ratio(column[i])));
         t.add_row(row);
     }
     let mut row = vec!["geomean".to_string()];
@@ -55,6 +49,25 @@ pub(crate) fn normalized_table(
     }
     t.add_row(row);
     t
+}
+
+/// Splits [`common::table_cells`]' reports — per benchmark, the baseline
+/// and then `ncfgs` configurations — into one column per configuration
+/// holding each benchmark's `metric(run, baseline)` (1.0 when the metric
+/// is undefined, e.g. a degenerate baseline).
+fn metric_columns(
+    reports: &[RunReport],
+    ncfgs: usize,
+    metric: fn(&RunReport, &RunReport) -> Option<f64>,
+) -> Vec<Vec<f64>> {
+    let mut columns = vec![Vec::new(); ncfgs];
+    for row in reports.chunks(ncfgs + 1) {
+        let (baseline, runs) = row.split_first().expect("every row has a baseline");
+        for (column, r) in columns.iter_mut().zip(runs) {
+            column.push(metric(r, baseline).unwrap_or(1.0));
+        }
+    }
+    columns
 }
 
 /// Fig. 22: OTP latency-hiding distribution for Private, Cached and Ours
@@ -111,54 +124,30 @@ pub fn fig26(mode: Mode) -> Vec<Table> {
         &["aes-latency", "private-4x", "cached-4x", "ours"],
     );
     let latencies = [10u64, 20, 30, 40];
-    let sweep: Vec<SystemConfig> = latencies
+    let sweep: Vec<(String, SystemConfig)> = latencies
         .iter()
         .flat_map(|&cycles| {
             let mut base = SystemConfig::paper_4gpu();
             base.security.aes_latency = Duration::cycles(cycles);
-            common::ours_triple(&base).into_iter().map(|(_, cfg)| cfg)
+            common::ours_triple(&base)
         })
         .collect();
-    let geomeans: Vec<f64> = common::run_many(&twin_cells(&sweep, mode))
-        .chunks(2 * mode.suite().len())
-        .map(|runs| common::geomean(&normalized_times(runs)))
-        .collect();
-    for (cycles, row_values) in latencies
+    // Every latency's configs share the one unsecure baseline.
+    let cells = common::table_cells(&SystemConfig::paper_4gpu(), &sweep, mode);
+    let columns = metric_columns(
+        &common::run_many(&cells),
+        sweep.len(),
+        RunReport::normalized_time,
+    );
+    for (cycles, triple) in latencies
         .iter()
-        .zip(geomeans.chunks(sweep.len() / latencies.len()))
+        .zip(columns.chunks(sweep.len() / latencies.len()))
     {
         let mut row = vec![format!("{cycles}cy")];
-        row.extend(row_values.iter().map(|&g| ratio(g)));
+        row.extend(triple.iter().map(|column| ratio(common::geomean(column))));
         t.add_row(row);
     }
     vec![t]
-}
-
-/// The cells of a per-configuration sweep, config-major: for every
-/// benchmark of the mode, the unsecure twin of the configuration and then
-/// the configuration itself. [`common::run_many`]'s reports split into
-/// chunks of `2 * mode.suite().len()` per configuration, and each chunk
-/// into `[baseline, run]` pairs.
-fn twin_cells(cfgs: &[SystemConfig], mode: Mode) -> Vec<common::Cell> {
-    cfgs.iter()
-        .flat_map(|cfg| {
-            mode.suite().iter().flat_map(move |&bench| {
-                [
-                    common::Cell::new(configs::unsecure(cfg), bench, mode),
-                    common::Cell::new(cfg.clone(), bench, mode),
-                ]
-            })
-        })
-        .collect()
-}
-
-/// Each `[baseline, run]` pair's normalized time, 1.0 when the baseline
-/// is degenerate.
-fn normalized_times(pairs: &[RunReport]) -> Vec<f64> {
-    pairs
-        .chunks(2)
-        .map(|pair| pair[1].normalized_time(&pair[0]).unwrap_or(1.0))
-        .collect()
 }
 
 /// Compute units per GPU (paper Table III). Printed for completeness:
@@ -251,31 +240,24 @@ pub fn ablation_batch_size(mode: Mode) -> Vec<Table> {
         ],
     );
     let sizes = [4u32, 8, 16, 32, 64];
-    let sweep: Vec<SystemConfig> = sizes
+    let sweep: Vec<(String, SystemConfig)> = sizes
         .iter()
         .map(|&n| {
             let mut cfg = configs::batching(&base, 4);
             cfg.security.batching.batch_size = n;
-            cfg
+            (n.to_string(), cfg)
         })
         .collect();
-    let reports = common::run_many(&twin_cells(&sweep, mode));
-    for (n, runs) in sizes
-        .into_iter()
-        .zip(reports.chunks(2 * mode.suite().len()))
-    {
-        let traffics: Vec<f64> = runs
-            .chunks(2)
-            .map(|pair| pair[1].traffic_ratio(&pair[0]).unwrap_or(1.0))
-            .collect();
-        let occupancy: f64 = runs
-            .chunks(2)
-            .map(|pair| pair[1].mean_batch_occupancy)
-            .sum();
+    let reports = common::run_many(&common::table_cells(&base, &sweep, mode));
+    let times = metric_columns(&reports, sweep.len(), RunReport::normalized_time);
+    let traffics = metric_columns(&reports, sweep.len(), RunReport::traffic_ratio);
+    let occupancies = metric_columns(&reports, sweep.len(), |r, _| Some(r.mean_batch_occupancy));
+    for (i, (label, _)) in sweep.iter().enumerate() {
+        let occupancy: f64 = occupancies[i].iter().sum();
         t.add_row(vec![
-            n.to_string(),
-            ratio(common::geomean(&normalized_times(runs))),
-            ratio(common::geomean(&traffics)),
+            label.clone(),
+            ratio(common::geomean(&times[i])),
+            ratio(common::geomean(&traffics[i])),
             format!("{:.1}", occupancy / mode.suite().len() as f64),
         ]);
     }
@@ -291,23 +273,18 @@ pub fn ablation_interval(mode: Mode) -> Vec<Table> {
         &["interval", "normalized-time"],
     );
     let intervals = [250u64, 500, 1_000, 2_000, 8_000];
-    let sweep: Vec<SystemConfig> = intervals
+    let sweep: Vec<(String, SystemConfig)> = intervals
         .iter()
         .map(|&interval| {
             let mut cfg = configs::dynamic(&base, 4);
             cfg.security.dynamic.interval = Duration::cycles(interval);
-            cfg
+            (interval.to_string(), cfg)
         })
         .collect();
-    let reports = common::run_many(&twin_cells(&sweep, mode));
-    for (interval, runs) in intervals
-        .into_iter()
-        .zip(reports.chunks(2 * mode.suite().len()))
-    {
-        t.add_row(vec![
-            interval.to_string(),
-            ratio(common::geomean(&normalized_times(runs))),
-        ]);
+    let reports = common::run_many(&common::table_cells(&base, &sweep, mode));
+    let times = metric_columns(&reports, sweep.len(), RunReport::normalized_time);
+    for ((label, _), column) in sweep.iter().zip(&times) {
+        t.add_row(vec![label.clone(), ratio(common::geomean(column))]);
     }
     vec![t]
 }

@@ -3,7 +3,7 @@
 use crate::common::{self, Mode, SEED};
 use crate::evaluation::normalized_table;
 use crate::report::{percent, ratio, Table};
-use mgpu_crypto::pad::OtpPad;
+use mgpu_crypto::pad::ENTRY_BITS;
 use mgpu_secure::PadClass;
 use mgpu_system::runner::configs;
 use mgpu_system::RunReport;
@@ -26,7 +26,7 @@ pub fn table1(_mode: Mode) -> Vec<Table> {
             // Each of the `gpus` GPUs keeps send+recv entries for each of
             // its `gpus` peers (gpus-1 GPUs + the CPU).
             let entries = gpus * gpus * 2 * mult;
-            let storage = ByteSize::from_bits(entries * OtpPad::ENTRY_BITS);
+            let storage = ByteSize::from_bits(entries * ENTRY_BITS);
             t.add_row(vec![
                 gpus.to_string(),
                 format!("{mult}x"),

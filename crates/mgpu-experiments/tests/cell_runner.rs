@@ -27,11 +27,11 @@ fn each_cell_counts_once_and_each_unique_key_simulates_once() {
     // The same baseline plus Private/Cached/Ours, all run by fig21.
     assert_eq!(counted(fig23), (benches * 4, 0), "fig23 (hits, misses)");
 
-    // 4 AES latencies x 3 configs x 2 benches x [baseline, config]. The
-    // three configs of one latency share one unsecure baseline, and the
-    // 40-cycle configs are the defaults fig21 ran, so only the 10/20/30
-    // cycle latencies' baseline + 3 configs are simulated.
+    // 2 benches x (baseline + 4 AES latencies x 3 configs). Every
+    // latency shares the one unsecure baseline, and it and the 40-cycle
+    // configs are the ones fig21 ran, so only the 10/20/30-cycle
+    // latencies' 3 configs are simulated.
     let (hits, misses) = counted(fig26);
-    assert_eq!(hits + misses, 4 * 3 * benches * 2, "fig26 cells");
-    assert_eq!(misses, 3 * 4 * benches, "fig26 unique unseen keys");
+    assert_eq!(hits + misses, benches * (1 + 4 * 3), "fig26 cells");
+    assert_eq!(misses, benches * 3 * 3, "fig26 unique unseen keys");
 }

@@ -18,9 +18,11 @@
 //! never sees a MAC, and the receiver's MsgMAC storage. The sender-side
 //! batched-MAC input — the open batch's per-block MACs concatenated in
 //! send order — is built in `crate::channel::Endpoint`, one reused buffer
-//! per peer, and sealed there by an `AesGcm` instance that dispatches to
-//! the runtime-selected crypto backend (hardware AES-NI/PCLMULQDQ when
-//! available) — trailer MACs ride the same fast path as block seals.
+//! per peer, and sealed in place there by the same `AesGcm` instance that
+//! seals the blocks, so trailer MACs ride the runtime-selected crypto
+//! backend (hardware AES-NI/PCLMULQDQ when available) like block seals.
+//! The receiver recomputes it over the ordered concatenation that
+//! [`MacStorage::complete`] hands its verifier.
 
 use mgpu_types::{Cycle, DenseNodeMap, Duration, MgpuError, NodeId};
 
@@ -29,17 +31,6 @@ pub type MsgMac = [u8; 8];
 
 /// Identifier of a batch within a sender→receiver stream.
 pub type BatchId = u64;
-
-/// Concatenates per-block MACs in order — the input to the batched-MAC
-/// computation (paper Formula 5).
-#[must_use]
-pub fn concat_macs(macs: &[MsgMac]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(macs.len() * 8);
-    for mac in macs {
-        out.extend_from_slice(mac);
-    }
-    out
-}
 
 /// A batch closed by the sender, ready for its trailer (batched MAC) to be
 /// transmitted.
@@ -384,7 +375,7 @@ impl SenderBatcher {
 /// # Examples
 ///
 /// ```
-/// use mgpu_secure::batching::{concat_macs, MacStorage};
+/// use mgpu_secure::batching::MacStorage;
 /// use mgpu_types::NodeId;
 ///
 /// let mut storage = MacStorage::new(64 * 4);
@@ -395,7 +386,7 @@ impl SenderBatcher {
 /// // Trailer announces 2 blocks; verification closure sees the ordered
 /// // concatenation.
 /// let verified = storage
-///     .complete(src, 0, 2, |ordered| ordered == concat_macs(&[[0xAA; 8], [0xBB; 8]]))
+///     .complete(src, 0, 2, |ordered| *ordered == [[0xAA; 8], [0xBB; 8]].concat())
 ///     .unwrap();
 /// assert!(verified);
 /// ```
@@ -408,7 +399,8 @@ pub struct MacStorage {
     /// Retired per-batch MAC vectors, reused so steady-state verification
     /// does not allocate.
     spare: Vec<Vec<(u32, MsgMac)>>,
-    /// Reusable buffer for the ordered concatenation handed to `verify`.
+    /// Reusable buffer for the ordered concatenation handed to `verify`,
+    /// rebuilt at every completion (so `verify` may overwrite it).
     concat_scratch: Vec<u8>,
     stored: usize,
     peak: usize,
@@ -509,7 +501,8 @@ impl MacStorage {
 
     /// Completes a batch: checks that exactly `expected_len` consecutive
     /// blocks `0..expected_len` are present, hands their ordered
-    /// concatenation to `verify`, and frees the storage **only when
+    /// concatenation to `verify` (a scratch copy it may overwrite, e.g. by
+    /// sealing it in place), and frees the storage **only when
     /// verification succeeds**.
     ///
     /// On a length mismatch or a `verify == false` outcome the stored MACs
@@ -536,7 +529,7 @@ impl MacStorage {
         verify: F,
     ) -> Result<bool, MgpuError>
     where
-        F: FnOnce(&[u8]) -> bool,
+        F: FnOnce(&mut [u8]) -> bool,
     {
         let pos = self
             .slots
@@ -562,7 +555,7 @@ impl MacStorage {
         for (_, mac) in &slot.macs {
             self.concat_scratch.extend_from_slice(mac);
         }
-        let ok = verify(&self.concat_scratch);
+        let ok = verify(&mut self.concat_scratch);
         if ok {
             let slot = self
                 .slots
@@ -831,8 +824,8 @@ mod tests {
             s.store_block(src, 7, i, [i as u8; 8]).unwrap();
         }
         assert_eq!(s.pending(src, 7), 4);
-        let expected = concat_macs(&[[0; 8], [1; 8], [2; 8], [3; 8]]);
-        let ok = s.complete(src, 7, 4, |c| c == expected).unwrap();
+        let expected = [[0u8; 8], [1; 8], [2; 8], [3; 8]].concat();
+        let ok = s.complete(src, 7, 4, |c| *c == expected).unwrap();
         assert!(ok);
         assert_eq!(s.pending(src, 7), 0);
         assert_eq!(s.verified_batches(), 1);
@@ -940,8 +933,8 @@ mod tests {
         assert_eq!(s.rejected_completions(), 1);
         assert_eq!(s.pending(src, 0), 4, "slot survived the forged trailer");
         // The genuine trailer still verifies afterwards.
-        let expected = concat_macs(&[[0; 8], [1; 8], [2; 8], [3; 8]]);
-        assert!(s.complete(src, 0, 4, |c| c == expected).unwrap());
+        let expected = [[0u8; 8], [1; 8], [2; 8], [3; 8]].concat();
+        assert!(s.complete(src, 0, 4, |c| *c == expected).unwrap());
         assert_eq!(s.pending(src, 0), 0);
     }
 
@@ -999,8 +992,8 @@ mod tests {
                     s.store_block(src, 0, i, [(i % 251) as u8; 8]).unwrap();
                 }
                 let expected: Vec<MsgMac> = (0..n).map(|i| [(i % 251) as u8; 8]).collect();
-                let expected = concat_macs(&expected);
-                prop_assert!(s.complete(src, 0, n, |c| c == expected).unwrap());
+                let expected = expected.concat();
+                prop_assert!(s.complete(src, 0, n, |c| *c == expected).unwrap());
             }
 
             #[test]

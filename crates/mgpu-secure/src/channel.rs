@@ -7,12 +7,14 @@
 //! from-scratch crypto. Integration tests and the `secure_channel` example
 //! drive attacks (bit flips, replays, reordering) against it.
 //!
-//! All functional crypto here — per-block GCM seals, batch-trailer MACs,
-//! ACK verification — funnels through [`AesGcm`], which dispatches to the
-//! runtime-selected `mgpu_crypto::backend::Backend`: hardware
+//! All functional crypto here — per-block GCM seals and batch-trailer
+//! MACs — funnels through [`AesGcm`]'s in-place operations, which dispatch
+//! to the runtime-selected `mgpu_crypto::backend::Backend`: hardware
 //! AES-NI/PCLMULQDQ where the CPU supports it, the portable software
 //! paths otherwise, bit-identical either way (`MGPU_CRYPTO_BACKEND=soft`
-//! forces the software paths).
+//! forces the software paths). Blocks travel by value as 64-byte arrays,
+//! so no send, receive or batch close touches the heap once the per-peer
+//! tables have grown.
 
 use crate::batching::{BatchId, ClosedBatch, MacStorage, MsgMac, SenderBatcher};
 use crate::key_exchange::KeyExchange;
@@ -38,7 +40,7 @@ pub struct WireBlock {
     /// `MsgCTR` — selects the pad on both sides.
     pub counter: u64,
     /// 64 B of ciphertext.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: [u8; BLOCK_SIZE],
     /// Per-block `MsgMAC`; `None` for batched blocks, whose integrity is
     /// carried by the batch trailer instead.
     pub mac: Option<MsgMac>,
@@ -102,8 +104,8 @@ pub struct Endpoint {
     guard: ReplayGuard,
     batcher: SenderBatcher,
     /// Per peer, the open batch's per-block MACs concatenated in send
-    /// order: the batched-MAC input (paper Formula 5), cleared and reused
-    /// at every close.
+    /// order: the batched-MAC input (paper Formula 5), sealed in place and
+    /// cleared at every close.
     open_macs: DenseNodeMap<Vec<u8>>,
     storage: MacStorage,
     /// Trailers that arrived before all of their blocks did, listed per
@@ -111,8 +113,6 @@ pub struct Endpoint {
     early_trailers: DenseNodeMap<Vec<BatchTrailer>>,
     /// Highest batch id accepted per sender (trailer replay protection).
     last_batch: DenseNodeMap<BatchId>,
-    /// Reusable ciphertext buffer for batched-MAC recomputation.
-    scratch_ct: Vec<u8>,
 }
 
 impl Endpoint {
@@ -134,7 +134,6 @@ impl Endpoint {
             storage: MacStorage::new(64 * gpu_count as usize),
             early_trailers: DenseNodeMap::with_gpu_count(gpu_count),
             last_batch: DenseNodeMap::with_gpu_count(gpu_count),
-            scratch_ct: Vec::new(),
         }
     }
 
@@ -180,48 +179,40 @@ impl Endpoint {
         out
     }
 
-    fn aad(sender: NodeId, receiver: NodeId, counter: u64) -> [u8; 12] {
+    /// The GCM nonce of a message on the `sender → receiver` stream: its
+    /// pad seed. The same 12 bytes are the message's AAD, which binds the
+    /// clear header (sender, receiver, counter) to its MAC.
+    fn nonce(sender: NodeId, receiver: NodeId, counter: u64) -> [u8; 12] {
         PadSeed::new(sender.raw(), receiver.raw(), counter).to_nonce()
+    }
+
+    /// Seals one block for `peer` under the next counter: the wire block
+    /// (no MAC or batch slot filled in yet) and its 8 B `MsgMAC`.
+    fn seal(&mut self, peer: NodeId, block: &[u8; BLOCK_SIZE]) -> (WireBlock, MsgMac) {
+        let counter = self.next_ctr(peer);
+        let nonce = Self::nonce(self.id, peer, counter);
+        let mut ciphertext = *block;
+        let tag = self
+            .gcm_for(peer)
+            .seal_in_place(&nonce, &nonce, &mut ciphertext);
+        let wire = WireBlock {
+            sender: self.id,
+            receiver: peer,
+            counter,
+            ciphertext,
+            mac: None,
+            batch: None,
+        };
+        (wire, tag[..8].try_into().expect("8-byte prefix"))
     }
 
     /// Seals one unbatched block for `peer`: encrypt, MAC, register the
     /// outstanding `(counter, MAC)` for replay protection.
     pub fn seal_block(&mut self, peer: NodeId, block: &[u8; BLOCK_SIZE]) -> WireBlock {
-        let mut wire = WireBlock {
-            sender: self.id,
-            receiver: peer,
-            counter: 0,
-            ciphertext: Vec::new(),
-            mac: None,
-            batch: None,
-        };
-        self.seal_block_into(peer, block, &mut wire);
-        wire
-    }
-
-    /// [`seal_block`] writing into a caller-owned [`WireBlock`], reusing
-    /// its ciphertext buffer — the steady-state send path allocates nothing
-    /// once the buffer has reached block size.
-    ///
-    /// [`seal_block`]: Endpoint::seal_block
-    pub fn seal_block_into(
-        &mut self,
-        peer: NodeId,
-        block: &[u8; BLOCK_SIZE],
-        wire: &mut WireBlock,
-    ) {
-        let counter = self.next_ctr(peer);
-        let nonce = PadSeed::new(self.id.raw(), peer.raw(), counter).to_nonce();
-        let aad = Self::aad(self.id, peer, counter);
-        let gcm = self.gcm.get(peer).expect("peer within system");
-        let tag = gcm.seal_detached_into(&nonce, &aad, block, &mut wire.ciphertext);
-        let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
-        self.guard.register_outstanding(peer, counter, mac);
-        wire.sender = self.id;
-        wire.receiver = peer;
-        wire.counter = counter;
+        let (mut wire, mac) = self.seal(peer, block);
+        self.guard.register_outstanding(peer, wire.counter, mac);
         wire.mac = Some(mac);
-        wire.batch = None;
+        wire
     }
 
     /// Opens one unbatched block: freshness check, verify MAC, decrypt,
@@ -233,26 +224,7 @@ impl Endpoint {
     /// * [`MgpuError::AuthenticationFailed`] — MAC mismatch (tampering).
     /// * [`MgpuError::Protocol`] — the block claims batch membership or
     ///   carries no MAC.
-    pub fn open_block(&mut self, wire: &WireBlock) -> Result<(Vec<u8>, Ack), MgpuError> {
-        let mut plaintext = Vec::new();
-        let ack = self.open_block_into(wire, &mut plaintext)?;
-        Ok((plaintext, ack))
-    }
-
-    /// [`open_block`] decrypting into a caller-owned buffer, reusing its
-    /// allocation. On error the buffer's contents are unspecified and must
-    /// not be used.
-    ///
-    /// # Errors
-    ///
-    /// See [`open_block`].
-    ///
-    /// [`open_block`]: Endpoint::open_block
-    pub fn open_block_into(
-        &mut self,
-        wire: &WireBlock,
-        plaintext: &mut Vec<u8>,
-    ) -> Result<Ack, MgpuError> {
+    pub fn open_block(&mut self, wire: &WireBlock) -> Result<([u8; BLOCK_SIZE], Ack), MgpuError> {
         if wire.batch.is_some() {
             return Err(MgpuError::Protocol(
                 "batched block passed to open_block; use open_batched_block".into(),
@@ -261,13 +233,13 @@ impl Endpoint {
         let mac = wire
             .mac
             .ok_or_else(|| MgpuError::Protocol("unbatched block without a MsgMAC".into()))?;
-        let nonce = PadSeed::new(wire.sender.raw(), self.id.raw(), wire.counter).to_nonce();
-        let aad = Self::aad(wire.sender, self.id, wire.counter);
+        let nonce = Self::nonce(wire.sender, self.id, wire.counter);
         // Verify first, record freshness second: a forged message must not
         // burn the counter it claims, or an attacker could block the
         // genuine message by sending garbage ahead of it.
+        let mut plaintext = wire.ciphertext;
         self.gcm_for(wire.sender)
-            .open_detached_into(&nonce, &aad, &wire.ciphertext, &mac, plaintext)
+            .open_in_place(&nonce, &nonce, &mut plaintext, &mac)
             .map_err(|_| MgpuError::AuthenticationFailed {
                 context: format!(
                     "block MAC mismatch from {} at counter {}",
@@ -275,11 +247,12 @@ impl Endpoint {
                 ),
             })?;
         self.guard.check_fresh(wire.sender, wire.counter)?;
-        Ok(Ack {
+        let ack = Ack {
             from: self.id,
             counter: wire.counter,
             mac,
-        })
+        };
+        Ok((plaintext, ack))
     }
 
     /// Seals one block for `peer` into the currently open batch: the
@@ -296,37 +269,11 @@ impl Endpoint {
         peer: NodeId,
         block: &[u8; BLOCK_SIZE],
     ) -> (WireBlock, Option<BatchTrailer>) {
-        let mut wire = WireBlock {
-            sender: self.id,
-            receiver: peer,
-            counter: 0,
-            ciphertext: Vec::new(),
-            mac: None,
-            batch: None,
-        };
-        let trailer = self.seal_batched_block_into(peer, block, &mut wire);
-        (wire, trailer)
-    }
-
-    /// [`seal_batched_block`] writing into a caller-owned [`WireBlock`],
-    /// reusing its ciphertext buffer.
-    ///
-    /// [`seal_batched_block`]: Endpoint::seal_batched_block
-    pub fn seal_batched_block_into(
-        &mut self,
-        peer: NodeId,
-        block: &[u8; BLOCK_SIZE],
-        wire: &mut WireBlock,
-    ) -> Option<BatchTrailer> {
         let (batch_id, index) = self.batcher.peek_slot(peer);
-        let counter = self.next_ctr(peer);
-        let nonce = PadSeed::new(self.id.raw(), peer.raw(), counter).to_nonce();
-        let aad = Self::aad(self.id, peer, counter);
-        let gcm = self.gcm.get(peer).expect("peer within system");
-        let tag = gcm.seal_detached_into(&nonce, &aad, block, &mut wire.ciphertext);
+        let (mut wire, mac) = self.seal(peer, block);
         self.open_macs
             .get_or_insert_with(peer, Vec::new)
-            .extend_from_slice(&tag[..8]);
+            .extend_from_slice(&mac);
         // Functional path: timing is modelled elsewhere, so batches close
         // on size here and on explicit `flush_batch` calls, never on the
         // batcher's own clock.
@@ -334,12 +281,8 @@ impl Endpoint {
             .batcher
             .add_block(Cycle::ZERO, peer)
             .map(|closed| self.close_batch(closed));
-        wire.sender = self.id;
-        wire.receiver = peer;
-        wire.counter = counter;
-        wire.mac = None;
         wire.batch = Some((batch_id, index));
-        trailer
+        (wire, trailer)
     }
 
     /// Closes the open batch towards `peer` (timeout flush), returning its
@@ -351,8 +294,9 @@ impl Endpoint {
             .map(|closed| self.close_batch(closed))
     }
 
-    /// MACs the peer's batched-MAC input, clears it for the next batch,
-    /// registers the batch as outstanding and builds its trailer.
+    /// MACs the peer's batched-MAC input (sealing it in place), clears it
+    /// for the next batch, registers the batch as outstanding and builds
+    /// its trailer.
     fn close_batch(&mut self, closed: ClosedBatch) -> BatchTrailer {
         let peer = closed.dst;
         let concat = self
@@ -360,7 +304,7 @@ impl Endpoint {
             .get_mut(peer)
             .expect("a closed batch has MACs");
         let gcm = self.gcm.get(peer).expect("peer within system");
-        let mac = Self::batched_mac(gcm, self.id, peer, closed.id, concat, &mut self.scratch_ct);
+        let mac = Self::batched_mac(gcm, self.id, peer, closed.id, concat);
         concat.clear();
         self.guard
             .register_outstanding(peer, closed.id | BATCH_NONCE_BIT, mac);
@@ -416,19 +360,18 @@ impl Endpoint {
 
     /// The batched MAC of batch `id` on the `sender → receiver` stream: a
     /// GCM tag over the ordered MAC concatenation in the dedicated batch
-    /// nonce space. Both ends compute it here; static over explicit
+    /// nonce space. Both ends compute it here, sealing `concat` in place
+    /// (each caller discards the buffer afterwards); static over explicit
     /// borrows so callers can hold other `self` fields mutably.
     fn batched_mac(
         gcm: &AesGcm,
         sender: NodeId,
         receiver: NodeId,
         id: BatchId,
-        concat: &[u8],
-        ct_scratch: &mut Vec<u8>,
+        concat: &mut [u8],
     ) -> MsgMac {
-        let nonce = PadSeed::new(sender.raw(), receiver.raw(), id | BATCH_NONCE_BIT).to_nonce();
-        let aad = Self::aad(sender, receiver, id | BATCH_NONCE_BIT);
-        let tag = gcm.seal_detached_into(&nonce, &aad, concat, ct_scratch);
+        let nonce = Self::nonce(sender, receiver, id | BATCH_NONCE_BIT);
+        let tag = gcm.seal_in_place(&nonce, &nonce, concat);
         tag[..8].try_into().expect("8-byte prefix")
     }
 
@@ -448,26 +391,7 @@ impl Endpoint {
     pub fn open_batched_block(
         &mut self,
         wire: &WireBlock,
-    ) -> Result<(Vec<u8>, Option<Ack>), MgpuError> {
-        let mut plaintext = Vec::new();
-        let ack = self.open_batched_block_into(wire, &mut plaintext)?;
-        Ok((plaintext, ack))
-    }
-
-    /// [`open_batched_block`] decrypting into a caller-owned buffer,
-    /// reusing its allocation. On error the buffer's contents are
-    /// unspecified and must not be used.
-    ///
-    /// # Errors
-    ///
-    /// See [`open_batched_block`].
-    ///
-    /// [`open_batched_block`]: Endpoint::open_batched_block
-    pub fn open_batched_block_into(
-        &mut self,
-        wire: &WireBlock,
-        plaintext: &mut Vec<u8>,
-    ) -> Result<Option<Ack>, MgpuError> {
+    ) -> Result<([u8; BLOCK_SIZE], Option<Ack>), MgpuError> {
         let (batch_id, index) = wire.batch.ok_or_else(|| {
             MgpuError::Protocol("unbatched block passed to open_batched_block".into())
         })?;
@@ -476,15 +400,12 @@ impl Endpoint {
         // still holds: a duplicated block hits an occupied MsgMAC-storage
         // slot (rejected below), and a replayed *batch* is caught by the
         // trailer's batch-id freshness check in `accept_trailer`.
-        let nonce = PadSeed::new(wire.sender.raw(), self.id.raw(), wire.counter).to_nonce();
-        let aad = Self::aad(wire.sender, self.id, wire.counter);
+        let nonce = Self::nonce(wire.sender, self.id, wire.counter);
         // Lazy verification: decrypt now, verify when the batch completes.
-        let tag = self.gcm_for(wire.sender).decrypt_and_tag_into(
-            &nonce,
-            &aad,
-            &wire.ciphertext,
-            plaintext,
-        );
+        let mut plaintext = wire.ciphertext;
+        let tag =
+            self.gcm_for(wire.sender)
+                .decrypt_and_tag_in_place(&nonce, &nonce, &mut plaintext);
         let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
         self.storage
             .store_block(wire.sender, batch_id, index, mac)?;
@@ -504,7 +425,7 @@ impl Endpoint {
         } else {
             None
         };
-        Ok(ack)
+        Ok((plaintext, ack))
     }
 
     /// Unparks the early trailer for `(src, id)`, if present.
@@ -568,13 +489,13 @@ impl Endpoint {
         let id = trailer.id;
         let me = self.id;
         // Verify inside the closure with a locally recomputed batched MAC.
-        // The closure borrows the session cipher and the ciphertext scratch
-        // buffer — fields disjoint from `storage` — so nothing is cloned.
+        // The closure borrows the session cipher — a field disjoint from
+        // `storage` — and seals the storage's concatenation scratch in
+        // place, so nothing is cloned.
         let gcm = self.gcm.get(sender).expect("peer within system");
-        let scratch = &mut self.scratch_ct;
         let trailer_mac = trailer.mac;
         let ok = self.storage.complete(sender, id, trailer.len, |concat| {
-            Self::batched_mac(gcm, sender, me, id, concat, scratch) == trailer_mac
+            Self::batched_mac(gcm, sender, me, id, concat) == trailer_mac
         })?;
         if !ok {
             return Err(MgpuError::AuthenticationFailed {
@@ -663,7 +584,7 @@ mod tests {
         let block = [0x5A; 64];
         let w1 = a.seal_block(b.id(), &block);
         let w2 = a.seal_block(b.id(), &block);
-        assert_ne!(w1.ciphertext, block.to_vec());
+        assert_ne!(w1.ciphertext, block);
         // Same plaintext, fresh counter => fresh pad => fresh ciphertext.
         assert_ne!(w1.ciphertext, w2.ciphertext);
         assert_eq!(w1.counter + 1, w2.counter);

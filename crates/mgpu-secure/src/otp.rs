@@ -9,12 +9,10 @@
 //! to the (pipelined) AES engine, and each use is classified as
 //! `Hit` / `Partial` / `Miss` exactly as in the paper's Figs. 10 and 22.
 //!
-//! This module models the *timing* of pad refill against the engine
-//! abstraction; the functional pad bytes themselves come from
-//! `mgpu_crypto::ctr::CtrKeystream::keystream_blocks`, whose bulk path
-//! runs the 8-block interleaved AES-NI pipeline when the runtime-selected
-//! crypto backend is hardware — so the simulated 40-cycle engine is backed
-//! by genuinely hardware-rate keystream generation.
+//! This module models only the *timing* of pad refill against the engine
+//! abstraction; no pad bytes are generated here. The functional pad is
+//! the CTR keystream inside `mgpu_crypto::gcm::AesGcm`, which the wire
+//! harness runs through `crate::channel::Endpoint`.
 
 use mgpu_crypto::engine::{AesEngine, PadTiming};
 use mgpu_types::{Cycle, Direction, Duration};

@@ -18,6 +18,7 @@ use crate::ewma::EwmaAllocator;
 use crate::otp::{OtpStats, PadWindow};
 use mgpu_crypto::engine::{AesEngine, PadTiming};
 use mgpu_types::{Cycle, DenseNodeMap, Direction, Duration, NodeId, OtpSchemeKind, SystemConfig};
+use std::collections::BTreeMap;
 
 /// Load-monitoring window width of load-triggered mode
 /// (`DynamicConfig::load_triggered`), in place of the fixed interval.
@@ -217,20 +218,21 @@ impl OtpScheme for DynamicScheme {
     }
 
     fn telemetry(&self) -> Option<SchemeTelemetry> {
-        Some(SchemeTelemetry {
+        // Built by insertion: one leaf allocation per map, where
+        // `collect` would buffer the pairs in a `Vec` first.
+        let mut t = SchemeTelemetry {
             send_weight: self.monitor.send_weight(),
             rebalances: self.rebalances,
-            send_depths: self
-                .send
-                .iter()
-                .map(|(peer, w)| (peer, w.depth()))
-                .collect(),
-            recv_depths: self
-                .recv
-                .iter()
-                .map(|(peer, w)| (peer, w.depth()))
-                .collect(),
-        })
+            send_depths: BTreeMap::new(),
+            recv_depths: BTreeMap::new(),
+        };
+        for (peer, w) in self.send.iter() {
+            t.send_depths.insert(peer, w.depth());
+        }
+        for (peer, w) in self.recv.iter() {
+            t.recv_depths.insert(peer, w.depth());
+        }
+        Some(t)
     }
 }
 

@@ -7,7 +7,7 @@
 //! accepted. These are the unit-level counterparts of the end-to-end
 //! `WireHarness` campaign in `mgpu-system`.
 
-use mgpu_secure::batching::{concat_macs, MacStorage, MsgMac};
+use mgpu_secure::batching::{MacStorage, MsgMac};
 use mgpu_secure::replay::ReplayGuard;
 use mgpu_types::NodeId;
 use proptest::prelude::*;
@@ -110,8 +110,8 @@ proptest! {
     ) {
         let src = NodeId::gpu(1);
         let mut s = storage_with(src, &shuffled(n, seed), mac_of);
-        let genuine = concat_macs(&(0..n).map(mac_of).collect::<Vec<_>>());
-        prop_assert!(s.complete(src, 0, n, |c| c == genuine).unwrap());
+        let genuine = (0..n).map(mac_of).collect::<Vec<_>>().concat();
+        prop_assert!(s.complete(src, 0, n, |c| *c == genuine).unwrap());
         prop_assert_eq!(s.pending(src, 0), 0);
         prop_assert_eq!(s.rejected_completions(), 0);
     }
@@ -125,17 +125,17 @@ proptest! {
     ) {
         let src = NodeId::gpu(1);
         let mut s = storage_with(src, &shuffled(n, seed), mac_of);
-        let genuine = concat_macs(&(0..n).map(mac_of).collect::<Vec<_>>());
+        let genuine = (0..n).map(mac_of).collect::<Vec<_>>().concat();
         // The trailer attests a concatenation that differs in one byte
         // (equivalently: one per-block MAC was flipped on the wire).
         let mut forged = genuine.clone();
         let pos = (pos_pick as usize) % forged.len();
         forged[pos] ^= xor;
-        prop_assert!(!s.complete(src, 0, n, |c| c == forged).unwrap());
+        prop_assert!(!s.complete(src, 0, n, |c| *c == forged).unwrap());
         // The slot survives the forgery, so the genuine trailer completes.
         prop_assert_eq!(s.pending(src, 0), n as usize);
         prop_assert_eq!(s.rejected_completions(), 1);
-        prop_assert!(s.complete(src, 0, n, |c| c == genuine).unwrap());
+        prop_assert!(s.complete(src, 0, n, |c| *c == genuine).unwrap());
     }
 
     #[test]
@@ -150,8 +150,8 @@ proptest! {
         // Blocks i and j arrive with swapped index labels.
         let swap = move |k: u32| mac_of(if k == i { j } else if k == j { i } else { k });
         let mut s = storage_with(src, &(0..n).collect::<Vec<_>>(), swap);
-        let genuine = concat_macs(&(0..n).map(mac_of).collect::<Vec<_>>());
-        prop_assert!(!s.complete(src, 0, n, |c| c == genuine).unwrap());
+        let genuine = (0..n).map(mac_of).collect::<Vec<_>>().concat();
+        prop_assert!(!s.complete(src, 0, n, |c| *c == genuine).unwrap());
         prop_assert_eq!(s.pending(src, 0), n as usize);
     }
 
@@ -164,12 +164,12 @@ proptest! {
         prop_assume!(wrong != n);
         let src = NodeId::gpu(1);
         let mut s = storage_with(src, &shuffled(n, seed), mac_of);
-        let genuine = concat_macs(&(0..n).map(mac_of).collect::<Vec<_>>());
+        let genuine = (0..n).map(mac_of).collect::<Vec<_>>().concat();
         prop_assert!(s.complete(src, 0, wrong, |_| true).is_err());
         // Length mismatch must not discard the stored MACs (a forged
         // trailer would otherwise permanently block the genuine one).
         prop_assert_eq!(s.pending(src, 0), n as usize);
         prop_assert_eq!(s.rejected_completions(), 1);
-        prop_assert!(s.complete(src, 0, n, |c| c == genuine).unwrap());
+        prop_assert!(s.complete(src, 0, n, |c| *c == genuine).unwrap());
     }
 }

@@ -3,15 +3,17 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up phase (which grows every reusable buffer and dense-table slot to
-//! its steady-state size), the unbatched seal → open → ACK round trip and
-//! the batched seal → open → trailer → ACK path must both perform exactly
-//! zero heap allocations: a closed batch is a count, and each peer's
-//! batched-MAC input lives in a buffer the endpoint reuses.
+//! its steady-state size), the unbatched `seal_block` → `open_block` → ACK
+//! round trip and the batched `seal_batched_block` → `open_batched_block`
+//! → `accept_trailer` → ACK path must both perform exactly zero heap
+//! allocations: blocks travel by value as 64-byte arrays, a closed batch
+//! is a count, and each peer's batched-MAC input lives in a buffer the
+//! endpoint seals in place and reuses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mgpu_secure::channel::{Endpoint, WireBlock, BLOCK_SIZE};
+use mgpu_secure::channel::{Endpoint, BLOCK_SIZE};
 use mgpu_secure::key_exchange::KeyExchange;
 use mgpu_types::NodeId;
 
@@ -68,37 +70,24 @@ fn pair() -> (Endpoint, Endpoint) {
     )
 }
 
-fn empty_wire(sender: NodeId, receiver: NodeId) -> WireBlock {
-    WireBlock {
-        sender,
-        receiver,
-        counter: 0,
-        ciphertext: Vec::new(),
-        mac: None,
-        batch: None,
-    }
-}
-
 #[test]
 fn unbatched_roundtrip_is_allocation_free_after_warmup() {
     let (mut a, mut b) = pair();
-    let mut wire = empty_wire(a.id(), b.id());
-    let mut plaintext = Vec::new();
     let block = [0x5A; BLOCK_SIZE];
 
-    // Warm-up: grows the ciphertext/plaintext buffers, the dense per-peer
-    // tables, and the replay guard's outstanding vectors.
+    // Warm-up: grows the dense per-peer tables and the replay guard's
+    // outstanding vectors.
     for _ in 0..16 {
-        a.seal_block_into(b.id(), &block, &mut wire);
-        let ack = b.open_block_into(&wire, &mut plaintext).expect("authentic");
+        let wire = a.seal_block(b.id(), &block);
+        let (_, ack) = b.open_block(&wire).expect("authentic");
         a.accept_ack(&ack).expect("fresh");
     }
 
     let before = alloc_count();
     for i in 0..1000u64 {
-        a.seal_block_into(b.id(), &block, &mut wire);
-        let ack = b.open_block_into(&wire, &mut plaintext).expect("authentic");
-        assert_eq!(plaintext[0], 0x5A, "round {i} decrypted correctly");
+        let wire = a.seal_block(b.id(), &block);
+        let (plaintext, ack) = b.open_block(&wire).expect("authentic");
+        assert_eq!(plaintext, block, "round {i} decrypted correctly");
         a.accept_ack(&ack).expect("fresh");
     }
     let allocations = alloc_count() - before;
@@ -111,8 +100,6 @@ fn unbatched_roundtrip_is_allocation_free_after_warmup() {
 #[test]
 fn batched_roundtrip_is_allocation_free_after_warmup() {
     let (mut a, mut b) = pair();
-    let mut wire = empty_wire(a.id(), b.id());
-    let mut plaintext = Vec::new();
     let block = [0xC3; BLOCK_SIZE];
     let batch_size = 16u64;
 
@@ -120,10 +107,8 @@ fn batched_roundtrip_is_allocation_free_after_warmup() {
     // per-peer batched-MAC input and every scratch buffer reach steady
     // state.
     for _ in 0..4 * batch_size {
-        let trailer = a.seal_batched_block_into(b.id(), &block, &mut wire);
-        let ack = b
-            .open_batched_block_into(&wire, &mut plaintext)
-            .expect("stored");
+        let (wire, trailer) = a.seal_batched_block(b.id(), &block);
+        let (_, ack) = b.open_batched_block(&wire).expect("stored");
         assert!(ack.is_none(), "trailer not yet seen");
         if let Some(t) = trailer {
             let ack = b.accept_trailer(&t).expect("verifies").expect("complete");
@@ -134,10 +119,9 @@ fn batched_roundtrip_is_allocation_free_after_warmup() {
     let batches = 64u64;
     let before = alloc_count();
     for _ in 0..batches * batch_size {
-        let trailer = a.seal_batched_block_into(b.id(), &block, &mut wire);
-        let ack = b
-            .open_batched_block_into(&wire, &mut plaintext)
-            .expect("stored");
+        let (wire, trailer) = a.seal_batched_block(b.id(), &block);
+        let (plaintext, ack) = b.open_batched_block(&wire).expect("stored");
+        assert_eq!(plaintext, block);
         assert!(ack.is_none());
         if let Some(t) = trailer {
             let ack = b.accept_trailer(&t).expect("verifies").expect("complete");
@@ -146,8 +130,8 @@ fn batched_roundtrip_is_allocation_free_after_warmup() {
     }
     let allocations = alloc_count() - before;
     // Neither the per-block path nor a batch close allocates: the closed
-    // batch carries only its id and length, and the batched-MAC input is
-    // cleared and refilled in place.
+    // batch carries only its id and length, and both ends seal the
+    // batched-MAC input in place in a buffer they reuse.
     assert_eq!(
         allocations,
         0,

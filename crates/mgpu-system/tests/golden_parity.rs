@@ -11,7 +11,7 @@
 
 use mgpu_system::runner::configs;
 use mgpu_system::{RunReport, Simulation};
-use mgpu_types::{Duration, ObservabilityConfig, SystemConfig, TopologyKind};
+use mgpu_types::{AdversaryConfig, Duration, ObservabilityConfig, SystemConfig, TopologyKind};
 use mgpu_workloads::{ArrivalProcess, Benchmark, ServingModel};
 
 /// (scheme label, benchmark, total cycles, total wire bytes).
@@ -292,19 +292,21 @@ fn suite_digest_pins_204_cells_bit_for_bit() {
     );
 }
 
-/// Crypto-backend parity: the entire 12-cell golden matrix must be
-/// bit-for-bit identical whether the functional crypto runs on the
-/// software T-table/Shoup paths or the hardware AES-NI/PCLMULQDQ paths.
-/// The backends are property-tested equal primitive-by-primitive in
+/// Crypto-backend parity: the entire 12-cell golden matrix, run under an
+/// active adversary so every block also crosses the functional AES-GCM
+/// channel, must produce bit-for-bit identical reports (security log
+/// included) whether the functional crypto runs on the software
+/// T-table/Shoup paths or the hardware AES-NI/PCLMULQDQ paths. The
+/// backends are property-tested equal primitive-by-primitive in
 /// `mgpu-crypto`; this asserts the end-to-end claim at the system level —
-/// every pad, GCM seal, and batch-trailer MAC included. On hosts without
-/// the hardware features both halves run soft and the test degenerates to
-/// the plain golden check.
+/// every GCM seal, lazy decryption and batch-trailer MAC included. On
+/// hosts without the hardware features both halves run soft.
 #[test]
 fn crypto_backends_reproduce_identical_golden_matrix() {
     use mgpu_crypto::backend::{set_default_backend, Backend};
 
-    let base = SystemConfig::paper_4gpu();
+    let mut base = SystemConfig::paper_4gpu();
+    base.adversary = AdversaryConfig::active(100);
     let cfgs = scheme_matrix(&base);
     let auto = if Backend::HwAesClmul.is_available() {
         Backend::HwAesClmul
@@ -317,6 +319,10 @@ fn crypto_backends_reproduce_identical_golden_matrix() {
             let soft = run_cell(cfg, bench);
             set_default_backend(auto);
             let hw = run_cell(cfg, bench);
+            assert!(
+                soft.security.total_injected() > 0,
+                "{label} / {bench:?}: the adversary never struck"
+            );
             assert_eq!(
                 format!("{soft:?}"),
                 format!("{hw:?}"),

@@ -184,11 +184,10 @@ fn a_timeseries_sample_allocates_only_its_rows() {
     }
     let per_sample = (alloc_count() - before) as f64 / 1_000.0;
     // Per boundary on 5 nodes and 5 ports: each node row's two
-    // window-depth maps (the scheme's telemetry collects each through a
-    // `Vec`, so 2 allocations per map) and each port row's label — 25 —
-    // plus the amortized growth of the sample vectors.
+    // window-depth maps (one leaf node each) and each port row's label —
+    // 15 — plus the amortized growth of the sample vectors.
     assert!(
-        per_sample <= 26.0,
+        per_sample <= 15.1,
         "one sample allocated {per_sample} times on average"
     );
 }
