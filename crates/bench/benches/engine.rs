@@ -4,9 +4,16 @@
 //! queue (with the [`HeapEventQueue`] oracle as an ungated line beside
 //! it), whole simulation cells, one node's NIC/OTP-scheme layer, the
 //! fabric's [`TimedServer`], [`Hbm`], [`IssuePacer`] and the
-//! observability layer's [`TimeSeriesCollector`].
+//! observability layer's [`TimeSeriesCollector`]. Three ungated lines
+//! time the OTP and batching primitives under the NIC layer alone: a
+//! [`PadWindow`] use, an [`EwmaAllocator`] interval close and a
+//! [`SenderBatcher`] block add.
 
 use bench::layer_rate;
+use mgpu_crypto::engine::AesEngine;
+use mgpu_secure::batching::SenderBatcher;
+use mgpu_secure::ewma::EwmaAllocator;
+use mgpu_secure::otp::PadWindow;
 use mgpu_sim::dram::Hbm;
 use mgpu_sim::events::{EventQueue, HeapEventQueue};
 use mgpu_sim::link::{TrafficClass, WireParts};
@@ -55,6 +62,7 @@ fn main() {
     hbm_churn();
     pacer_churn();
     timeseries_sample();
+    otp_primitives();
 }
 
 /// [`CHURN_OPS`] pop+schedule pairs on a queue holding [`BACKLOG`]
@@ -157,6 +165,68 @@ fn otp_layer() {
             },
         );
     }
+}
+
+/// Interval closes per timed EWMA run.
+const CLOSES: u64 = 10_000;
+
+/// The primitives under the OTP-scheme layer, ungated: [`CHURN_OPS`]
+/// pad uses on a depth-4 window behind a 40-cycle AES engine, one use
+/// every 7 cycles; [`CLOSES`] Dynamic interval closes over 16 peers,
+/// each after a busy interval (peer `i` sends `3i` blocks) so none is
+/// an idle close; and [`CHURN_OPS`] block adds to a 16-block batch
+/// toward one peer, one every 2 cycles, so every 16th add closes it.
+fn otp_primitives() {
+    layer_rate(
+        "pad-window-use",
+        "uses",
+        CHURN_OPS,
+        || {
+            let mut engine = AesEngine::new(Duration::cycles(40));
+            let window = PadWindow::new(4, Cycle::ZERO, &mut engine);
+            (engine, window)
+        },
+        |(engine, window)| {
+            let mut now = Cycle::ZERO;
+            for _ in 0..CHURN_OPS {
+                now += Duration::cycles(7);
+                black_box(window.use_pad(now, engine));
+            }
+        },
+    );
+    let peers: Vec<NodeId> = NodeId::gpu(1).peers(16).collect();
+    layer_rate(
+        "ewma-end-interval",
+        "closes",
+        CLOSES,
+        || {
+            let mon = EwmaAllocator::new(&peers, 0.9, 0.5).with_floor(2);
+            (mon, vec![0; peers.len()], vec![0; peers.len()])
+        },
+        |(mon, send, recv)| {
+            for _ in 0..CLOSES {
+                for (i, &p) in peers.iter().enumerate() {
+                    for _ in 0..i * 3 {
+                        mon.observe_send(p);
+                    }
+                }
+                mon.end_interval(black_box(128), send, recv);
+            }
+        },
+    );
+    layer_rate(
+        "batcher-add-block",
+        "blocks",
+        CHURN_OPS,
+        || SenderBatcher::new(16, Duration::cycles(160)),
+        |batcher| {
+            let mut now = Cycle::ZERO;
+            for _ in 0..CHURN_OPS {
+                now += Duration::cycles(2);
+                black_box(batcher.add_block(now, NodeId::gpu(2)));
+            }
+        },
+    );
 }
 
 /// Messages of 64-112 B arrive every 2-4 cycles at a 50 B/cy port with

@@ -1,13 +1,14 @@
 //! Benchmarks for the secure multi-GPU workspace, and the one timing
-//! helper behind every gated throughput line.
+//! helper behind every bench line.
 //!
-//! Three bench targets live under `benches/`: `micro` (Criterion
-//! microbenchmarks of the core primitives), `crypto` (the
-//! software-vs-hardware crypto A/B) and `engine` (one rate per simulator
-//! layer). Every gated line is timed by [`layer_rate`] and printed as a
-//! [`layer_line`]; CI's bench-smoke step reads only those lines and fails
-//! when a value falls more than 30 % below its floor in
-//! `crates/bench/engine-floor.txt`.
+//! Two bench targets live under `benches/`: `engine` (one rate per
+//! simulator layer, plus the OTP and batching primitives) and `crypto`
+//! (each crypto primitive on each backend, and the software-vs-hardware
+//! ratios). Every line either is timed by [`layer_rate`] or, for a ratio
+//! of two timed lines, is printed by [`layer_line`]. CI's bench-smoke step
+//! reads those lines and fails when a labelled value falls more than 30 %
+//! below its floor in `crates/bench/engine-floor.txt`; lines without a
+//! floor print ungated.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,7 +25,7 @@ pub fn layer_line(label: &str, value: f64, unit: &str) -> String {
     format!("layer-rate {label} {value:.2} {unit}")
 }
 
-/// Times `body` on a fresh `setup()` state [`RUNS`] times, prints the best
+/// Times `body` on a fresh `setup()` state five times, prints the best
 /// rate as a [`layer_line`] in `unit`s per second and returns it.
 ///
 /// `work` is what one call of `body` does, in `unit`s. Only `body` is

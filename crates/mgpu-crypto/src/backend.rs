@@ -2,8 +2,9 @@
 //! portable software implementations.
 //!
 //! Every functional primitive in this crate — AES-128 block encryption
-//! ([`crate::aes`]), CTR keystream / OTP pad generation ([`crate::ctr`]),
-//! GHASH ([`crate::ghash`]) and the AES-GCM composition ([`crate::gcm`]) —
+//! ([`crate::aes`], including the multi-block calls behind GCM's CTR
+//! keystream), GHASH ([`crate::ghash`]) and the AES-GCM composition
+//! ([`crate::gcm`]) —
 //! dispatches through a [`Backend`] chosen here. The two backends are
 //! bit-for-bit equivalent (property-tested against each other and against
 //! the NIST vectors), so the choice only changes throughput:

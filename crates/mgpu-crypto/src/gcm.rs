@@ -131,8 +131,9 @@ impl AesGcm {
 
     /// Encrypts `buf` in place and returns the 16-byte tag.
     ///
-    /// `aad` is authenticated but not encrypted — the protocol uses it for
-    /// message headers (sender ID, counter) that must travel in the clear.
+    /// `aad` is authenticated but not encrypted. The secure channel passes
+    /// an empty one: its clear header (sender, receiver, counter) is the
+    /// nonce, which GCM already binds to the keystream and the tag.
     /// The protocol layer truncates the tag to its 8 B `MsgMAC`; GCM
     /// explicitly supports 64-bit tags (SP 800-38D §5.2.1.2).
     #[must_use]

@@ -39,7 +39,7 @@ pub enum Mode {
     Full,
     /// Reduced size for benchmarking/CI smoke runs.
     Quick,
-    /// Minimal size for Criterion timing loops.
+    /// Minimal size, for unit tests that run whole experiments.
     Bench,
 }
 

@@ -180,8 +180,9 @@ impl Endpoint {
     }
 
     /// The GCM nonce of a message on the `sender → receiver` stream: its
-    /// pad seed. The same 12 bytes are the message's AAD, which binds the
-    /// clear header (sender, receiver, counter) to its MAC.
+    /// pad seed. GCM keys both the keystream and the tag mask E_K(J0) to
+    /// the nonce, so the MAC binds the clear header (sender, receiver,
+    /// counter) without any AAD: every seal and open passes an empty one.
     fn nonce(sender: NodeId, receiver: NodeId, counter: u64) -> [u8; 12] {
         PadSeed::new(sender.raw(), receiver.raw(), counter).to_nonce()
     }
@@ -194,7 +195,7 @@ impl Endpoint {
         let mut ciphertext = *block;
         let tag = self
             .gcm_for(peer)
-            .seal_in_place(&nonce, &nonce, &mut ciphertext);
+            .seal_in_place(&nonce, &[], &mut ciphertext);
         let wire = WireBlock {
             sender: self.id,
             receiver: peer,
@@ -239,7 +240,7 @@ impl Endpoint {
         // genuine message by sending garbage ahead of it.
         let mut plaintext = wire.ciphertext;
         self.gcm_for(wire.sender)
-            .open_in_place(&nonce, &nonce, &mut plaintext, &mac)
+            .open_in_place(&nonce, &[], &mut plaintext, &mac)
             .map_err(|_| MgpuError::AuthenticationFailed {
                 context: format!(
                     "block MAC mismatch from {} at counter {}",
@@ -371,7 +372,7 @@ impl Endpoint {
         concat: &mut [u8],
     ) -> MsgMac {
         let nonce = Self::nonce(sender, receiver, id | BATCH_NONCE_BIT);
-        let tag = gcm.seal_in_place(&nonce, &nonce, concat);
+        let tag = gcm.seal_in_place(&nonce, &[], concat);
         tag[..8].try_into().expect("8-byte prefix")
     }
 
@@ -403,9 +404,9 @@ impl Endpoint {
         let nonce = Self::nonce(wire.sender, self.id, wire.counter);
         // Lazy verification: decrypt now, verify when the batch completes.
         let mut plaintext = wire.ciphertext;
-        let tag =
-            self.gcm_for(wire.sender)
-                .decrypt_and_tag_in_place(&nonce, &nonce, &mut plaintext);
+        let tag = self
+            .gcm_for(wire.sender)
+            .decrypt_and_tag_in_place(&nonce, &[], &mut plaintext);
         let mac: MsgMac = tag[..8].try_into().expect("8-byte prefix");
         self.storage
             .store_block(wire.sender, batch_id, index, mac)?;
@@ -600,6 +601,16 @@ mod tests {
     }
 
     #[test]
+    fn altered_counter_fails_the_block_mac() {
+        // No AAD: the clear counter is bound through the nonce alone.
+        let (mut a, mut b) = pair();
+        let mut wire = a.seal_block(b.id(), &[1; 64]);
+        wire.counter += 1;
+        let err = b.open_block(&wire).unwrap_err();
+        assert!(matches!(err, MgpuError::AuthenticationFailed { .. }));
+    }
+
+    #[test]
     fn replayed_block_is_rejected() {
         let (mut a, mut b) = pair();
         let wire = a.seal_block(b.id(), &[1; 64]);
@@ -680,6 +691,19 @@ mod tests {
         for wire in &wires {
             // Lazy: decryption always "succeeds" — tampering surfaces at
             // batch completion, not here.
+            b.open_batched_block(wire).unwrap();
+        }
+        let err = b.accept_trailer(&trailer).unwrap_err();
+        assert!(matches!(err, MgpuError::AuthenticationFailed { .. }));
+    }
+
+    #[test]
+    fn altered_batched_counter_fails_the_trailer() {
+        let (mut a, mut b) = pair();
+        let blocks: Vec<[u8; 64]> = (0..4u8).map(|i| [i; 64]).collect();
+        let (mut wires, trailer) = a.seal_batch(b.id(), &blocks);
+        wires[1].counter += 100;
+        for wire in &wires {
             b.open_batched_block(wire).unwrap();
         }
         let err = b.accept_trailer(&trailer).unwrap_err();

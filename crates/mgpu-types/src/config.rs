@@ -457,6 +457,12 @@ impl Default for SecurityConfig {
     }
 }
 
+/// Most OTP buffer entries a valid config gives one node
+/// ([`SystemConfig::total_otp_buffers_per_node`]). Every pad is allocated
+/// up front, so a larger pool is a config error, not a slow run; the
+/// largest any experiment uses is 1,024 (128 GPUs at OTP 4x).
+const MAX_OTP_BUFFERS_PER_NODE: u32 = 65_536;
+
 /// Full simulated-system configuration (paper Table III).
 ///
 /// # Examples
@@ -581,6 +587,16 @@ impl SystemConfig {
         if self.security.otp_multiplier == 0 {
             return Err(ConfigError::new("otp_multiplier must be >= 1"));
         }
+        // At most 65,535 peers, so only the multiplier can overflow.
+        let pool = (self.peers_per_node() * 2).checked_mul(self.security.otp_multiplier);
+        if pool.is_none_or(|n| n > MAX_OTP_BUFFERS_PER_NODE) {
+            return Err(ConfigError::new(format!(
+                "{} peers x 2 x otp_multiplier {} exceeds {MAX_OTP_BUFFERS_PER_NODE} \
+                 OTP buffers per node",
+                self.peers_per_node(),
+                self.security.otp_multiplier
+            )));
+        }
         if self.max_outstanding == 0 {
             return Err(ConfigError::new("max_outstanding must be >= 1"));
         }
@@ -691,6 +707,22 @@ mod tests {
         cfg.security.defense.close_jitter = true;
         cfg.security.defense.jitter_bound = Duration::ZERO;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_otp_pool() {
+        let with = |mut cfg: SystemConfig, multiplier| {
+            cfg.security.otp_multiplier = multiplier;
+            cfg.validate()
+        };
+        // Overflows u32, and a pool far past any experiment's.
+        assert!(with(SystemConfig::paper_4gpu(), u32::MAX).is_err());
+        assert!(with(SystemConfig::paper_4gpu(), 1 << 20).is_err());
+        // Fig. 8's largest pool (4 GPUs at 16x) and the 128-GPU sweep's.
+        with(SystemConfig::paper_4gpu(), 16).unwrap();
+        let mut big = SystemConfig::paper_4gpu();
+        big.gpu_count = 128;
+        with(big.with_topology(TopologyKind::Switch { radix: 4 }), 4).unwrap();
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl TrafficModel {
 
     /// Generates `count` remote requests for `requester`.
     ///
-    /// Page-migration bursts emit a single [`AccessKind::PageMigration`]
+    /// Page-migration bursts emit a single [`crate::AccessKind::PageMigration`]
     /// request (64 blocks at the transport level); direct bursts emit one
     /// request per block.
     #[must_use]
