@@ -62,6 +62,8 @@ fn main() {
     hbm_churn();
     pacer_churn();
     timeseries_sample();
+    // Ungated, so last: the gated lines keep the order their floors were
+    // taken in.
     otp_primitives();
 }
 
