@@ -7,7 +7,8 @@
 //! observability layer's [`TimeSeriesCollector`]. Three ungated lines
 //! time the OTP and batching primitives under the NIC layer alone: a
 //! [`PadWindow`] use, an [`EwmaAllocator`] interval close and a
-//! [`SenderBatcher`] block add.
+//! [`SenderBatcher`] block add. A last ungated line times
+//! [`LatencyReport::finish`], the sort that ends every run.
 
 use bench::layer_rate;
 use mgpu_crypto::engine::AesEngine;
@@ -22,7 +23,7 @@ use mgpu_sim::{TimedServer, Topology};
 use mgpu_system::node::SecureNic;
 use mgpu_system::pacing::IssuePacer;
 use mgpu_system::runner::configs;
-use mgpu_system::{Reject, Simulation, TimeSeriesCollector};
+use mgpu_system::{LatencyReport, Reject, Simulation, TimeSeriesCollector};
 use mgpu_types::{
     ByteSize, Cycle, DenseNodeMap, Duration, NodeId, ObservabilityConfig, PairId, SystemConfig,
     TopologyKind,
@@ -65,6 +66,7 @@ fn main() {
     // Ungated, so last: the gated lines keep the order their floors were
     // taken in.
     otp_primitives();
+    latency_finish();
 }
 
 /// [`CHURN_OPS`] pop+schedule pairs on a queue holding [`BACKLOG`]
@@ -356,5 +358,47 @@ fn timeseries_sample() {
                 collector.sample(Cycle::new(i % 64), nics, topo);
             }
         },
+    );
+}
+
+/// Requests in the latency report [`latency_finish`] sorts: a 16-GPU
+/// cell at 1,000 requests per GPU.
+const FINISH_REQUESTS: u64 = 16_000;
+
+/// [`LatencyReport::finish`] on one 16-GPU cell's samples, in requests
+/// per second, ungated. The samples are shaped like that cell's: service
+/// latencies of a few hundred cycles with a sparse tail out to about
+/// 34,000 cycles, total latencies up to 64 cycles longer, recorded in
+/// completion order (scrambled by a xorshift sequence).
+fn latency_finish() {
+    layer_rate(
+        "latency-finish-16k",
+        "requests",
+        FINISH_REQUESTS,
+        || {
+            let mut report = LatencyReport::with_capacity(FINISH_REQUESTS as usize);
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..FINISH_REQUESTS {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let tail = if x.is_multiple_of(64) {
+                    (x >> 16) % 34_000
+                } else {
+                    0
+                };
+                let service = 250 + (x >> 40) % 500 + tail;
+                let queued = (x >> 8) % 64;
+                let done = Cycle::new(100_000);
+                report.record(
+                    Cycle::new(done.as_u64() - service - queued),
+                    Cycle::new(done.as_u64() - service),
+                    done,
+                    None,
+                );
+            }
+            report
+        },
+        LatencyReport::finish,
     );
 }

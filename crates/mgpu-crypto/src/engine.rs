@@ -86,12 +86,14 @@ impl AesEngine {
 
     /// The configured pipeline latency.
     #[must_use]
+    #[inline]
     pub fn latency(&self) -> Duration {
         self.latency
     }
 
     /// Issues one pad generation at time `now` (or as soon after as the
     /// issue port allows) and returns the cycle at which the pad is ready.
+    #[inline]
     pub fn issue(&mut self, now: Cycle) -> Cycle {
         let start = now.max(self.next_issue);
         self.next_issue = start + Duration::cycles(1);

@@ -110,6 +110,21 @@ fn git_dirty() -> Option<bool> {
         .map(|out| !out.stdout.is_empty())
 }
 
+/// The host's CPU model name from `/proc/cpuinfo` (its first
+/// `model name` line), or `"unknown"` where there is none.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .filter(|model| !model.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn json_escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
@@ -237,6 +252,12 @@ fn bench_json(
     ));
     out.push_str(&format!("  \"mode\": \"{mode_name}\",\n"));
     out.push_str(&format!("  \"total_seconds\": {total_seconds:.3},\n"));
+    let cores =
+        std::thread::available_parallelism().map_or_else(|_| "null".to_string(), |n| n.to_string());
+    out.push_str(&format!(
+        "  \"host\": {{\"cores\": {cores}, \"cpu_model\": \"{}\"}},\n",
+        json_escape(&cpu_model())
+    ));
     out.push_str(&format!(
         "  \"crypto_backend\": \"{}\",\n",
         mgpu_crypto::backend::default_backend().name()

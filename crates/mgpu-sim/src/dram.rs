@@ -46,6 +46,7 @@ impl Hbm {
 
     /// Services an access of `size` bytes arriving at `now`; returns the
     /// completion time. Requests serialize on the device's data bus.
+    #[inline]
     pub fn access(&mut self, now: Cycle, size: ByteSize) -> Cycle {
         let start = now.max(self.next_free);
         let occupancy = Duration::cycles(

@@ -165,6 +165,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is earlier than the current simulation time — an
     /// event cannot fire in the past.
+    #[inline]
     pub fn schedule(&mut self, time: Cycle, event: E) {
         assert!(
             time >= self.now,
@@ -176,11 +177,19 @@ impl<E> EventQueue<E> {
         if time.as_u64() < self.horizon {
             self.push_wheel(time, event);
         } else {
-            self.overflow.push(Entry { time, seq, event });
+            self.push_overflow(Entry { time, seq, event });
         }
     }
 
+    /// Parks a far-future event in the overflow heap.
+    #[cold]
+    #[inline(never)]
+    fn push_overflow(&mut self, entry: Entry<E>) {
+        self.overflow.push(entry);
+    }
+
     /// Appends an event to the tail of its bucket's list.
+    #[inline]
     fn push_wheel(&mut self, time: Cycle, event: E) {
         let slot = Slot {
             time,
@@ -213,6 +222,7 @@ impl<E> EventQueue<E> {
     /// `[now, now + WHEEL_SPAN)`, so the first set bit found walking the
     /// bitmap cyclically from the clock's bucket is the earliest time.
     /// Requires a non-empty wheel.
+    #[inline]
     fn first_bucket(&self) -> usize {
         let start = (self.now.as_u64() & WHEEL_MASK) as usize;
         let word = start / 64;
@@ -233,41 +243,64 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.wheel_len > 0 {
-            // The wheel always wins: every wheel entry is earlier than the
-            // horizon, every overflow entry at or past it.
-            let b = self.first_bucket();
-            let idx = self.heads[b];
-            let slot = &mut self.slots[idx as usize];
-            let (time, next) = (slot.time, slot.next);
-            let event = slot.event.take().expect("listed slot holds an event");
-            slot.next = self.free;
-            self.free = idx;
-            self.heads[b] = next;
-            if next == NIL {
-                self.occupied[b / 64] &= !(1 << (b % 64));
-            }
-            self.wheel_len -= 1;
-            self.now = time;
-            self.migrate();
-            return Some((time, event));
+        if self.wheel_len == 0 {
+            return self.pop_overflow();
         }
+        // The wheel always wins: every wheel entry is earlier than the
+        // horizon, every overflow entry at or past it.
+        let b = self.first_bucket();
+        let idx = self.heads[b];
+        let slot = &mut self.slots[idx as usize];
+        let (time, next) = (slot.time, slot.next);
+        let event = slot.event.take().expect("listed slot holds an event");
+        slot.next = self.free;
+        self.free = idx;
+        self.heads[b] = next;
+        if next == NIL {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.wheel_len -= 1;
+        self.advance_to(time);
+        Some((time, event))
+    }
+
+    /// Pops the earliest overflow event once the wheel has run dry.
+    #[cold]
+    #[inline(never)]
+    fn pop_overflow(&mut self) -> Option<(Cycle, E)> {
         let entry = self.overflow.pop()?;
-        self.now = entry.time;
-        self.migrate();
+        self.advance_to(entry.time);
         Some((entry.time, entry.event))
     }
 
-    /// Moves overflow events the advancing horizon now covers into their
+    /// Moves the clock to `time` and the horizon with it, migrating the
+    /// overflow events the horizon now covers. Most pops stay in the
+    /// clock's cycle or leave the overflow untouched, so the migration
+    /// itself is out of line.
+    #[inline]
+    fn advance_to(&mut self, time: Cycle) {
+        self.now = time;
+        let new_horizon = time.as_u64() + WHEEL_SPAN;
+        if new_horizon > self.horizon {
+            self.horizon = new_horizon;
+            if self
+                .overflow
+                .peek()
+                .is_some_and(|e| e.time.as_u64() < new_horizon)
+            {
+                self.migrate();
+            }
+        }
+    }
+
+    /// Moves overflow events the advanced horizon now covers into their
     /// buckets. The heap yields them `(time, seq)` ascending, so each
     /// bucket receives its migrants in sequence order.
+    #[cold]
+    #[inline(never)]
     fn migrate(&mut self) {
-        let new_horizon = self.now.as_u64() + WHEEL_SPAN;
-        if new_horizon <= self.horizon {
-            return;
-        }
-        self.horizon = new_horizon;
         while self
             .overflow
             .peek()

@@ -106,6 +106,7 @@ impl WireParts {
     ///
     /// Panics if `bytes` exceeds `u16::MAX`.
     #[must_use]
+    #[inline]
     pub fn of(bytes: ByteSize, class: TrafficClass) -> Self {
         let mut parts = WireParts::new();
         parts.push(bytes, class);
@@ -118,6 +119,7 @@ impl WireParts {
     ///
     /// Panics if the list already holds [`WireParts::CAPACITY`] parts, or
     /// if `bytes` exceeds `u16::MAX`.
+    #[inline]
     pub fn push(&mut self, bytes: ByteSize, class: TrafficClass) {
         let slot = usize::from(self.len);
         assert!(slot < WireParts::CAPACITY, "wire part capacity exceeded");
@@ -173,6 +175,7 @@ impl TrafficTotals {
     }
 
     /// Adds `bytes` to `class`.
+    #[inline]
     pub fn add(&mut self, class: TrafficClass, bytes: ByteSize) {
         self.counts[Self::index(class)] += bytes.as_u64();
     }

@@ -104,6 +104,7 @@ impl RoutingTable {
     ///
     /// Panics if `pair` references a node outside the system.
     #[must_use]
+    #[inline]
     pub fn route(&self, pair: PairId) -> &[Waypoint] {
         self.routes.get(pair).expect("pair within system")
     }
@@ -114,6 +115,7 @@ impl RoutingTable {
     ///
     /// Panics if `pair` references a node outside the system.
     #[must_use]
+    #[inline]
     pub fn hops(&self, pair: PairId) -> usize {
         self.route(pair).len() - 1
     }

@@ -115,6 +115,7 @@ impl TimedServer {
     /// starting no earlier than `now` and returns when the last byte has
     /// left and propagated. Accounts no bytes — ingress ports use this,
     /// their bytes were counted at the egress they left.
+    #[inline]
     pub fn occupy(&mut self, now: Cycle, bytes: ByteSize) -> Cycle {
         let bw = u128::from(self.bytes_per_cycle);
         let begin = (u128::from(now.as_u64()) * bw).max(self.next_free_bt);
@@ -133,6 +134,7 @@ impl TimedServer {
     /// Serves a single-class message of `bytes` at `now`, accounting the
     /// bytes to `class`. Returns the cycle the last byte clears the
     /// server.
+    #[inline]
     pub fn serve(&mut self, now: Cycle, bytes: ByteSize, class: TrafficClass) -> Cycle {
         self.totals.add(class, bytes);
         self.served_bytes += bytes.as_u64();
@@ -142,6 +144,7 @@ impl TimedServer {
     /// Serves a multi-part message at `now`: one booked transmission of
     /// all parts together, with per-class byte accounting. Returns the
     /// cycle the last byte clears the server.
+    #[inline]
     pub fn serve_parts(&mut self, now: Cycle, parts: &WireParts) -> Cycle {
         for (bytes, class) in parts.iter() {
             self.totals.add(class, bytes);
@@ -335,6 +338,60 @@ mod tests {
         assert_eq!(bare.totals(), kept.totals());
         assert_eq!(bare.occupancy(Cycle::new(1_500)), None);
         assert!(kept.occupancy(Cycle::new(1_500)).is_some());
+    }
+
+    /// The booking formula spelled out: the byte-tick cursor starts at
+    /// `max(now * bw, cursor)`, advances by `bytes`, and the booking ends
+    /// in cycle `ceil(cursor / bw)`. Returns that cycle (a zero-latency
+    /// port's completion).
+    fn u128_booking(cursor: &mut u128, bw: u32, now: u64, bytes: u64) -> u64 {
+        let bw = u128::from(bw);
+        let begin = (u128::from(now) * bw).max(*cursor);
+        *cursor = begin + u128::from(bytes);
+        cursor.div_ceil(bw) as u64
+    }
+
+    #[test]
+    fn bookings_cross_the_u64_cursor_boundary_exactly() {
+        // A 50 B/cy port whose cursor starts 116 byte-ticks short of
+        // 2^64: the second 64 B booking ends past it.
+        let now = (u64::MAX - 99) / 50;
+        let (mut srv, mut cursor) = (TimedServer::new(50, Duration::ZERO), 0u128);
+        for _ in 0..4 {
+            let want = u128_booking(&mut cursor, 50, now, 64);
+            assert_eq!(
+                srv.occupy(Cycle::new(now), ByteSize::new(64)),
+                Cycle::new(want)
+            );
+            assert_eq!(srv.next_free(), Cycle::new(want));
+        }
+        assert!(cursor > u128::from(u64::MAX));
+    }
+
+    mod prop_tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Bookings starting just below `u64::MAX / bw`, so the
+            /// byte-tick cursor runs from below 2^64 to past it, follow
+            /// the formula booking by booking.
+            #[test]
+            fn bookings_match_the_u128_formula_across_2_pow_64(
+                bw in 1u32..1_024,
+                back in 0u64..4_096,
+                ops in proptest::collection::vec((0u64..64, 0u64..4_096), 1..200)
+            ) {
+                let mut now = (u64::MAX / u64::from(bw)).saturating_sub(back);
+                let (mut srv, mut cursor) = (TimedServer::new(bw, Duration::ZERO), 0u128);
+                for &(gap, bytes) in &ops {
+                    now = now.saturating_add(gap);
+                    let want = u128_booking(&mut cursor, bw, now, bytes);
+                    prop_assert_eq!(srv.occupy(Cycle::new(now), ByteSize::new(bytes)), Cycle::new(want));
+                    prop_assert_eq!(srv.next_free(), Cycle::new(want));
+                }
+            }
+        }
     }
 
     #[test]

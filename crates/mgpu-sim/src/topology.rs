@@ -186,6 +186,7 @@ impl Topology {
     }
 
     /// The egress port of waypoint `w` (hot path: O(1) dense index).
+    #[inline]
     fn egress_mut(&mut self, w: Waypoint) -> &mut TimedServer {
         match w {
             Waypoint::Node(n) => self.node_egress.get_mut(n).expect("waypoint within fabric"),
@@ -197,6 +198,7 @@ impl Topology {
     }
 
     /// The ingress port of waypoint `w` (hot path: O(1) dense index).
+    #[inline]
     fn ingress_mut(&mut self, w: Waypoint) -> &mut TimedServer {
         match w {
             Waypoint::Node(n) => self
@@ -239,6 +241,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `transit`'s pair references a node outside the system.
+    #[inline]
     pub fn begin(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> Cycle {
         debug_assert_eq!(transit.hop, 0, "transit already departed");
         transit.hop = 1;
@@ -256,6 +259,7 @@ impl Topology {
     ///
     /// Panics if `transit` was not started with [`Topology::begin`] or
     /// was already delivered.
+    #[inline]
     pub fn advance(&mut self, transit: &mut Transit, now: Cycle, parts: &WireParts) -> HopOutcome {
         let hop = usize::from(transit.hop);
         let route = self.routes.route(transit.pair);
@@ -280,6 +284,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `pair` references a node outside the system.
+    #[inline]
     pub fn transmit_ctrl(
         &mut self,
         pair: PairId,

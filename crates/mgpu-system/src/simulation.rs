@@ -828,6 +828,34 @@ mod tests {
     }
 
     #[test]
+    fn a_shuffled_trace_runs_as_the_sorted_one() {
+        let cfg = config(OtpSchemeKind::Dynamic);
+        let model = TrafficModel::new(Benchmark::Spmv, cfg.gpu_count, 42);
+        let mut sorted: Vec<Request> = (1..=cfg.gpu_count)
+            .flat_map(|g| model.generate_for(NodeId::gpu(g), 300))
+            .collect();
+        // A queue keeps same-cycle requests in trace order, which a
+        // shuffle would change: keep one request per requester and cycle.
+        sorted.dedup_by_key(|r| (r.requester, r.available_at));
+        // Fisher-Yates over a xorshift sequence: requesters interleave,
+        // and every queue arrives out of order.
+        let mut shuffled = sorted.clone();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        assert_ne!(shuffled, sorted);
+        let requests = sorted.len() as u64;
+        let sim = Simulation::new(cfg, Benchmark::Spmv, 42);
+        let (a, b) = (sim.run_trace(shuffled), sim.run_trace(sorted));
+        assert_eq!(a.requests, requests);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
     fn empty_trace_is_fine() {
         let cfg = config(OtpSchemeKind::Private);
         let r = Simulation::new(cfg, Benchmark::Atax, 0).run_trace(Vec::new());

@@ -46,6 +46,7 @@ impl Cycle {
 
     /// The later of two times.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
