@@ -366,10 +366,15 @@ fn timeseries_sample() {
 const FINISH_REQUESTS: u64 = 16_000;
 
 /// [`LatencyReport::finish`] on one 16-GPU cell's samples, in requests
-/// per second, ungated. The samples are shaped like that cell's: service
-/// latencies of a few hundred cycles with a sparse tail out to about
-/// 34,000 cycles, total latencies up to 64 cycles longer, recorded in
-/// completion order (scrambled by a xorshift sequence).
+/// per second, ungated. The samples are shaped like those fig25 records:
+/// over the 2,178 sample vectors of one run (seed 1), the median vector
+/// holds 82 % of its samples within 1,024 cycles of its fastest, puts
+/// its median 368 and its 90th percentile 1,971 cycles above it, and
+/// spans 5,200 cycles. Here service latencies sit above a 408-cycle
+/// floor by an exponential draw of mean 400 cycles, or, for 15 % of
+/// them, by a uniform draw below 5,200 cycles, which gives 82 %, 341,
+/// 1,936 and 5,195. Total latencies are up to 64 cycles longer.
+/// The samples come in a scrambled order, as completions do.
 fn latency_finish() {
     layer_rate(
         "latency-finish-16k",
@@ -378,17 +383,20 @@ fn latency_finish() {
         || {
             let mut report = LatencyReport::with_capacity(FINISH_REQUESTS as usize);
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            for _ in 0..FINISH_REQUESTS {
+            let mut unit = || {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let tail = if x.is_multiple_of(64) {
-                    (x >> 16) % 34_000
+                ((x >> 11) + 1) as f64 / (1u64 << 53) as f64
+            };
+            for _ in 0..FINISH_REQUESTS {
+                let wait = if unit() < 0.85 {
+                    -400.0 * unit().ln()
                 } else {
-                    0
+                    unit() * 5_200.0
                 };
-                let service = 250 + (x >> 40) % 500 + tail;
-                let queued = (x >> 8) % 64;
+                let service = 408 + wait as u64;
+                let queued = (unit() * 64.0) as u64;
                 let done = Cycle::new(100_000);
                 report.record(
                     Cycle::new(done.as_u64() - service - queued),

@@ -55,15 +55,12 @@ impl LatencyReport {
         }
     }
 
-    /// Sorts the sample vectors into their canonical ascending order,
-    /// the order `sort_unstable_by(f64::total_cmp)` gives (values equal
-    /// under `total_cmp` have equal bits, so that is also the stable
-    /// sort's order). Whole-cycle samples, as [`record`](Self::record)
-    /// takes them, are sorted mostly by counting, in about linear time;
-    /// the sort never allocates.
+    /// Sorts the sample vectors into their canonical ascending order.
+    /// Values equal under `total_cmp` have equal bits, so the unstable
+    /// sort's output is the stable sort's, without its scratch buffer.
     pub fn finish(&mut self) {
-        sort_samples(&mut self.total);
-        sort_samples(&mut self.service);
+        self.total.sort_unstable_by(f64::total_cmp);
+        self.service.sort_unstable_by(f64::total_cmp);
     }
 
     /// The `p`-th percentile (0–100) of total latency; `None` when no
@@ -94,86 +91,6 @@ impl LatencyReport {
             self.violations as f64 / self.with_deadline as f64
         }
     }
-}
-
-/// Samples below which [`sort_samples`] leaves the work to the
-/// comparison sort: a counting window scans all [`COUNT_SPAN`] slots
-/// however few samples it places.
-const COUNT_MIN_SAMPLES: usize = 1024;
-
-/// Cycles one counting window of [`sort_samples`] covers, one stack
-/// histogram slot (`u32`) each: 4 KiB, one page. A 16 KiB histogram
-/// sorted faster but reached 3 stack pages deeper than a run ever
-/// touched, so each one raised peak RSS.
-const COUNT_SPAN: usize = 1024;
-
-/// 2^52: adding it to a whole number in `[0, 2^52)` is exact and leaves
-/// the number in the low mantissa bits.
-const TWO_52: f64 = 4_503_599_627_370_496.0;
-
-/// Sorts `samples` ascending under `f64::total_cmp`, bit for bit, without
-/// allocating.
-///
-/// A run's latencies are whole cycles, most within a few thousand cycles
-/// of the fastest. When there are at least [`COUNT_MIN_SAMPLES`] and every
-/// one is a whole number in `[0, 2^52)` with a clear sign bit (`-0.0`,
-/// fractions, NaN and infinities are not), they are sorted window by
-/// window: one pass counts the unsorted samples within [`COUNT_SPAN`]
-/// cycles of their minimum into a stack histogram and compacts the rest
-/// to the front, the rest moves behind, and the histogram rewrites the
-/// window's samples in order. Equal whole values have equal bits, so
-/// writing a value back is moving it. Once a window places fewer than
-/// 1 sample per 16 slots, or fewer than [`COUNT_MIN_SAMPLES`] remain, the
-/// comparison sort orders the rest. Any other input takes the
-/// comparison sort.
-fn sort_samples(samples: &mut [f64]) {
-    let whole = |x: f64| x.to_bits() >> 63 == 0 && x < TWO_52 && (x + TWO_52) - TWO_52 == x;
-    // Exact for whole samples; the value of any other is never used.
-    let cycles = |x: f64| (x + TWO_52).to_bits().wrapping_sub(TWO_52.to_bits());
-    let mut lo = u64::MAX;
-    let all_whole = samples.iter().all(|&x| {
-        lo = lo.min(cycles(x));
-        whole(x)
-    });
-    if samples.len() < COUNT_MIN_SAMPLES || !all_whole {
-        samples.sort_unstable_by(f64::total_cmp);
-        return;
-    }
-    let mut rest = samples;
-    while rest.len() >= COUNT_MIN_SAMPLES {
-        let mut counts = [0u32; COUNT_SPAN];
-        let mut next_lo = u64::MAX;
-        let mut tail = 0;
-        for i in 0..rest.len() {
-            let x = rest[i];
-            let slot = usize::try_from(cycles(x) - lo).ok();
-            match slot.and_then(|k| counts.get_mut(k)) {
-                Some(n) => *n += 1,
-                None => {
-                    rest[tail] = x;
-                    tail += 1;
-                    next_lo = next_lo.min(cycles(x));
-                }
-            }
-        }
-        let placed = rest.len() - tail;
-        rest.copy_within(..tail, placed);
-        let (window, unsorted) = std::mem::take(&mut rest).split_at_mut(placed);
-        let mut at = 0;
-        for (k, &n) in (lo..).zip(counts.iter()) {
-            if n > 0 {
-                let end = at + n as usize;
-                window[at..end].fill(k as f64);
-                at = end;
-            }
-        }
-        rest = unsorted;
-        lo = next_lo;
-        if placed * 16 < COUNT_SPAN {
-            break;
-        }
-    }
-    rest.sort_unstable_by(f64::total_cmp);
 }
 
 /// Everything one simulation run measures.
@@ -358,118 +275,6 @@ mod tests {
         assert!((l.violation_rate() - 0.5).abs() < 1e-12);
         assert!((l.mean_total() - 62.5).abs() < 1e-12);
         assert_eq!(l.total_percentile(100.0), Some(100.0));
-    }
-
-    /// `samples` sorted by the comparison sort `finish` replaced, as bits.
-    fn oracle_bits(samples: &[f64]) -> Vec<u64> {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        sorted.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// `samples` after `sort_samples`, as bits.
-    fn sorted_bits(samples: &[f64]) -> Vec<u64> {
-        let mut sorted = samples.to_vec();
-        sort_samples(&mut sorted);
-        sorted.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn sample_sort_matches_the_comparison_sort_at_its_edges() {
-        // A 16-GPU cell's shape: 16,000 whole-cycle samples, most within
-        // 1,000 cycles of the fastest and every 64th in a tail out to
-        // 34,000, in a scrambled order.
-        let cell: Vec<f64> = (0..16_000u64)
-            .map(|i| {
-                let x = i * 7_919;
-                let tail = if i % 64 == 0 { x % 34_000 } else { 0 };
-                (400 + x % 1_000 + tail) as f64
-            })
-            .collect();
-        let span = COUNT_SPAN as u64;
-        let mut cases: Vec<Vec<f64>> = vec![
-            Vec::new(),
-            vec![42.0],
-            vec![7.0; 5_000],
-            cell.clone(),
-            // The fewest samples the counting pass takes, from zero, on
-            // both sides of a window's edge.
-            (0..COUNT_MIN_SAMPLES as u64 - 2)
-                .map(|i| ((i * 97) % (span + 2)) as f64)
-                .chain([0.0, span as f64])
-                .collect(),
-            // Uniform over ten windows: every window places enough to go
-            // on, until fewer than `COUNT_MIN_SAMPLES` remain.
-            (0..20_000u64)
-                .map(|i| ((i * 7_919) % (10 * span)) as f64)
-                .collect(),
-            // A sparse tail of 1,200 samples 5,000 cycles apart: the
-            // second window places one and hands the rest on.
-            (0..2_700u64)
-                .map(|i| {
-                    (if i < 1_500 {
-                        i % 300
-                    } else {
-                        9_000 + (i - 1_500) * 5_000
-                    }) as f64
-                })
-                .collect(),
-        ];
-        // One value beside a `+0.0` in the cell: the largest whole sample
-        // the counting pass takes, and each value no whole-cycle run
-        // records.
-        for odd in [
-            TWO_52 - 1.0,
-            -0.0,
-            0.5,
-            f64::NAN,
-            -1.0,
-            f64::INFINITY,
-            TWO_52,
-            2f64.powi(64),
-        ] {
-            cases.push([cell.clone(), vec![odd, 0.0]].concat());
-        }
-        for samples in cases {
-            assert_eq!(
-                sorted_bits(&samples),
-                oracle_bits(&samples),
-                "{} samples",
-                samples.len()
-            );
-        }
-    }
-
-    mod prop_tests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The windowed counting sort equals the comparison sort bit
-            /// for bit: whole samples over spans from one value (every
-            /// sample equal) to 32 windows and counts either side of
-            /// `COUNT_MIN_SAMPLES`, with at times one sample no run
-            /// records (`-0.0`, a fraction, NaN, infinity or a
-            /// negative).
-            #[test]
-            fn sample_sort_matches_total_cmp_sort(
-                base in 0u64..(1 << 40),
-                span_log2 in 0u32..18,
-                offsets in proptest::collection::vec(0u64..(1 << 17), 0..4_000),
-                special in (0usize..7, 0usize..4_000)
-            ) {
-                let span = 1u64 << span_log2;
-                let mut samples: Vec<f64> =
-                    offsets.iter().map(|o| (base + o % span) as f64).collect();
-                let (kind, at) = special;
-                let odd = [-0.0, 0.5, f64::NAN, f64::INFINITY, -3.0];
-                if kind < odd.len() && !samples.is_empty() {
-                    let at = at % samples.len();
-                    samples[at] = odd[kind];
-                }
-                prop_assert_eq!(sorted_bits(&samples), oracle_bits(&samples));
-            }
-        }
     }
 
     #[test]
