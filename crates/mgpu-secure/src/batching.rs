@@ -47,29 +47,10 @@ pub struct ClosedBatch {
 #[derive(Debug)]
 struct OpenBatch {
     id: BatchId,
-    opened_at: Cycle,
-    /// When [`SenderBatcher::flush_due`] should close this batch. Under the
-    /// fixed policy this is `opened_at + flush_timeout`; deadline-aware
-    /// close pulls it earlier as the oldest block's slack erodes.
+    /// When [`SenderBatcher::flush_due`] should close this batch: the
+    /// opening cycle plus `flush_timeout`, plus any close jitter.
     flush_at: Cycle,
     len: u32,
-}
-
-/// Deadline-aware close policy (serving extension): close a batch as soon
-/// as the oldest queued block's slack drops below the batch's estimated
-/// remaining service time.
-///
-/// The batcher keeps a per-destination EWMA of inter-block gaps; with
-/// `missing` blocks still needed to fill the batch, the remaining service
-/// estimate is `missing × gap`. The oldest block (queued at `opened_at`)
-/// has `slack - (now - opened_at)` cycles of budget left, so the batch's
-/// effective flush deadline becomes
-/// `opened_at + max(0, slack - missing × gap)`, never later than the fixed
-/// `flush_timeout`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineClose {
-    /// Per-block latency budget in cycles.
-    pub slack: Duration,
 }
 
 /// Batch-close jitter policy (passive-observer defense): every batch's
@@ -113,8 +94,7 @@ impl CloseJitter {
 ///
 /// A batch closes when it reaches `batch_size` blocks, or — so trickle
 /// traffic is not held hostage — when [`SenderBatcher::flush_due`] finds it
-/// past its flush deadline (the fixed timeout, or earlier under the
-/// [`DeadlineClose`] policy).
+/// past its flush deadline (the fixed timeout, later under close jitter).
 ///
 /// # Examples
 ///
@@ -136,14 +116,9 @@ impl CloseJitter {
 pub struct SenderBatcher {
     batch_size: u32,
     flush_timeout: Duration,
-    deadline: Option<DeadlineClose>,
     jitter: Option<CloseJitter>,
     open: DenseNodeMap<OpenBatch>,
     next_id: DenseNodeMap<BatchId>,
-    /// Per-destination EWMA of inter-block gaps (cycles) and the last add
-    /// time, feeding the deadline policy's remaining-service estimate.
-    gap_ewma: DenseNodeMap<f64>,
-    last_add: DenseNodeMap<Cycle>,
     closed_full: u64,
     closed_flush: u64,
     blocks: u64,
@@ -168,24 +143,13 @@ impl SenderBatcher {
         SenderBatcher {
             batch_size,
             flush_timeout,
-            deadline: None,
             jitter: None,
             open: DenseNodeMap::new(),
             next_id: DenseNodeMap::new(),
-            gap_ewma: DenseNodeMap::new(),
-            last_add: DenseNodeMap::new(),
             closed_full: 0,
             closed_flush: 0,
             blocks: 0,
         }
-    }
-
-    /// Enables the deadline-aware close policy with the given per-block
-    /// slack budget.
-    #[must_use]
-    pub fn with_deadline_close(mut self, slack: Duration) -> Self {
-        self.deadline = Some(DeadlineClose { slack });
-        self
     }
 
     /// Enables batch-close jitter: each batch's flush deadline is offset
@@ -203,20 +167,9 @@ impl SenderBatcher {
         out
     }
 
-    /// The flush deadline of batch `id` toward `dst` that was opened at
-    /// `opened_at` and currently holds `len` blocks.
-    fn flush_deadline(&self, dst: NodeId, id: BatchId, opened_at: Cycle, len: u32) -> Cycle {
-        let fixed = opened_at + self.flush_timeout;
-        let base = match self.deadline {
-            None => fixed,
-            Some(policy) => {
-                let gap = self.gap_ewma.get(dst).copied().unwrap_or(0.0);
-                let missing = f64::from(self.batch_size.saturating_sub(len));
-                let remaining = (missing * gap).round() as u64;
-                let budget = policy.slack.as_u64().saturating_sub(remaining);
-                fixed.min(opened_at + Duration::cycles(budget))
-            }
-        };
+    /// The flush deadline of batch `id` toward `dst` opened at `opened_at`.
+    fn flush_deadline(&self, dst: NodeId, id: BatchId, opened_at: Cycle) -> Cycle {
+        let base = opened_at + self.flush_timeout;
         match self.jitter {
             Some(j) => base + j.offset(dst, id),
             None => base,
@@ -227,23 +180,13 @@ impl SenderBatcher {
     /// block completed it.
     pub fn add_block(&mut self, now: Cycle, dst: NodeId) -> Option<ClosedBatch> {
         self.blocks += 1;
-        if self.deadline.is_some() {
-            // Inter-block gap EWMA feeding the remaining-service estimate.
-            if let Some(&last) = self.last_add.get(dst) {
-                let gap = now.saturating_since(last).as_u64() as f64;
-                let ewma = self.gap_ewma.get_or_insert_with(dst, || gap);
-                *ewma = 0.5 * *ewma + 0.5 * gap;
-            }
-            self.last_add.insert(dst, now);
-        }
         if !self.open.contains_key(dst) {
             let id = self.take_id(dst);
-            let flush_at = self.flush_deadline(dst, id, now, 0);
+            let flush_at = self.flush_deadline(dst, id, now);
             self.open.insert(
                 dst,
                 OpenBatch {
                     id,
-                    opened_at: now,
                     flush_at,
                     len: 0,
                 },
@@ -251,18 +194,12 @@ impl SenderBatcher {
         }
         let batch = self.open.get_mut(dst).expect("just inserted");
         batch.len += 1;
-        let (id, opened_at, len) = (batch.id, batch.opened_at, batch.len);
+        let (id, len) = (batch.id, batch.len);
         if len >= self.batch_size {
             self.open.remove(dst);
             self.closed_full += 1;
             Some(ClosedBatch { dst, id, len })
         } else {
-            if self.deadline.is_some() {
-                // Re-estimate: both the gap EWMA and the missing-block
-                // count moved, so the adaptive deadline moves too.
-                let flush_at = self.flush_deadline(dst, id, opened_at, len);
-                self.open.get_mut(dst).expect("present").flush_at = flush_at;
-            }
             None
         }
     }
@@ -300,10 +237,10 @@ impl SenderBatcher {
     }
 
     /// Closes every batch whose flush deadline has passed at time `now`
-    /// (age ≥ `flush_timeout` under the fixed policy; possibly earlier
-    /// under [`DeadlineClose`]) and writes them to `closed`, replacing its
-    /// contents, in ascending destination order. Reusing one `closed`
-    /// buffer makes the call allocation-free once it has grown.
+    /// (age ≥ `flush_timeout`, plus any close jitter) and writes them to
+    /// `closed`, replacing its contents, in ascending destination order.
+    /// Reusing one `closed` buffer makes the call allocation-free once it
+    /// has grown.
     pub fn flush_due(&mut self, now: Cycle, closed: &mut Vec<ClosedBatch>) {
         closed.clear();
         closed.extend(
@@ -331,14 +268,12 @@ impl SenderBatcher {
         self.open.values().map(|b| b.flush_at).min()
     }
 
-    /// Whether every batch's flush deadline is fixed when the batch opens
-    /// and lies strictly after its opening cycle: the fixed timeout,
-    /// with or without close jitter, at a non-zero `flush_timeout`.
-    /// Deadline-aware close re-estimates a deadline on every added
-    /// block and can pull it to the current cycle.
+    /// Whether every batch's flush deadline lies strictly after its
+    /// opening cycle, i.e. `flush_timeout` is non-zero. Deadlines are
+    /// always fixed when a batch opens, with or without close jitter.
     #[must_use]
     pub fn deadlines_fixed(&self) -> bool {
-        self.deadline.is_none() && self.flush_timeout > Duration::ZERO
+        self.flush_timeout > Duration::ZERO
     }
 
     /// Batches closed because they filled up.
@@ -683,72 +618,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_close_caps_flush_at_slack() {
-        // No gap history yet: the remaining-service estimate is zero, so
-        // the adaptive deadline is opened_at + slack (< fixed timeout).
-        let mut b =
-            SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
-        let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst);
-        assert_eq!(b.next_deadline(), Some(Cycle::new(106)));
-        assert!(flush(&mut b, Cycle::new(105)).is_empty());
-        let flushed = flush(&mut b, Cycle::new(106));
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(b.closed_by_flush(), 1);
-    }
-
-    #[test]
-    fn deadline_close_shrinks_with_slow_arrivals() {
-        // Two blocks 80 cycles apart: gap EWMA = 80, 14 blocks missing →
-        // remaining estimate 1120 ≫ slack, so the batch should close at
-        // the very next flush check (deadline == opened_at).
-        let mut b =
-            SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
-        let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(0), dst);
-        b.add_block(Cycle::new(80), dst);
-        assert_eq!(b.next_deadline(), Some(Cycle::new(0)));
-        let flushed = flush(&mut b, Cycle::new(81));
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].len, 2);
-    }
-
-    #[test]
-    fn deadline_close_waits_when_arrivals_are_fast() {
-        // Back-to-back blocks (gap 1): remaining ≈ 14 cycles, so the
-        // deadline sits near opened_at + slack - 14 — the batch is given
-        // time to fill because filling is cheap.
-        let mut b =
-            SenderBatcher::new(16, Duration::cycles(160)).with_deadline_close(Duration::cycles(96));
-        let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(100), dst);
-        b.add_block(Cycle::new(101), dst);
-        let dl = b.next_deadline().unwrap();
-        assert!(
-            dl > Cycle::new(150) && dl <= Cycle::new(196),
-            "deadline {dl} should be near opened_at + slack"
-        );
-    }
-
-    #[test]
-    fn deadline_close_never_exceeds_fixed_timeout() {
-        let mut b = SenderBatcher::new(16, Duration::cycles(160))
-            .with_deadline_close(Duration::cycles(100_000));
-        let dst = NodeId::gpu(2);
-        b.add_block(Cycle::new(10), dst);
-        // A huge slack budget still falls back to the fixed timeout.
-        assert_eq!(b.next_deadline(), Some(Cycle::new(170)));
-    }
-
-    #[test]
     fn only_fixed_future_deadlines_count_as_fixed() {
         let timeout = Duration::cycles(160);
         assert!(SenderBatcher::new(16, timeout).deadlines_fixed());
         assert!(SenderBatcher::new(16, timeout)
             .with_close_jitter(Duration::cycles(64), 7)
-            .deadlines_fixed());
-        assert!(!SenderBatcher::new(16, timeout)
-            .with_deadline_close(Duration::cycles(96))
             .deadlines_fixed());
         // A zero timeout puts a new batch's deadline on its own cycle.
         assert!(!SenderBatcher::new(16, Duration::ZERO).deadlines_fixed());
@@ -756,8 +630,8 @@ mod tests {
 
     #[test]
     fn fixed_policy_unchanged_by_new_fields() {
-        // Without the policy, flush timing is exactly the pre-existing
-        // age >= flush_timeout rule.
+        // Flush timing is the age >= flush_timeout rule: a later block
+        // does not move the deadline its batch opened with.
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
         let dst = NodeId::gpu(2);
         b.add_block(Cycle::new(10), dst);

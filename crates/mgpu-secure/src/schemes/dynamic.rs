@@ -20,16 +20,6 @@ use mgpu_crypto::engine::{AesEngine, PadTiming};
 use mgpu_types::{Cycle, DenseNodeMap, Direction, Duration, NodeId, OtpSchemeKind, SystemConfig};
 use std::collections::BTreeMap;
 
-/// Load-monitoring window width of load-triggered mode
-/// (`DynamicConfig::load_triggered`), in place of the fixed interval.
-/// Smaller windows react to bursts faster (the point of the policy) at
-/// the cost of noisier rate estimates.
-const CHECK_INTERVAL: Duration = Duration::cycles(250);
-
-/// Relative per-window event-count shift (`|now - then| / max(then, 1)`)
-/// that triggers a repartition in load-triggered mode.
-const SHIFT_THRESHOLD: f64 = 0.5;
-
 /// Dynamic (EWMA-repartitioned) OTP buffer management (see module docs).
 #[derive(Debug)]
 pub struct DynamicScheme {
@@ -44,14 +34,6 @@ pub struct DynamicScheme {
     interval: Duration,
     next_boundary: Cycle,
     rebalances: u64,
-    /// Load-triggered mode: repartition only when the per-window event
-    /// rate shifts by more than `shift_threshold` (relative, normally
-    /// [`SHIFT_THRESHOLD`]) since the last applied repartition, instead
-    /// of at every fixed boundary.
-    load_triggered: bool,
-    shift_threshold: f64,
-    window_events: u64,
-    rate_at_last: Option<u64>,
     stats: OtpStats,
 }
 
@@ -68,13 +50,6 @@ impl DynamicScheme {
             recv.insert(peer, PadWindow::new(depth, Cycle::ZERO, engine));
         }
         let dynamic = &config.security.dynamic;
-        // Load-triggered mode samples the event rate on the (shorter)
-        // check interval; fixed mode repartitions on every interval.
-        let interval = if dynamic.load_triggered {
-            CHECK_INTERVAL
-        } else {
-            dynamic.interval
-        };
         debug_assert!(send.keys().eq(peers.iter().copied()));
         DynamicScheme {
             send,
@@ -84,13 +59,9 @@ impl DynamicScheme {
             send_alloc: vec![0; peers.len()],
             recv_alloc: vec![0; peers.len()],
             total_buffers: config.total_otp_buffers_per_node(),
-            interval,
-            next_boundary: Cycle::ZERO + interval,
+            interval: dynamic.interval,
+            next_boundary: Cycle::ZERO + dynamic.interval,
             rebalances: 0,
-            load_triggered: dynamic.load_triggered,
-            shift_threshold: SHIFT_THRESHOLD,
-            window_events: 0,
-            rate_at_last: None,
             stats: OtpStats::default(),
         }
     }
@@ -106,14 +77,6 @@ impl DynamicScheme {
         while now >= self.next_boundary {
             let boundary = self.next_boundary;
             self.next_boundary = boundary + self.interval;
-            let window = self.window_events;
-            self.window_events = 0;
-            if !self.should_repartition(window) {
-                // Quiet window: leave the allocation in place and let the
-                // EWMA monitor keep accumulating into a longer interval.
-                continue;
-            }
-            self.rate_at_last = Some(window);
             self.rebalances += 1;
             if self.monitor.is_quiet() {
                 continue;
@@ -128,25 +91,6 @@ impl DynamicScheme {
             }
             for (window, &pads) in self.recv.values_mut().zip(&self.recv_alloc) {
                 window.set_target(pads, boundary, engine);
-            }
-        }
-    }
-
-    /// Whether the just-ended window's event count warrants repartitioning.
-    ///
-    /// Fixed mode always repartitions. Load-triggered mode repartitions on
-    /// the first boundary (to move off the even launch allocation) and
-    /// afterwards only when the arrival rate moved by more than
-    /// `shift_threshold` relative to the rate at the last repartition.
-    fn should_repartition(&self, window: u64) -> bool {
-        if !self.load_triggered {
-            return true;
-        }
-        match self.rate_at_last {
-            None => true,
-            Some(rate) => {
-                let shift = window.abs_diff(rate) as f64;
-                shift > self.shift_threshold * rate.max(1) as f64
             }
         }
     }
@@ -191,7 +135,6 @@ impl OtpScheme for DynamicScheme {
 
     fn on_send(&mut self, now: Cycle, peer: NodeId, engine: &mut AesEngine) -> SendOutcome {
         self.rebalance_to(now, engine);
-        self.window_events += 1;
         self.monitor.observe_send(peer);
         let window = self.send.get_mut(peer).expect("peer within system");
         let (timing, counter) = window.use_pad(now, engine);
@@ -201,7 +144,6 @@ impl OtpScheme for DynamicScheme {
 
     fn on_recv(&mut self, now: Cycle, peer: NodeId, ctr: u64, engine: &mut AesEngine) -> PadTiming {
         self.rebalance_to(now, engine);
-        self.window_events += 1;
         self.monitor.observe_recv(peer);
         let window = self.recv.get_mut(peer).expect("peer within system");
         let timing = window.use_pad_for(ctr, now, engine);
@@ -340,71 +282,6 @@ mod tests {
         }
     }
 
-    fn load_triggered_setup(threshold: f64) -> (DynamicScheme, AesEngine) {
-        let mut cfg = SystemConfig::paper_4gpu();
-        cfg.security.dynamic.load_triggered = true;
-        let mut engine = AesEngine::new(cfg.security.aes_latency);
-        let mut scheme = DynamicScheme::new(NodeId::gpu(1), &cfg, &mut engine);
-        scheme.shift_threshold = threshold;
-        (scheme, engine)
-    }
-
-    #[test]
-    fn load_triggered_skips_steady_windows() {
-        let (mut s, mut e) = load_triggered_setup(0.5);
-        let peer = NodeId::gpu(2);
-        // Ten 250-cycle windows of identical traffic: one send every 50
-        // cycles. The first boundary always repartitions; every later
-        // steady window is skipped.
-        let mut now = Cycle::new(1);
-        for _ in 0..50 {
-            s.on_send(now, peer, &mut e);
-            now += Duration::cycles(50);
-        }
-        s.advance(now, &mut e);
-        assert_eq!(s.rebalances(), 1, "steady load should repartition once");
-        // Pool stays conserved even across skipped boundaries.
-        assert_eq!(s.allocated(), 32);
-    }
-
-    #[test]
-    fn load_triggered_reacts_to_rate_shift() {
-        let (mut s, mut e) = load_triggered_setup(0.5);
-        let peer = NodeId::gpu(2);
-        let mut now = Cycle::new(1);
-        // Phase 1: slow traffic (5 events / 250-cycle window).
-        for _ in 0..20 {
-            s.on_send(now, peer, &mut e);
-            now += Duration::cycles(50);
-        }
-        let after_slow = s.rebalances();
-        // Phase 2: 10x burst (50 events / window) — clear rate shift.
-        for _ in 0..100 {
-            s.on_send(now, peer, &mut e);
-            now += Duration::cycles(5);
-        }
-        s.advance(now, &mut e);
-        assert!(
-            s.rebalances() > after_slow,
-            "burst onset should trigger a repartition ({} vs {after_slow})",
-            s.rebalances()
-        );
-    }
-
-    #[test]
-    fn load_triggered_boundaries_use_check_interval() {
-        let (mut s, mut e) = load_triggered_setup(0.5);
-        // First boundary at CHECK_INTERVAL (250), not the fixed interval
-        // (1000); the first boundary always repartitions.
-        s.advance(Cycle::new(249), &mut e);
-        assert_eq!(s.rebalances(), 0);
-        s.advance(Cycle::new(250), &mut e);
-        assert_eq!(s.rebalances(), 1);
-        // Later empty windows match the reference rate exactly → skipped.
-        s.advance(Cycle::new(10_000), &mut e);
-        assert_eq!(s.rebalances(), 1);
-    }
-
     /// Advances `s` across `n` idle boundaries and checks that they are
     /// all counted while no pad is issued and no depth moves.
     fn assert_idle_stretch_is_count_only(s: &mut DynamicScheme, e: &mut AesEngine, n: u64) {
@@ -450,40 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_boundaries_in_load_triggered_mode_issue_no_pads() {
-        // A negative threshold repartitions at every boundary, so every
-        // idle boundary is one the skip must count.
-        let (mut s, mut e) = load_triggered_setup(-1.0);
-        busy_then_closed(&mut s, &mut e);
-        assert_idle_stretch_is_count_only(&mut s, &mut e, 100);
-    }
-
-    #[test]
-    fn load_triggered_close_after_an_empty_window_still_applies_traffic() {
-        // Steady windows are skipped, so their traffic accumulates in the
-        // monitor. When the load stops, the empty window's rate shift
-        // triggers a repartition that must close that accumulated
-        // traffic: the skip tests the monitor, not the window.
-        let (mut s, mut e) = load_triggered_setup(0.5);
-        let mut now = Cycle::new(1);
-        for _ in 0..40 {
-            s.on_send(now, NodeId::gpu(2), &mut e);
-            now += Duration::cycles(50);
-        }
-        assert!(!s.monitor.is_quiet(), "steady windows were skipped");
-        let (weight, rebalances) = (s.monitor.send_weight(), s.rebalances());
-        // Jump to the end of the first window with no traffic.
-        let empty_window_end = s.next_boundary + s.interval;
-        s.advance(empty_window_end, &mut e);
-        assert_eq!(s.rebalances(), rebalances + 1);
-        assert!(s.monitor.is_quiet());
-        assert!(s.monitor.send_weight() > weight, "accumulated sends closed");
-    }
-
-    #[test]
-    fn fixed_mode_ignores_load_trigger_knobs() {
-        // Defaults leave load_triggered off; every boundary repartitions
-        // regardless of traffic.
+    fn every_fixed_boundary_counts_without_traffic() {
+        // Every boundary of the fixed interval counts as a repartition,
+        // traffic or not: four of them by cycle 4,000.
         let (mut s, mut e) = setup();
         s.advance(Cycle::new(4_000), &mut e);
         assert_eq!(s.rebalances(), 4);

@@ -19,12 +19,7 @@ use mgpu_secure::batching::{ClosedBatch, SenderBatcher};
 use mgpu_secure::protocol::WireFormat;
 use mgpu_secure::schemes::{build_scheme, OtpScheme, SchemeTelemetry};
 use mgpu_sim::link::{TrafficClass, WireParts};
-use mgpu_types::{Cycle, Duration, NodeId, SystemConfig};
-
-/// Per-block latency budget of deadline-aware batch close
-/// (`BatchingConfig::deadline_close`): a batch tries to emit its MAC
-/// trailer before its oldest block has been queued this long.
-const DEADLINE_SLACK: Duration = Duration::cycles(96);
+use mgpu_types::{Cycle, NodeId, SystemConfig};
 
 /// A block's row in the engine's per-block table. A prepared,
 /// MAC-carrying block waiting for a replay-table entry parks as its id:
@@ -84,9 +79,6 @@ impl SecureNic {
         let scheme = build_scheme(me, config, &mut engine);
         let b = &config.security.batching;
         let mut batcher = SenderBatcher::new(b.batch_size, b.flush_timeout);
-        if b.deadline_close {
-            batcher = batcher.with_deadline_close(DEADLINE_SLACK);
-        }
         let d = &config.security.defense;
         if d.close_jitter {
             // Each sender draws from its own jitter subsequence so an
@@ -183,7 +175,6 @@ impl SecureNic {
     /// only while deadlines are fixed when a batch opens and lie after
     /// its opening cycle: the pending check pops first and flushes every
     /// batch due by then, and any batch opened later is not yet due.
-    /// Under deadline-aware close every request arms a check.
     pub fn arm_flush_check(&mut self, now: Cycle) -> Option<Cycle> {
         let at = self.batcher.next_deadline()?.max(now);
         if self.flush_armed == Some(at) && self.batcher.deadlines_fixed() {
@@ -350,19 +341,6 @@ mod tests {
         assert_eq!(nic.arm_flush_check(Cycle::new(500)), Some(Cycle::new(500)));
         assert_eq!(nic.arm_flush_check(Cycle::new(500)), None);
         assert_eq!(flush(&mut nic, 500), 1);
-    }
-
-    #[test]
-    fn deadline_close_arms_a_check_on_every_request() {
-        let mut cfg = config(OtpSchemeKind::Dynamic, true);
-        cfg.security.batching.deadline_close = true;
-        let mut nic = SecureNic::new(NodeId::gpu(1), &cfg);
-        nic.prepare_send(Cycle::new(100), NodeId::gpu(2));
-        let first = nic.arm_flush_check(Cycle::new(100));
-        assert!(first.is_some());
-        // Deadlines move with every added block, so a same-cycle
-        // duplicate is not provably idle and is still scheduled.
-        assert_eq!(nic.arm_flush_check(Cycle::new(100)), first);
     }
 
     /// The metadata-free ablation sends no MAC-carrying block and never

@@ -64,26 +64,6 @@ pub mod configs {
         cfg.security.batching.enabled = true;
         cfg
     }
-
-    /// `Dynamic` with load-triggered repartitioning: the OTP pool is
-    /// repartitioned when the observed arrival rate shifts, instead of
-    /// at every fixed interval.
-    #[must_use]
-    pub fn load_dynamic(base: &SystemConfig, multiplier: u32) -> SystemConfig {
-        let mut cfg = dynamic(base, multiplier);
-        cfg.security.dynamic.load_triggered = true;
-        cfg
-    }
-
-    /// `Dynamic` + `Batching` with deadline-aware batch close: open
-    /// batches close early when the oldest queued block's SLO slack
-    /// drops below the estimated time to fill the batch.
-    #[must_use]
-    pub fn deadline_batching(base: &SystemConfig, multiplier: u32) -> SystemConfig {
-        let mut cfg = batching(base, multiplier);
-        cfg.security.batching.deadline_close = true;
-        cfg
-    }
 }
 
 #[cfg(test)]

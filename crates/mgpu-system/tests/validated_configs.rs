@@ -2,10 +2,9 @@
 //! completion and keep the report's invariants.
 //!
 //! Each case draws a random system: 2–16 GPUs on every fabric shape,
-//! every OTP scheme, batching and deadline close on or off, small ACK
-//! tables, constant-rate shaping (with envelopes wide enough to cross
-//! the validation bound), batch-close jitter, observability and the
-//! wire adversary. Configs that fail validation are skipped; the rest
+//! every OTP scheme, batching on or off, small ACK tables, constant-rate
+//! shaping (with envelopes wide enough to cross the validation bound),
+//! batch-close jitter, observability and the wire adversary. Configs that fail validation are skipped; the rest
 //! run 20–40 requests per GPU and must finish within a wall-clock budget
 //! and a generous simulated-cycle ceiling. An observed run also samples
 //! its fabric, so the sampler's occupancy reads (which need a ledger on
@@ -39,7 +38,7 @@ impl Draws<'_> {
 }
 
 /// Random draws each case consumes.
-const DRAWS: usize = 21;
+const DRAWS: usize = 20;
 
 /// Wall-clock budget for one run. Valid draws finish in well under a
 /// second even in the test profile.
@@ -75,7 +74,6 @@ fn draw_config(d: &mut Draws) -> SystemConfig {
         OtpSchemeKind::Dynamic,
     ][d.below(5) as usize];
     sec.batching.enabled = d.flip();
-    sec.batching.deadline_close = d.flip();
     sec.ack_table_entries = 1 + d.below(4);
     let defense = &mut sec.defense;
     defense.constant_rate = d.flip();

@@ -115,25 +115,15 @@ pub struct DynamicConfig {
     pub beta: f64,
     /// Monitoring / re-allocation interval in cycles (paper T).
     pub interval: Duration,
-    /// When `true`, the allocator repartitions on *arrival-rate shifts*
-    /// instead of at every fixed `interval` boundary: traffic is counted in
-    /// fixed load-monitoring windows and a repartition fires only when the
-    /// window's event count moves by more than a relative threshold
-    /// against the rate recorded at the last repartition (both constants
-    /// of the `Dynamic` scheme). Off by default — the paper's
-    /// fixed-interval policy.
-    pub load_triggered: bool,
 }
 
 impl Default for DynamicConfig {
     fn default() -> Self {
-        // Paper Table III: α = 0.9, β = 0.5, T = 1000. Load-triggered
-        // repartitioning is an extension and defaults off.
+        // Paper Table III: α = 0.9, β = 0.5, T = 1000.
         DynamicConfig {
             alpha: 0.9,
             beta: 0.5,
             interval: Duration::cycles(1000),
-            load_triggered: false,
         }
     }
 }
@@ -176,13 +166,6 @@ pub struct BatchingConfig {
     /// trickle traffic is not delayed indefinitely. The paper's burstiness
     /// analysis (Fig. 15) motivates a bound on the order of 160 cycles.
     pub flush_timeout: Duration,
-    /// Deadline-aware close: when `true`, each open batch's flush deadline
-    /// shrinks below `flush_timeout` whenever the oldest queued block's
-    /// slack (against the NIC's fixed per-block latency budget) drops
-    /// below the batch's estimated remaining service time (blocks still
-    /// missing × the EWMA inter-block gap on that destination). Off by
-    /// default — the paper's wait-for-`n` policy.
-    pub deadline_close: bool,
 }
 
 impl Default for BatchingConfig {
@@ -191,7 +174,6 @@ impl Default for BatchingConfig {
             enabled: false,
             batch_size: 16,
             flush_timeout: Duration::cycles(160),
-            deadline_close: false,
         }
     }
 }
@@ -723,19 +705,6 @@ mod tests {
         let mut big = SystemConfig::paper_4gpu();
         big.gpu_count = 128;
         with(big.with_topology(TopologyKind::Switch { radix: 4 }), 4).unwrap();
-    }
-
-    #[test]
-    fn adaptive_knobs_default_off() {
-        // The adaptive policies must be opt-in: defaults reproduce the
-        // paper's fixed-interval / wait-for-n behavior bit-for-bit.
-        let cfg = SystemConfig::paper_4gpu();
-        assert!(!cfg.security.dynamic.load_triggered);
-        assert!(!cfg.security.batching.deadline_close);
-        let mut on = cfg;
-        on.security.dynamic.load_triggered = true;
-        on.security.batching.deadline_close = true;
-        on.validate().unwrap();
     }
 
     #[test]
