@@ -629,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_unchanged_by_new_fields() {
+    fn later_blocks_keep_the_opening_deadline() {
         // Flush timing is the age >= flush_timeout rule: a later block
         // does not move the deadline its batch opened with.
         let mut b = SenderBatcher::new(16, Duration::cycles(160));
