@@ -194,14 +194,13 @@ impl SenderBatcher {
         }
         let batch = self.open.get_mut(dst).expect("just inserted");
         batch.len += 1;
-        let (id, len) = (batch.id, batch.len);
-        if len >= self.batch_size {
-            self.open.remove(dst);
-            self.closed_full += 1;
-            Some(ClosedBatch { dst, id, len })
-        } else {
-            None
+        if batch.len < self.batch_size {
+            return None;
         }
+        let (id, len) = (batch.id, batch.len);
+        self.open.remove(dst);
+        self.closed_full += 1;
+        Some(ClosedBatch { dst, id, len })
     }
 
     /// The `(batch id, index)` slot the *next* block added for `dst` will

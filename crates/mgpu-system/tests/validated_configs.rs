@@ -4,12 +4,14 @@
 //! Each case draws a random system: 2–16 GPUs on every fabric shape,
 //! every OTP scheme, batching on or off, small ACK tables, constant-rate
 //! shaping (with envelopes wide enough to cross the validation bound),
-//! batch-close jitter, observability and the wire adversary. Configs that fail validation are skipped; the rest
-//! run 20–40 requests per GPU and must finish within a wall-clock budget
-//! and a generous simulated-cycle ceiling. An observed run also samples
-//! its fabric, so the sampler's occupancy reads (which need a ledger on
-//! every egress port) meet every validated fabric shape. A shaping envelope its ctrl VC
-//! cannot carry breaks both: its chaff backlog outgrows simulated time.
+//! batch-close jitter, observability and the wire adversary. Configs
+//! that fail validation are skipped; the rest run 20–40 requests per
+//! GPU and must finish within a wall-clock budget and a generous
+//! simulated-cycle ceiling. An observed run also samples its fabric, so
+//! the sampler's occupancy reads (which need a ledger on every egress
+//! port) meet every validated fabric shape. A shaping envelope its ctrl
+//! VC cannot carry breaks both: its chaff backlog outgrows simulated
+//! time.
 //! In the debug profile every run also checks at drain that each ACK
 //! window is whole again and no block is left parked.
 
