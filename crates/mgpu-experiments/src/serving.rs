@@ -183,21 +183,21 @@ pub fn serving(mode: Mode) -> Output {
 mod tests {
     use super::*;
 
-    fn bursty_cell(scheme_label: &str, mean_gap: f64, per_gpu: usize, seed: u64) -> ServingCell {
+    fn gap5_bursty_cell(scheme_label: &str, per_gpu: usize, seed: u64) -> ServingCell {
         let base = SystemConfig::paper_4gpu();
         let (label, cfg) = serving_configs(&base)
             .into_iter()
             .find(|(l, _)| l == scheme_label)
             .expect("scheme label exists");
-        let process = ArrivalProcess::bursty(mean_gap, BURST_FACTOR, MEAN_DWELL);
+        let process = ArrivalProcess::bursty(5.0, BURST_FACTOR, MEAN_DWELL);
         let report = run_cell(&cfg, process, per_gpu, seed);
         cell_summary("test", "bursty", &label, &report)
     }
 
     #[test]
     fn serving_smoke_is_finite_ordered_and_deterministic() {
-        let a = bursty_cell("dynamic-4x", 5.0, Mode::Bench.requests(), SEED);
-        let b = bursty_cell("dynamic-4x", 5.0, Mode::Bench.requests(), SEED);
+        let a = gap5_bursty_cell("dynamic-4x", Mode::Bench.requests(), SEED);
+        let b = gap5_bursty_cell("dynamic-4x", Mode::Bench.requests(), SEED);
         for c in [&a, &b] {
             assert!(c.p50.is_finite() && c.p99.is_finite() && c.p999.is_finite());
             assert!(
@@ -250,8 +250,8 @@ mod tests {
         // fixed-interval Dynamic's. Quick-size cells keep this cheap.
         let per_gpu = Mode::Quick.requests();
         for seed in [SEED, 1, 2, 3] {
-            let dynamic = bursty_cell("dynamic-4x", 5.0, per_gpu, seed);
-            let batching = bursty_cell("batching-4x", 5.0, per_gpu, seed);
+            let dynamic = gap5_bursty_cell("dynamic-4x", per_gpu, seed);
+            let batching = gap5_bursty_cell("batching-4x", per_gpu, seed);
             assert!(
                 batching.p99 < dynamic.p99,
                 "seed {seed}: batching p99 {} vs dynamic p99 {}",
